@@ -31,6 +31,5 @@ from .modules import (ModuleError, RepModule, UndecidableError, check_module,
                       zero_module)
 from .verify import (VerificationReport, VerifyError, run_audit_suite,
                      verify_formula1, verify_formula2)
-from ._kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "1.0.0"

@@ -8,7 +8,7 @@ arrows must satisfy s(a_k) = t(a_{k+1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -135,8 +135,6 @@ class AlgebraPresentation:
     quiver: Quiver
     relations: Tuple[Relation, ...]
     label: str = ""
-    # endpoint cache, one (source, target) per relation
-    rel_endpoints: Tuple[Tuple[str, str], ...] = dc_field(default=(), compare=False)
 
     def key(self) -> str:
         parts = [",".join(self.quiver.vertices),
@@ -150,8 +148,9 @@ class AlgebraPresentation:
 
 def validate_presentation(quiver: Quiver, relations: Sequence[Relation],
                           label: str = "") -> AlgebraPresentation:
-    eps = tuple(rel.endpoints(quiver) for rel in relations)
-    return AlgebraPresentation(quiver, tuple(relations), label, eps)
+    for rel in relations:
+        rel.endpoints(quiver)          # raises on mixed endpoints
+    return AlgebraPresentation(quiver, tuple(relations), label)
 
 
 # ---------------------------------------------------------------------------

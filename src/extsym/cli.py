@@ -8,20 +8,20 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import click
 
 from .algebra import AlgebraError, validate_presentation
 from .counting import CountError, FlagType, count_flags, count_grassmannian
-from .delta import delta_signature, enumerate_flag_types, stratify_by_signature
-from .euler import EulerError, euler_of, flag_degree_bound, good_primes, \
-    grassmannian_degree_bound
-from .ext import ext_dim, ext_symmetry_audit
+from .delta import delta_signature, stratify_by_signature
+from .euler import EulerError, euler_of, flag_degree_bound, \
+    grassmannian_degree_bound, select_primes
+from .ext import ext_dim
 from .fields import RATIONALS, FieldError
 from .fileio import FormatError, load_algebra, load_catalog, load_module
 from .modules import ModuleError, UndecidableError, reduce_module, \
-    simple_at_vertex
+    simple_at_vertex, zero_module
 from .verify import VerifyError, run_audit_suite, verify_formula1, \
     verify_formula2
 
@@ -174,7 +174,8 @@ def grassmann_chi(algebra_file, module_files, edims, primes_arg,
         e = tuple(_parse_int_list(edims))
         bound = degree_bound if degree_bound is not None else \
             grassmannian_degree_bound(m.dims, e)
-        ps = _pick_primes(m, [], bound + 2, _parse_int_list(primes_arg))
+        ps = select_primes(m, zero_module(m.algebra, m.field), [],
+                           bound + 2, _parse_int_list(primes_arg))
         ev = euler_of(f"submodules {e}",
                       lambda p: count_grassmannian(reduce_module(m, p), e),
                       bound, ps)
@@ -212,7 +213,8 @@ def flag_chi(algebra_file, module_files, catalog_file, simples_arg,
         ft = FlagType(jseq, tuple(1 for _ in jseq))
         bound = degree_bound if degree_bound is not None else \
             flag_degree_bound(m.dims)
-        ps = _pick_primes(m, simples, bound + 2, _parse_int_list(primes_arg))
+        ps = select_primes(m, zero_module(m.algebra, m.field), simples,
+                           bound + 2, _parse_int_list(primes_arg))
         ev = euler_of(
             f"chains {jseq}",
             lambda p: count_flags(reduce_module(m, p), ft,
@@ -221,19 +223,6 @@ def flag_chi(algebra_file, module_files, catalog_file, simples_arg,
     except _ERRORS as exc:
         _fail(str(exc), as_json)
     _emit({"chi": ev.value, **ev.as_dict()}, as_json, f"chi = {ev.value}")
-
-
-def _pick_primes(m, extra, count, primes):
-    from .counting import good_prime
-    from .modules import zero_module
-    z = zero_module(m.algebra, m.field)
-    if primes is not None:
-        usable = [p for p in primes if good_prime(m, z, p, extra=extra)]
-        if len(usable) < count:
-            raise EulerError(
-                f"only {len(usable)} supplied primes usable, {count} needed")
-        return usable[:count]
-    return good_primes(lambda p: good_prime(m, z, p, extra=extra), count)
 
 
 @main.command("delta")
@@ -372,11 +361,10 @@ def verify_f2(algebra_file, module_files, catalog_file, simples_arg,
 @main.command("selftest")
 @json_opt
 def selftest(as_json):
-    """Quick internal sanity run (kernels, interpolation, one identity)."""
+    """Quick internal sanity run (interpolation, ext dims, one identity)."""
     from .counting import CountSeries
     from .euler import interpolate_euler
     from . import instances as inst
-    from ._kernels import BACKEND
     results = []
     try:
         ev = interpolate_euler(CountSeries("line", ((2, 3), (3, 4), (5, 6)), 1))
@@ -393,11 +381,9 @@ def selftest(as_json):
     except _ERRORS as exc:
         _fail(str(exc), as_json)
     ok = all(v for _, v in results)
-    _emit({"backend": BACKEND,
-           "verdict": "pass" if ok else "fail",
+    _emit({"verdict": "pass" if ok else "fail",
            "checks": [{"name": k, "ok": v} for k, v in results]},
           as_json,
-          f"backend: {BACKEND}\n" +
           "\n".join(f"{'ok ' if v else 'BAD'} {k}" for k, v in results))
     sys.exit(0 if ok else 1)
 

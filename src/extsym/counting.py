@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
-from .ext import (beta_map, ext1_space, image_first_block_dim, middle_term,
-                  transport_class)
-from .linalg import (Mat, Subspace, contains_vector, enumerate_subspaces,
-                     identity, kernel_basis, mat_mul, mat_vec, rref, span,
-                     transpose, vstack, zeros)
-from .modules import (ModuleError, RepModule, UndecidableError, direct_sum,
-                      hom_dim, is_isomorphic, sub_quotient, witness_from_rows,
-                      zero_module)
+from .ext import beta_map, ext1_space, image_first_block_dim, middle_term
+from .linalg import (contains_vector, enumerate_subspaces, identity,
+                     kernel_basis, mat_vec, span)
+# unused here; perfbench/tests/test_tracing.py checks the tracer wraps it
+from .linalg import rref  # noqa: F401
+from .modules import (ModuleError, RepModule, hom_basis, hom_combination,
+                      hom_dim, is_isomorphic, sub_quotient, witness_from_rows)
 
 
 class CountError(ValueError):
@@ -127,6 +126,17 @@ class FlagType:
         return tuple(tot)
 
 
+def _normalized_classes(field, dim: int):
+    """Nonzero coordinate tuples with first nonzero entry 1: one per line,
+    (p^dim - 1)/(p - 1) of them times (p - 1) scalings collapsed."""
+    p = field.p
+    for lead in range(dim):
+        for tail in itertools.product(range(p), repeat=dim - lead - 1):
+            coords = [field.zero] * lead + [field.one] + \
+                     [field.from_int(t) for t in tail]
+            yield tuple(coords)
+
+
 def _quotient_kernels(m: RepModule, simple: RepModule):
     """Canonical submodule witnesses K <= M with M/K isomorphic to a given
     simple, via kernels of nonzero maps M -> S.
@@ -135,77 +145,30 @@ def _quotient_kernels(m: RepModule, simple: RepModule):
     canonical echelon form of the kernel rows.
     """
     field = m.field
-    hb_rows = _hom_rows(m, simple)
-    if not hb_rows:
-        return
-    p = field.p
+    basis = hom_basis(m, simple).basis
     seen = set()
-    dim = len(hb_rows)
-    # enumerate nonzero maps up to scalar: first nonzero coefficient = 1
-    for lead in range(dim):
-        tails = itertools.product(range(p), repeat=dim - lead - 1)
-        for tail in tails:
-            coeffs = [0] * lead + [1] + list(tail)
-            phi = _hom_combination_mats(field, m, simple, hb_rows, coeffs)
-            kern_rows = []
-            ok = True
-            for i in range(len(m.dims)):
-                blk = phi[i]
-                if simple.dims[i] and blk.nrows:
-                    kb = kernel_basis(field, blk)
-                    if kb.nrows == m.dims[i]:  # not surjective at vertex
-                        ok = False
-                        break
-                    kern_rows.append(tuple(kb.rows))
-                else:
-                    kern_rows.append(tuple(identity(field, m.dims[i]).rows))
-            if not ok:
-                continue
-            key = tuple(kern_rows)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield kern_rows
-
-
-def _hom_rows(m: RepModule, n: RepModule):
-    from .modules import hom_basis
-    hb = hom_basis(m, n)
-    return list(hb.basis)
-
-
-def _hom_combination_mats(field, m, n, basis, coeffs):
-    from .modules import hom_combination
-    return hom_combination(field, basis,
-                           [field.from_int(c) for c in coeffs])
-
-
-def iter_flags(m: RepModule, flag_type: FlagType,
-               simples: Sequence[RepModule]) -> Iterator[tuple]:
-    """Chains M = M_0 >= ... >= M_len matching the prescription, yielded as
-    tuples of (module, inclusion) steps suitable for building a Flag."""
-    field = m.field
-
-    def rec(current: RepModule, k: int, acc):
-        if k == flag_type.length:
-            yield tuple(acc)
-            return
-        idx, c = flag_type.j[k], flag_type.c[k]
-        if c == 0:
-            step = (current, tuple(identity(field, d) for d in current.dims))
-            acc.append(step)
-            yield from rec(current, k + 1, acc)
-            acc.pop()
-            return
-        simple = simples[idx]
-        for kern_rows in _quotient_kernels(current, simple):
-            wit = witness_from_rows(current, kern_rows)
-            sub, _, incl, _ = sub_quotient(current, wit)
-            acc.append((sub, incl))
-            yield from rec(sub, k + 1, acc)
-            acc.pop()
-
-    yield from rec(m, 0, [])
+    # nonzero maps up to scalar
+    for coeffs in _normalized_classes(field, len(basis)):
+        phi = hom_combination(field, basis, coeffs)
+        kern_rows = []
+        ok = True
+        for i in range(len(m.dims)):
+            blk = phi[i]
+            if simple.dims[i] and blk.nrows:
+                kb = kernel_basis(field, blk)
+                if kb.nrows == m.dims[i]:  # not surjective at vertex
+                    ok = False
+                    break
+                kern_rows.append(tuple(kb.rows))
+            else:
+                kern_rows.append(tuple(identity(field, m.dims[i]).rows))
+        if not ok:
+            continue
+        key = tuple(kern_rows)
+        if key in seen:
+            continue
+        seen.add(key)
+        yield kern_rows
 
 
 _flag_count_cache: dict = {}
@@ -252,23 +215,6 @@ def count_flags(m: RepModule, flag_type: FlagType,
 
 # ---------------------------------------------------------------------------
 # Strata of the projectivized extension space
-
-
-@dataclass(frozen=True)
-class StratumCount:
-    label: str
-    count: int          # number of classes (not projectivized)
-
-
-def _normalized_classes(field, dim: int):
-    """Nonzero coordinate tuples with first nonzero entry 1: one per line,
-    (p^dim - 1)/(p - 1) of them times (p - 1) scalings collapsed."""
-    p = field.p
-    for lead in range(dim):
-        for tail in itertools.product(range(p), repeat=dim - lead - 1):
-            coords = [field.zero] * lead + [field.one] + \
-                     [field.from_int(t) for t in tail]
-            yield tuple(coords)
 
 
 def stratify_ext_classes(m: RepModule, n: RepModule,

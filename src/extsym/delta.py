@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .counting import FlagType, count_flags, count_grassmannian, good_prime
-from .euler import (EulerValue, euler_of, flag_degree_bound, good_primes,
-                    grassmannian_degree_bound)
-from .modules import RepModule, reduce_module
+from .counting import FlagType, count_flags, count_grassmannian
+from .euler import (EulerValue, euler_of, flag_degree_bound,
+                    grassmannian_degree_bound, select_primes)
+from .modules import RepModule, reduce_module, zero_module
 
 
 class DeltaError(ValueError):
@@ -81,18 +81,6 @@ class DeltaSignature:
 _sig_cache: dict = {}
 
 
-def _primes_for(m_rat: RepModule, extra: Sequence[RepModule],
-                count: int, primes: Optional[Sequence[int]]) -> List[int]:
-    if primes is not None:
-        if len(primes) < count:
-            raise DeltaError(
-                f"need {count} primes, {len(primes)} supplied")
-        return list(primes[:count])
-    from .modules import zero_module
-    z = zero_module(m_rat.algebra, m_rat.field)
-    return good_primes(lambda p: good_prime(m_rat, z, p, extra=extra), count)
-
-
 def delta_signature(m_rat: RepModule, mode: str,
                     simples: Sequence[RepModule],
                     label: str = "",
@@ -120,7 +108,8 @@ def delta_signature(m_rat: RepModule, mode: str,
 
 def _flag_signature(m_rat, simples, label, primes):
     bound = flag_degree_bound(m_rat.dims)
-    ps = _primes_for(m_rat, simples, bound + 2, primes)
+    ps = select_primes(m_rat, zero_module(m_rat.algebra, m_rat.field),
+                       simples, bound + 2, primes)
     table = []
     for jseq in enumerate_flag_types(m_rat.dims, simples):
         ft = FlagType(jseq, tuple(1 for _ in jseq))
@@ -140,7 +129,8 @@ def _grassmann_signature(m_rat, label, primes):
     table = []
     for e in all_dim_vectors(m_rat.dims):
         bound = grassmannian_degree_bound(m_rat.dims, e)
-        ps = _primes_for(m_rat, (), bound + 2, primes)
+        ps = select_primes(m_rat, zero_module(m_rat.algebra, m_rat.field),
+                           (), bound + 2, primes)
 
         def counter(p, e=e):
             return count_grassmannian(reduce_module(m_rat, p), e)
@@ -191,8 +181,8 @@ def check_delta_multiplicativity(m_rat: RepModule, n_rat: RepModule,
     combined = direct_sum(m_rat, n_rat)
     dims = combined.dims
     bound = flag_degree_bound(dims)
-    ps = _primes_for(combined, list(simples) + [m_rat, n_rat],
-                     bound + 2, primes)
+    ps = select_primes(combined, zero_module(combined.algebra, combined.field),
+                       list(simples) + [m_rat, n_rat], bound + 2, primes)
     rows = []
     for jseq in enumerate_flag_types(dims, simples):
         ft_full = FlagType(jseq, tuple(1 for _ in jseq))

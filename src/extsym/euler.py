@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .counting import CountSeries
+from .counting import CountSeries, good_prime
 
 
 class EulerError(ValueError):
@@ -175,3 +175,25 @@ def good_primes(pred: Callable[[int], bool], count: int,
             if len(out) == count:
                 return out
     raise EulerError("prime stream exhausted")
+
+
+def select_primes(m, n, extra: Sequence, count: int,
+                  supplied: Optional[Sequence[int]]) -> List[int]:
+    """First ``count`` primes that pass ``counting.good_prime`` for the
+    rational pair (m, n) with auxiliary modules ``extra``.
+
+    Supplied primes are screened the same way and used in their given
+    order; automatic selection scans upward from 2.  One module alone is
+    screened as the pair (m, zero module).
+    """
+    def pred(p):
+        return good_prime(m, n, p, extra=extra)
+
+    if supplied is None:
+        return good_primes(pred, count)
+    usable = [p for p in supplied if pred(p)]
+    if len(usable) < count:
+        raise EulerError(
+            f"only {len(usable)} of the supplied primes pass the "
+            f"good-prime screen, {count} needed")
+    return usable[:count]

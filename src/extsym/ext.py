@@ -17,12 +17,11 @@ quiver order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .algebra import AlgebraError
 from .linalg import (Mat, Subspace, identity, kernel_basis, mat_add, mat_mul,
-                     mat_scale, mat_vec, rank, rref, span, vstack, zeros)
-from .modules import RepModule, check_module, hom_basis
+                     mat_scale, mat_vec, rref, span, vstack, zeros)
+from .modules import RepModule, check_module
 
 
 class ExtError(ValueError):

@@ -8,14 +8,13 @@ reduce to prime fields when counting points.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .algebra import (AlgebraPresentation, arrow_path, build_preprojective,
-                      make_quiver, relation, vertex_path)
+                      make_quiver, relation)
 from .fields import RATIONALS
-from .linalg import Mat
-from .modules import (RepModule, check_module, direct_sum_many,
-                      module_from_fractions, simple_at_vertex)
+from .modules import (RepModule, direct_sum_many, module_from_fractions,
+                      simple_at_vertex)
 
 QQ = RATIONALS
 

@@ -5,8 +5,8 @@ everywhere in this problem, so ``len(rows)`` is not enough).  Subspaces are
 identified with their reduced-row-echelon bases, which makes equality and
 dedup canonical.
 
-F_p work is routed through the ``_kernels`` backend (compiled when
-available).
+Over GF(p) the products and eliminations run on plain int rows through the
+private ``_gf_*`` helpers below.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from . import _kernels
-from .fields import GF, QQ, FieldError
+from .fields import GF
 
 
 class LinAlgError(ValueError):
@@ -45,9 +44,6 @@ class Mat:
         elif ncols is None:
             raise LinAlgError("empty matrix needs explicit ncols")
         return Mat(rows, len(rows), ncols)
-
-    def row_lists(self):
-        return [list(r) for r in self.rows]
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -93,8 +89,7 @@ def mat_mul(field, a: Mat, b: Mat) -> Mat:
     if a.ncols == 0:
         return zeros(field, a.nrows, b.ncols)
     if isinstance(field, GF):
-        out = _kernels.matmul(a.row_lists(), b.row_lists(), field.p)
-        return Mat(tuple(tuple(r) for r in out), a.nrows, b.ncols)
+        return Mat(_gf_matmul(a.rows, b.rows, field.p), a.nrows, b.ncols)
     add, mul, z = field.add, field.mul, field.zero
     bt = list(zip(*b.rows))
     out = []
@@ -116,17 +111,9 @@ def mat_add(field, a: Mat, b: Mat) -> Mat:
                      for ra, rb in zip(a.rows, b.rows)), a.nrows, a.ncols)
 
 
-def mat_sub(field, a: Mat, b: Mat) -> Mat:
-    return mat_add(field, a, mat_scale(field, field.neg(field.one), b))
-
-
 def mat_scale(field, c, a: Mat) -> Mat:
     return Mat(tuple(tuple(field.mul(c, x) for x in r) for r in a.rows),
                a.nrows, a.ncols)
-
-
-def mat_eq_zero(field, a: Mat) -> bool:
-    return all(field.is_zero(x) for r in a.rows for x in r)
 
 
 def mat_vec(field, a: Mat, v: Sequence) -> tuple:
@@ -159,9 +146,71 @@ def vstack(field, mats: Sequence[Mat]) -> Mat:
     return Mat(rows, sum(m.nrows for m in mats), ncols)
 
 
-def block_matrix(field, blocks) -> Mat:
-    """Assemble from a 2D grid of Mat blocks."""
-    return vstack(field, [hstack(field, row) for row in blocks])
+# ---------------------------------------------------------------------------
+# F_p kernels on int rows already reduced mod p.  They call only each other,
+# never the public functions below, so one public call stays one call for
+# anything that wraps or counts those.
+
+
+def _gf_matmul(a, b, p) -> tuple:
+    m = len(b[0])
+    out = []
+    for ai in a:
+        row = [0] * m
+        for ait, bt in zip(ai, b):
+            if ait:
+                for j in range(m):
+                    row[j] += ait * bt[j]
+        out.append(tuple(v % p for v in row))
+    return tuple(out)
+
+
+def _gf_rref(mat, p):
+    """Nonzero rows of the reduced row echelon form, and the pivot columns."""
+    rows = [list(r) for r in mat]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = -1
+        for i in range(r, nrows):
+            if rows[i][c] % p:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c] % p, p - 2, p)
+        rows[r] = [(v * inv) % p for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c] % p
+                ri = rows[i]
+                rr = rows[r]
+                rows[i] = [(ri[j] - f * rr[j]) % p for j in range(ncols)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r], pivots
+
+
+def _gf_kernel(mat, ncols, p):
+    """Canonical (RREF) basis of the right kernel of ``mat``."""
+    red, pivots = _gf_rref(mat, p)
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    basis = []
+    for fc in free:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = (-red[i][fc]) % p
+        basis.append(vec)
+    if not basis:
+        return []
+    return _gf_rref(basis, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +220,7 @@ def block_matrix(field, blocks) -> Mat:
 def rref(field, a: Mat):
     """Reduced row echelon form; returns (Mat of nonzero rows, pivots)."""
     if isinstance(field, GF):
-        rows, pivots = _kernels.rref(a.row_lists(), field.p)
+        rows, pivots = _gf_rref(a.rows, field.p)
         return Mat(tuple(tuple(r) for r in rows), len(rows), a.ncols), tuple(pivots)
     rows = [list(r) for r in a.rows]
     nrows, ncols = a.nrows, a.ncols
@@ -204,7 +253,7 @@ def rank(field, a: Mat) -> int:
     if isinstance(field, GF):
         if a.nrows == 0 or a.ncols == 0:
             return 0
-        return _kernels.rank(a.row_lists(), field.p)
+        return len(_gf_rref(a.rows, field.p)[0])
     return rref(field, a)[0].nrows
 
 
@@ -215,7 +264,7 @@ def kernel_basis(field, a: Mat) -> Mat:
     if a.nrows == 0:
         return identity(field, a.ncols)
     if isinstance(field, GF):
-        rows = _kernels.kernel(a.row_lists(), a.ncols, field.p)
+        rows = _gf_kernel(a.rows, a.ncols, field.p)
         return Mat(tuple(tuple(r) for r in rows), len(rows), a.ncols)
     red, pivots = rref(field, a)
     pivset = set(pivots)
@@ -247,19 +296,6 @@ def solve(field, a: Mat, b: Sequence):
     return tuple(x)
 
 
-def kernel_solve(field, a: Mat, rhs: Optional[Sequence] = None):
-    """Kernel basis, rank and (when rhs given) a particular solution.
-
-    Returns (kernel: Mat, rank: int, solution or None, consistent: bool).
-    """
-    k = kernel_basis(field, a)
-    r = a.ncols - k.nrows
-    if rhs is None:
-        return k, r, None, True
-    sol = solve(field, a, rhs)
-    return k, r, sol, sol is not None
-
-
 # ---------------------------------------------------------------------------
 # Subspaces
 
@@ -285,10 +321,6 @@ def span(field, vectors: Sequence[Sequence], ambient: int) -> Subspace:
     m = Mat.from_rows(vectors, ncols=ambient) if vectors else Mat((), 0, ambient)
     red, pivots = rref(field, m)
     return Subspace(field, ambient, red, pivots)
-
-
-def full_space(field, n: int) -> Subspace:
-    return Subspace(field, n, identity(field, n), tuple(range(n)))
 
 
 def zero_space(field, n: int) -> Subspace:

@@ -11,13 +11,12 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .algebra import AlgebraPresentation, AlgebraError, evaluate_relation
+from .algebra import AlgebraPresentation, evaluate_relation
 from .fields import GF, QQ
-from .linalg import (Mat, Subspace, hstack, identity, kernel_basis, mat_from_fractions,
-                     mat_inv, mat_mul, mat_vec, rank, reduce_against, rref, span,
-                     zero_space, zeros)
+from .linalg import (Mat, Subspace, coords_in, kernel_basis, mat_from_fractions,
+                     mat_inv, mat_mul, mat_vec, rank, span, zeros)
 
 
 class ModuleError(ValueError):
@@ -265,10 +264,6 @@ def hom_dim(m: RepModule, n: RepModule) -> int:
     return hom_basis(m, n).dim
 
 
-def apply_hom(field, phis: Sequence[Mat], vecs_by_vertex: Sequence[Sequence]):
-    return [mat_vec(field, phi, v) for phi, v in zip(phis, vecs_by_vertex)]
-
-
 def hom_combination(field, basis: Sequence[Tuple[Mat, ...]], coeffs: Sequence):
     """Per-vertex matrices of sum_k coeffs[k] * basis[k]."""
     nverts = len(basis[0])
@@ -408,13 +403,6 @@ def witness_from_rows(m: RepModule, rows_by_vertex) -> Tuple[Subspace, ...]:
                  for i, rows in enumerate(rows_by_vertex))
 
 
-def _coords_in_rref(field, sub: Subspace, vec):
-    coords = tuple(vec[pc] for pc in sub.pivots)
-    residue = reduce_against(field, sub, vec)
-    ok = all(field.is_zero(x) for x in residue)
-    return coords, ok
-
-
 def sub_quotient(m: RepModule, witness: Sequence[Subspace]):
     """Submodule, quotient and the inclusion/projection module maps.
 
@@ -434,8 +422,8 @@ def sub_quotient(m: RepModule, witness: Sequence[Subspace]):
         cols = []
         for u in ws.mat.rows:
             img = mat_vec(field, m.matrices[ai], u)
-            coords, ok = _coords_in_rref(field, wt, img)
-            if not ok:
+            coords = coords_in(field, wt, img)
+            if coords is None:
                 raise ModuleError(
                     f"witness not arrow-stable at arrow {arr.name!r}")
             cols.append(coords)
@@ -455,11 +443,6 @@ def sub_quotient(m: RepModule, witness: Sequence[Subspace]):
         np_cols = [c for c in range(d) if c not in set(w.pivots)]
         nonpivots.append(np_cols)
         # projection: reduce against the subspace, then read non-pivot coords
-        prows = []
-        for c in np_cols:
-            basis_vec = [field.zero] * d
-            basis_vec[c] = field.one
-            prows.append(basis_vec)
         # proj(v)[k] = v[np_k] - sum_i v[pivot_i] * w[i][np_k]
         pmat = []
         for k, c in enumerate(np_cols):
@@ -483,15 +466,6 @@ def sub_quotient(m: RepModule, witness: Sequence[Subspace]):
     quot_dims = tuple(m.dims[i] - witness[i].dim for i in range(len(witness)))
     quot = RepModule(m.algebra, field, quot_dims, tuple(quot_mats))
     return sub, quot, tuple(incl), tuple(proj)
-
-
-def full_witness(m: RepModule) -> Tuple[Subspace, ...]:
-    from .linalg import full_space
-    return tuple(full_space(m.field, d) for d in m.dims)
-
-
-def zero_witness(m: RepModule) -> Tuple[Subspace, ...]:
-    return tuple(zero_space(m.field, d) for d in m.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +522,3 @@ def composition_series(m: RepModule, simples: Sequence[RepModule]):
         factors.append(idx)
         current = quot
     return factors
-
-
-def in_subcategory(m: RepModule, simples: Sequence[RepModule]) -> bool:
-    return composition_series(m, simples) is not None

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .counting import (CountSeries, FlagType, count_efg, count_flags,
-                       count_grassmannian, good_prime, stratify_ext_classes)
+                       count_grassmannian, stratify_ext_classes)
 from .delta import (DeltaSignature, all_dim_vectors, delta_signature,
                     enumerate_flag_types)
-from .euler import (EulerError, efg_degree_bound, euler_of,
-                    flag_degree_bound, good_primes,
+from .euler import (efg_degree_bound, euler_of, flag_degree_bound,
                     grassmannian_degree_bound, interpolate_euler,
-                    projective_space_degree_bound, projectivize_series)
+                    projective_space_degree_bound, projectivize_series,
+                    select_primes)
 from .ext import ext_dim, ext_symmetry_audit
 from .modules import (RepModule, composition_series, direct_sum, hom_dim,
                       reduce_module)
@@ -87,19 +87,6 @@ def _advisory_symmetry(m, n, simples, allow_asymmetric: bool) -> bool:
     return report.passed
 
 
-def _screen_primes(m, n, catalog, simples, count, primes):
-    extras = list(catalog.values()) + list(simples)
-    if primes is not None:
-        usable = [p for p in primes
-                  if good_prime(m, n, p, extra=extras)]
-        if len(usable) < count:
-            raise VerifyError(
-                f"only {len(usable)} of the supplied primes pass the "
-                f"good-prime screen, {count} needed")
-        return usable[:count]
-    return good_primes(lambda p: good_prime(m, n, p, extra=extras), count)
-
-
 def _strata_chi(m, n, catalog, primes, direction_label) -> Dict[str, int]:
     """chi of each middle-term stratum of the projectivized extension
     space, per catalog label (zero rows included)."""
@@ -161,7 +148,8 @@ def verify_formula2(m: RepModule, n: RepModule,
     dim_e = ext_dim(m, n)
     bound = flag_degree_bound(d)
     nprimes = max(bound, projective_space_degree_bound(max(dim_e, ext_dim(n, m))) + 1) + 2
-    ps = _screen_primes(m, n, catalog, simples, nprimes, primes)
+    ps = select_primes(m, n, list(catalog.values()) + list(simples), nprimes,
+                       primes)
 
     chi_mn = _strata_chi(m, n, catalog, ps, "forward") if dim_e else {}
     chi_nm = _strata_chi(n, m, catalog, ps, "backward") if ext_dim(n, m) else {}
@@ -187,7 +175,8 @@ def verify_formula2(m: RepModule, n: RepModule,
         return euler_of(f"chains {jseq}", counter, bound, ps[:bound + 2]).value
 
     for jseq in enumerate_flag_types(d, simples):
-        lhs = dim_e * chains_of(combined, jseq)
+        # the left side vanishes with Ext(M, N): skip counting its chains
+        lhs = dim_e * chains_of(combined, jseq) if dim_e else 0
         rhs = sum((c1 + c2) * chains_of(catalog[rep], jseq)
                   for rep, c1, c2 in class_chi)
         rows.append((jseq, lhs, rhs))
@@ -223,7 +212,8 @@ def verify_formula1(m: RepModule, n: RepModule,
                                  hom_dim(m, n))
     nprimes = max(gr_bound, efg_bound,
                   projective_space_degree_bound(dim_e) + 1) + 2
-    ps = _screen_primes(m, n, catalog, simples, nprimes, primes)
+    ps = select_primes(m, n, list(catalog.values()) + list(simples), nprimes,
+                       primes)
 
     chi_mn = _strata_chi(m, n, catalog, ps, "forward") if dim_e else {}
     touched = sorted(chi_mn)

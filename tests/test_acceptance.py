@@ -279,6 +279,19 @@ def test_6_counting_invariants(a2):
              reduce_module(mods["S2"], p)]) == base_flags
 
 
+def test_8_formula2_skips_chains_weighted_by_zero(a2):
+    """With Ext^1(M, N) = 0 both ways every row of the symmetric identity
+    is 0 = 0, so no chains of M + N are counted.  Dimension vector (5, 0)
+    has degree bound 10, too many complete flags of F_p^5 to count at
+    every prime.  Budget: 30 s."""
+    with Budget(30):
+        alg, mods = a2
+        s1 = mods["S1"]
+        n = direct_sum_many(alg, RATIONALS, [s1] * 4)
+        rep = verify_formula2(s1, n, [s1, mods["S2"]], a2_catalog(alg, 5))
+        assert rep.rows == (((0, 0, 0, 0, 0), 0, 0),)
+
+
 def test_7_consistency_check_catches_corruption(a2):
     """Every interpolation carries surplus-prime checks; a single corrupted
     sample must be rejected."""

@@ -6,7 +6,7 @@ from extsym.delta import (DeltaError, all_dim_vectors,
                           check_delta_multiplicativity, delta_signature,
                           enumerate_flag_types, stratify_by_signature)
 from extsym.instances import a2_catalog
-from extsym.modules import zero_module
+from extsym.modules import module_from_fractions, zero_module
 from extsym.fields import RATIONALS
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -90,6 +90,38 @@ class TestStratification:
         once = stratify_by_signature(cat, simples, "flag", primes=PRIMES)
         again = stratify_by_signature(cat, simples, "flag", primes=PRIMES)
         assert once == again
+
+
+class TestSuppliedPrimesAreScreened:
+    """A supplied prime that breaks reduction is skipped, as in automatic
+    selection."""
+
+    @staticmethod
+    def p1_scaled(alg):
+        # isomorphic to P1 over Q, but the arrow vanishes mod 3
+        return module_from_fractions(alg, RATIONALS, {"1": 1, "2": 1},
+                                     {"a": [[3]], "a*": [[0]]})
+
+    def test_delta_signature(self, a2):
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        m = self.p1_scaled(alg)
+        supplied = delta_signature(m, "flag", simples,
+                                   primes=[3, 5, 7, 11, 13])
+        assert supplied == delta_signature(m, "flag", simples)
+        assert supplied.values() == {(0, 1): 1, (1, 0): 0}
+
+    def test_stratify_by_signature(self, a2):
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        cat = {lab: c for lab, c in a2_catalog(alg, 2).items()
+               if c.dims == (1, 1)}
+        cat["P1'"] = self.p1_scaled(alg)
+        supplied = stratify_by_signature(cat, simples, "flag",
+                                         primes=[3] + PRIMES)
+        assert supplied == stratify_by_signature(cat, simples, "flag")
+        assert sorted(map(sorted, supplied)) == \
+            [["P1", "P1'"], ["P2"], ["S1+S2"]]
 
 
 class TestMultiplicativity:

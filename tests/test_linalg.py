@@ -104,6 +104,40 @@ def test_matmul_associative_gf():
             mat_mul(f, a, mat_mul(f, b, c))
 
 
+def rand_gf_mat(rng, rows, cols, p):
+    return Mat(tuple(tuple(rng.randrange(p) for _ in range(cols))
+                     for _ in range(rows)), rows, cols)
+
+
+# 4294967311 > 2^32: products of two residues overflow 64-bit integers
+def test_rref_is_idempotent_and_canonical():
+    rng = random.Random(11)
+    for p in (3, 7, 4294967311):
+        f = GF(p)
+        for _ in range(20):
+            m = rand_gf_mat(rng, 4, 5, p)
+            r1, piv1 = rref(f, m)
+            r2, piv2 = rref(f, r1)
+            assert (r1, piv1) == (r2, piv2)
+            # leading entries are 1, pivots strictly increase
+            assert list(piv1) == sorted(set(piv1))
+            for row, pc in zip(r1.rows, piv1):
+                assert row[pc] == 1
+
+
+def test_kernel_rows_annihilate():
+    rng = random.Random(13)
+    for p in (2, 5, 4294967311):
+        f = GF(p)
+        for _ in range(20):
+            m = rand_gf_mat(rng, 3, 6, p)
+            kern = kernel_basis(f, m)
+            for v in kern.rows:
+                for row in m.rows:
+                    assert sum(a * b for a, b in zip(row, v)) % p == 0
+            assert kern.nrows == 6 - rank(f, m)
+
+
 def test_transpose_involution():
     m = frac_mat([[1, 2, 3], [4, 5, 6]])
     assert transpose(transpose(m)) == m
