@@ -17,8 +17,9 @@ from .linalg import (contains_vector, enumerate_subspaces, identity,
                      kernel_basis, mat_vec, span)
 # unused here; perfbench/tests/test_tracing.py checks the tracer wraps it
 from .linalg import rref  # noqa: F401
-from .modules import (ModuleError, RepModule, hom_basis, hom_combination,
-                      hom_dim, is_isomorphic, sub_quotient, witness_from_rows)
+from .modules import (ModuleError, RepModule, UndecidableError, hom_basis,
+                      hom_combination, hom_dim, is_isomorphic, sub_quotient,
+                      witness_from_rows)
 
 
 class CountError(ValueError):
@@ -171,7 +172,73 @@ def _quotient_kernels(m: RepModule, simple: RepModule):
         yield kern_rows
 
 
-_flag_count_cache: dict = {}
+# Isomorphism classes of GF(p) modules, the submodules with one simple
+# quotient of each class (with multiplicities: Hall numbers), and the flag
+# counts per class.  The tables are cleared together; class ids come from a
+# counter, so an id outliving a clear never names a new class.
+_CACHE_LIMIT = 200000
+_class_ids = itertools.count()
+_class_of_key: dict = {}      # (algebra key, module key) -> (id, rep)
+_class_buckets: dict = {}     # isomorphism invariants -> [(id, rep), ...]
+_class_children: dict = {}    # (id, simple key) -> ((id, rep, mult), ...)
+_flag_count_cache: dict = {}  # (id, remaining type, simple keys) -> count
+
+
+def _clear_class_caches() -> None:
+    for table in (_class_of_key, _class_buckets, _class_children,
+                  _flag_count_cache):
+        table.clear()
+
+
+def _remember(table: dict, key, value) -> None:
+    if len(table) >= _CACHE_LIMIT:
+        _clear_class_caches()
+    table[key] = value
+
+
+def _module_class(m: RepModule):
+    """(class id, representative) of a GF(p) module.
+
+    Modules are compared with ``is_isomorphic`` only against the
+    representatives sharing their dimension vector and arrow ranks.  A
+    module whose comparison is undecidable forms a class of its own
+    presentation: classes may split, they never merge unproven.
+    """
+    alg_key = m.algebra.key()
+    key = (alg_key, m.key())
+    hit = _class_of_key.get(key)
+    if hit is not None:
+        return hit
+    bucket_key = (alg_key, repr(m.field), m.dims, _arrow_rank_profile(m))
+    bucket = _class_buckets.get(bucket_key)
+    if bucket is None:
+        bucket = []
+        _remember(_class_buckets, bucket_key, bucket)
+    try:
+        hit = next((c for c in bucket if is_isomorphic(m, c[1])[0]), None)
+    except UndecidableError:
+        hit = (next(_class_ids), m)
+    if hit is None:
+        hit = (next(_class_ids), m)
+        bucket.append(hit)
+    _remember(_class_of_key, key, hit)
+    return hit
+
+
+def _class_children_of(cid, rep: RepModule, simple: RepModule):
+    """Classes of the submodules K <= rep with rep/K isomorphic to the
+    simple, as (class id, representative, number of such K)."""
+    key = (cid, simple.key())
+    kids = _class_children.get(key)
+    if kids is None:
+        mult: Dict[int, list] = {}
+        for kern_rows in _quotient_kernels(rep, simple):
+            sub, _, _, _ = sub_quotient(rep, witness_from_rows(rep, kern_rows))
+            ccid, crep = _module_class(sub)
+            mult.setdefault(ccid, [ccid, crep, 0])[2] += 1
+        kids = tuple(tuple(v) for v in mult.values())
+        _remember(_class_children, key, kids)
+    return kids
 
 
 def count_flags(m: RepModule, flag_type: FlagType,
@@ -180,37 +247,35 @@ def count_flags(m: RepModule, flag_type: FlagType,
 
     Chains run all the way to zero; the flag type must drop exactly the
     dimension vector of the module.  Counted without materializing the
-    chains: the tail count below a submodule depends only on the module
-    itself, and the canonical bases produced by the kernel recursion make
-    equal submodule presentations literally equal, so tail counts are
-    shared through a cache keyed by (module, remaining type).
+    chains, by recursion over isomorphism classes: the number of chains
+    below a submodule depends only on its class, so the count is the sum,
+    over the classes of submodules with the first simple as quotient, of
+    their Hall multiplicities times the count of the remaining type.  The
+    children of a (class, simple) are enumerated once and shared by every
+    flag type; counts are cached by (class, remaining type, simples).
     """
     if flag_type.dims_dropped(simples) != m.dims:
         raise CountError(
             f"flag type drops {flag_type.dims_dropped(simples)}, "
             f"module has dimension vector {m.dims}")
     skeys = tuple(s.key() for s in simples)
+    js, cs = flag_type.j, flag_type.c
 
-    def rec(current: RepModule, k: int) -> int:
-        if k == flag_type.length:
+    def rec(cid, rep: RepModule, k: int) -> int:
+        while k < len(js) and cs[k] == 0:
+            k += 1
+        if k == len(js):
             return 1
-        idx, c = flag_type.j[k], flag_type.c[k]
-        if c == 0:
-            return rec(current, k + 1)
-        key = (current.key(), flag_type.j[k:], flag_type.c[k:], skeys)
+        key = (cid, js[k:], cs[k:], skeys)
         cached = _flag_count_cache.get(key)
         if cached is None:
-            cached = 0
-            for kern_rows in _quotient_kernels(current, simples[idx]):
-                wit = witness_from_rows(current, kern_rows)
-                sub, _, _, _ = sub_quotient(current, wit)
-                cached += rec(sub, k + 1)
-            if len(_flag_count_cache) > 200000:
-                _flag_count_cache.clear()
-            _flag_count_cache[key] = cached
+            cached = sum(mult * rec(ccid, crep, k + 1)
+                         for ccid, crep, mult in
+                         _class_children_of(cid, rep, simples[js[k]]))
+            _remember(_flag_count_cache, key, cached)
         return cached
 
-    return rec(m, 0)
+    return rec(*_module_class(m), 0)
 
 
 # ---------------------------------------------------------------------------

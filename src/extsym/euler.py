@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import CountSeries, good_prime
+from .fields import _is_prime
 
 
 class EulerError(ValueError):
@@ -20,7 +21,6 @@ class EulerError(ValueError):
 
 
 def primes_from(start: int = 2) -> Iterator[int]:
-    from .fields import _is_prime
     n = max(2, start)
     while True:
         if _is_prime(n):
@@ -183,14 +183,19 @@ def select_primes(m, n, extra: Sequence, count: int,
     rational pair (m, n) with auxiliary modules ``extra``.
 
     Supplied primes are screened the same way and used in their given
-    order; automatic selection scans upward from 2.  One module alone is
-    screened as the pair (m, zero module).
+    order; automatic selection scans upward from 2.  A supplied value that
+    is not a prime is an error.  One module alone is screened as the pair
+    (m, zero module).
     """
     def pred(p):
         return good_prime(m, n, p, extra=extra)
 
     if supplied is None:
         return good_primes(pred, count)
+    not_prime = [p for p in supplied if not _is_prime(p)]
+    if not_prime:
+        raise EulerError("supplied values are not prime: "
+                         + ", ".join(str(p) for p in not_prime))
     usable = [p for p in supplied if pred(p)]
     if len(usable) < count:
         raise EulerError(

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .counting import (CountSeries, FlagType, count_efg, count_flags,
                        count_grassmannian, stratify_ext_classes)
-from .delta import (DeltaSignature, all_dim_vectors, delta_signature,
-                    enumerate_flag_types)
+from .delta import (all_dim_vectors, enumerate_flag_types,
+                    stratify_by_signature)
 from .euler import (efg_degree_bound, euler_of, flag_degree_bound,
                     grassmannian_degree_bound, interpolate_euler,
                     projective_space_degree_bound, projectivize_series,
@@ -114,16 +114,8 @@ def _strata_chi(m, n, catalog, primes, direction_label) -> Dict[str, int]:
 def _group_by_signature(catalog, simples, mode, labels):
     """Group catalog labels with equal signatures; returns list of
     (representative label, all labels in class)."""
-    groups: List[Tuple[DeltaSignature, str, List[str]]] = []
-    for lab in labels:
-        sig = delta_signature(catalog[lab], mode, simples, label=lab)
-        for gsig, rep, members in groups:
-            if gsig == sig and catalog[rep].dims == catalog[lab].dims:
-                members.append(lab)
-                break
-        else:
-            groups.append((sig, lab, [lab]))
-    return [(rep, members) for _, rep, members in groups]
+    return [(g[0], g) for g in stratify_by_signature(
+        {lab: catalog[lab] for lab in labels}, simples, mode)]
 
 
 def verify_formula2(m: RepModule, n: RepModule,

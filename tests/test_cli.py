@@ -114,6 +114,15 @@ class TestChi:
                 "--primes", "2", "--json")
         assert r.exit_code == 1
 
+    def test_values_that_are_not_prime_rejected(self, files):
+        r = run("grassmann", "chi", "--algebra", files["algebra"],
+                "--module", files["P1"], "--dims", "0,1",
+                "--primes", "4,6,8,9,2,3,5,7", "--json")
+        assert r.exit_code == 1
+        out = json.loads(r.output)
+        assert out["verdict"] == "error"
+        assert out["message"] == "supplied values are not prime: 4, 6, 8, 9"
+
 
 class TestDeltaAndStratify:
     def test_delta_flag_mode(self, files):

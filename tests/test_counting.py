@@ -6,13 +6,18 @@ import itertools
 
 import pytest
 
+from extsym import counting
 from extsym.counting import (CountError, FlagType, count_efg,
                              count_efg_split, count_flags, count_grassmannian,
                              good_prime, good_prime_for_pairs,
                              iter_submodules, stratify_ext_classes)
-from extsym.instances import a2_catalog
-from extsym.linalg import Mat, mat_from_fractions
-from extsym.modules import (conjugate, direct_sum, reduce_module)
+from extsym.delta import enumerate_flag_types
+from extsym.fields import RATIONALS
+from extsym.instances import a2_catalog, a2_sums
+from extsym.linalg import mat_from_fractions
+from extsym.modules import (UndecidableError, conjugate, direct_sum,
+                            direct_sum_many, module_from_fractions,
+                            reduce_module)
 
 from oracle import (count_flags_bruteforce, count_submodules_bruteforce,
                     gaussian_binomial_int)
@@ -103,6 +108,164 @@ class TestFlags:
         simples = [reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)]
         # full flags of a 2-dim space over GF(3): p + 1 lines
         assert count_flags(s, FlagType((0, 0), (1, 1)), simples) == p + 1
+
+
+_ORACLE: dict = {}
+
+
+def _flag_table(m_rat, simples_rat, p):
+    """count_flags of the reduction mod p for every flag type."""
+    m = reduce_module(m_rat, p)
+    simples = [reduce_module(s, p) for s in simples_rat]
+    return {jseq: count_flags(m, FlagType(jseq, (1,) * len(jseq)), simples)
+            for jseq in enumerate_flag_types(m.dims, simples)}
+
+
+def _oracle_table(m_rat, simples_rat, p):
+    """The same table from the brute-force oracle, memoised per test run."""
+    key = (m_rat.algebra.key(), m_rat.key(), p)
+    if key not in _ORACLE:
+        m = reduce_module(m_rat, p)
+        simples = [reduce_module(s, p) for s in simples_rat]
+        _ORACLE[key] = {
+            jseq: count_flags_bruteforce(
+                list(m.dims), _arrow_data(m),
+                [list(simples[j].dims) for j in jseq], p)
+            for jseq in enumerate_flag_types(m.dims, simples)}
+    return _ORACLE[key]
+
+
+def _q_factorial(k, q):
+    out = 1
+    for i in range(1, k + 1):
+        out *= (q ** i - 1) // (q - 1)
+    return out
+
+
+def _shared_invariant_pair(alg):
+    """Two commuting nilpotent pairs on a 3-space with equal arrow ranks
+    (1, 1) that are not isomorphic: x = y = E12 has 2q + 1 complete flags,
+    x = E12, y = E13 has q + 1."""
+    e12 = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    e13 = [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+    equal = module_from_fractions(alg, RATIONALS, {"v": 3},
+                                  {"x": e12, "y": e12})
+    apart = module_from_fractions(alg, RATIONALS, {"v": 3},
+                                  {"x": e12, "y": e13})
+    return equal, apart
+
+
+@pytest.fixture
+def cold_classes():
+    """Empty class tables before and after the test, so that it classifies
+    every module itself and leaves nothing it forced behind."""
+    counting._clear_class_caches()
+    yield
+    counting._clear_class_caches()
+
+
+class TestFlagsByClass:
+    """The recursion over isomorphism classes against the brute-force
+    chain count, for every flag type."""
+
+    @pytest.mark.parametrize("p, max_total", [(2, 4), (3, 3)])
+    def test_a2_sums(self, a2, p, max_total):
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        for m in a2_sums(alg, max_total).values():
+            assert _flag_table(m, simples, p) == \
+                _oracle_table(m, simples, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_two_loop(self, two_loop, p):
+        _, mods = two_loop
+        simples = [mods["S"]]
+        for m in mods.values():
+            assert _flag_table(m, simples, p) == \
+                _oracle_table(m, simples, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_equal_invariants_different_classes(self, two_loop, p):
+        alg, mods = two_loop
+        equal, apart = _shared_invariant_pair(alg)
+        simples = [mods["S"]]
+        assert _flag_table(equal, simples, p) == {(0, 0, 0): 2 * p + 1}
+        assert _flag_table(apart, simples, p) == {(0, 0, 0): p + 1}
+        if p < 5:
+            assert _flag_table(equal, simples, p) == \
+                _oracle_table(equal, simples, p)
+            assert _flag_table(apart, simples, p) == \
+                _oracle_table(apart, simples, p)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_semisimple_gives_q_factorials(self, a2, k):
+        alg, mods = a2
+        p = 5
+        m = reduce_module(direct_sum_many(alg, RATIONALS, [mods["S1"]] * k),
+                          p)
+        simples = [reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)]
+        # complete flags of F_5^k
+        assert count_flags(m, FlagType((0,) * k, (1,) * k), simples) == \
+            _q_factorial(k, p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_invariant_under_base_change(self, a2, p):
+        _, mods = a2
+        m = reduce_module(direct_sum(direct_sum(mods["P1"], mods["S2"]),
+                                     mods["S1"]), p)
+        simples = [reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)]
+        field = m.field
+        g = (mat_from_fractions(field, [[1, 1], [0, 1]]),
+             mat_from_fractions(field, [[1, 1], [1, 0]]))
+        twisted = conjugate(m, g)
+        assert twisted.key() != m.key()
+        for jseq in enumerate_flag_types(m.dims, simples):
+            ft = FlagType(jseq, (1,) * len(jseq))
+            assert count_flags(twisted, ft, simples) == \
+                count_flags(m, ft, simples)
+
+    def test_undecidable_comparisons_fall_back_to_presentations(
+            self, a2, two_loop, monkeypatch, cold_classes):
+        calls = []
+
+        def undecidable(m, n):
+            calls.append(m)
+            raise UndecidableError("forced")
+
+        monkeypatch.setattr(counting, "is_isomorphic", undecidable)
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        for lab in ("S1+S1+S2", "S1+P1", "S1+S2+P1", "S1+S1+P2"):
+            m = a2_sums(alg, 4)[lab]
+            assert _flag_table(m, simples, 3) == \
+                _oracle_table(m, simples, 3)
+        loop_alg, loops = two_loop
+        for m in loops.values():
+            assert _flag_table(m, [loops["S"]], 3) == \
+                _oracle_table(m, [loops["S"]], 3)
+        # same bucket, not isomorphic: an undecided comparison must not
+        # merge them
+        for p in (2, 3):
+            equal, apart = _shared_invariant_pair(loop_alg)
+            assert _flag_table(apart, [loops["S"]], p) == {(0, 0, 0): p + 1}
+            assert _flag_table(equal, [loops["S"]], p) == \
+                {(0, 0, 0): 2 * p + 1}
+        assert calls
+
+    @pytest.mark.parametrize("limit", [1, 2, 5])
+    def test_counts_survive_clearing_at_a_small_bound(
+            self, a2, two_loop, monkeypatch, cold_classes, limit):
+        monkeypatch.setattr(counting, "_CACHE_LIMIT", limit)
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        for lab in ("S1+S1+S2", "S1+S2+P2", "S2+S2+P1", "P1+P2"):
+            m = a2_sums(alg, 4)[lab]
+            assert _flag_table(m, simples, 2) == \
+                _oracle_table(m, simples, 2)
+        _, loops = two_loop
+        for m in loops.values():
+            assert _flag_table(m, [loops["S"]], 5) == \
+                _oracle_table(m, [loops["S"]], 5)
 
 
 class TestStrata:

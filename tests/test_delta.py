@@ -5,6 +5,7 @@ import pytest
 from extsym.delta import (DeltaError, all_dim_vectors,
                           check_delta_multiplicativity, delta_signature,
                           enumerate_flag_types, stratify_by_signature)
+from extsym.euler import EulerError, select_primes
 from extsym.instances import a2_catalog
 from extsym.modules import module_from_fractions, zero_module
 from extsym.fields import RATIONALS
@@ -90,6 +91,20 @@ class TestStratification:
         once = stratify_by_signature(cat, simples, "flag", primes=PRIMES)
         again = stratify_by_signature(cat, simples, "flag", primes=PRIMES)
         assert once == again
+
+
+class TestSuppliedValuesMustBePrime:
+    def test_values_that_are_not_prime_raise(self, a2, monkeypatch):
+        _, mods = a2
+        z = zero_module(mods["P1"].algebra, RATIONALS)
+
+        def no_screening(*args, **kwargs):
+            raise AssertionError("screened before the values were checked")
+
+        monkeypatch.setattr("extsym.euler.good_prime", no_screening)
+        with pytest.raises(EulerError, match="not prime: 4, 6, 8, 9$"):
+            select_primes(mods["P1"], z, [], 3,
+                          supplied=[4, 6, 8, 9, 2, 3, 5, 7])
 
 
 class TestSuppliedPrimesAreScreened:
