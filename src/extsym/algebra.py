@@ -137,13 +137,19 @@ class AlgebraPresentation:
     label: str = ""
 
     def key(self) -> str:
-        parts = [",".join(self.quiver.vertices),
-                 ";".join(f"{a.name}:{a.source}>{a.target}" for a in self.quiver.arrows)]
-        for rel in self.relations:
-            parts.append("|".join(
-                f"{c}*{'v' + p.vertex if p.is_vertex else '.'.join(p.arrows)}"
-                for c, p in rel.terms))
-        return "&".join(parts)
+        """The presentation as a string, computed once per object."""
+        cached = self.__dict__.get("_key")
+        if cached is None:
+            parts = [",".join(self.quiver.vertices),
+                     ";".join(f"{a.name}:{a.source}>{a.target}"
+                              for a in self.quiver.arrows)]
+            for rel in self.relations:
+                parts.append("|".join(
+                    f"{c}*{'v' + p.vertex if p.is_vertex else '.'.join(p.arrows)}"
+                    for c, p in rel.terms))
+            cached = "&".join(parts)
+            object.__setattr__(self, "_key", cached)
+        return cached
 
 
 def validate_presentation(quiver: Quiver, relations: Sequence[Relation],

@@ -12,9 +12,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
+from . import memo
 from .ext import beta_map, ext1_space, image_first_block_dim, middle_term
 from .linalg import (contains_vector, enumerate_subspaces, identity,
-                     kernel_basis, mat_vec, span)
+                     kernel_basis, mat_vec, rank, span)
 # unused here; perfbench/tests/test_tracing.py checks the tracer wraps it
 from .linalg import rref  # noqa: F401
 from .modules import (ModuleError, RepModule, UndecidableError, hom_basis,
@@ -174,46 +175,25 @@ def _quotient_kernels(m: RepModule, simple: RepModule):
 
 # Isomorphism classes of GF(p) modules, the submodules with one simple
 # quotient of each class (with multiplicities: Hall numbers), and the flag
-# counts per class.  The tables are cleared together; class ids come from a
-# counter, so an id outliving a clear never names a new class.
-_CACHE_LIMIT = 200000
+# counts per class.  Class ids come from a counter and are never reused.
 _class_ids = itertools.count()
-_class_of_key: dict = {}      # (algebra key, module key) -> (id, rep)
-_class_buckets: dict = {}     # isomorphism invariants -> [(id, rep), ...]
-_class_children: dict = {}    # (id, simple key) -> ((id, rep, mult), ...)
-_flag_count_cache: dict = {}  # (id, remaining type, simple keys) -> count
+_class_buckets = memo.table()  # isomorphism invariants -> [(id, rep), ...]
+_flag_counts = memo.table()    # (id, remaining type, simple keys) -> count
 
 
-def _clear_class_caches() -> None:
-    for table in (_class_of_key, _class_buckets, _class_children,
-                  _flag_count_cache):
-        table.clear()
-
-
-def _remember(table: dict, key, value) -> None:
-    if len(table) >= _CACHE_LIMIT:
-        _clear_class_caches()
-    table[key] = value
-
-
+@memo.cached(lambda m: m.key())
 def _module_class(m: RepModule):
     """(class id, representative) of a GF(p) module.
 
     Modules are compared with ``is_isomorphic`` only against the
-    representatives sharing their dimension vector and arrow ranks.  A
-    module whose comparison is undecidable forms a class of its own
-    presentation: classes may split, they never merge unproven.
+    representatives sharing their algebra, field, dimension vector and
+    arrow ranks.  A module whose comparison is undecidable forms a class
+    of its own presentation: classes may split, they never merge unproven.
     """
-    alg_key = m.algebra.key()
-    key = (alg_key, m.key())
-    hit = _class_of_key.get(key)
-    if hit is not None:
-        return hit
-    bucket_key = (alg_key, repr(m.field), m.dims, _arrow_rank_profile(m))
+    bucket_key = (m.key()[:3], _arrow_rank_profile(m))
     bucket = _class_buckets.get(bucket_key)
     if bucket is None:
-        bucket = []
-        _remember(_class_buckets, bucket_key, bucket)
+        bucket = memo.remember(_class_buckets, bucket_key, [])
     try:
         hit = next((c for c in bucket if is_isomorphic(m, c[1])[0]), None)
     except UndecidableError:
@@ -221,24 +201,19 @@ def _module_class(m: RepModule):
     if hit is None:
         hit = (next(_class_ids), m)
         bucket.append(hit)
-    _remember(_class_of_key, key, hit)
     return hit
 
 
+@memo.cached(lambda cid, rep, simple: (cid, simple.key()))
 def _class_children_of(cid, rep: RepModule, simple: RepModule):
     """Classes of the submodules K <= rep with rep/K isomorphic to the
     simple, as (class id, representative, number of such K)."""
-    key = (cid, simple.key())
-    kids = _class_children.get(key)
-    if kids is None:
-        mult: Dict[int, list] = {}
-        for kern_rows in _quotient_kernels(rep, simple):
-            sub, _, _, _ = sub_quotient(rep, witness_from_rows(rep, kern_rows))
-            ccid, crep = _module_class(sub)
-            mult.setdefault(ccid, [ccid, crep, 0])[2] += 1
-        kids = tuple(tuple(v) for v in mult.values())
-        _remember(_class_children, key, kids)
-    return kids
+    mult: Dict[int, list] = {}
+    for kern_rows in _quotient_kernels(rep, simple):
+        sub, _, _, _ = sub_quotient(rep, witness_from_rows(rep, kern_rows))
+        ccid, crep = _module_class(sub)
+        mult.setdefault(ccid, [ccid, crep, 0])[2] += 1
+    return tuple(tuple(v) for v in mult.values())
 
 
 def count_flags(m: RepModule, flag_type: FlagType,
@@ -254,6 +229,11 @@ def count_flags(m: RepModule, flag_type: FlagType,
     children of a (class, simple) are enumerated once and shared by every
     flag type; counts are cached by (class, remaining type, simples).
     """
+    bad = [j for j in flag_type.j if not 0 <= j < len(simples)]
+    if bad:
+        raise CountError(
+            f"flag type indices out of range for {len(simples)} simples: "
+            f"{', '.join(map(str, bad))}")
     if flag_type.dims_dropped(simples) != m.dims:
         raise CountError(
             f"flag type drops {flag_type.dims_dropped(simples)}, "
@@ -267,12 +247,12 @@ def count_flags(m: RepModule, flag_type: FlagType,
         if k == len(js):
             return 1
         key = (cid, js[k:], cs[k:], skeys)
-        cached = _flag_count_cache.get(key)
+        cached = _flag_counts.get(key)
         if cached is None:
-            cached = sum(mult * rec(ccid, crep, k + 1)
-                         for ccid, crep, mult in
-                         _class_children_of(cid, rep, simples[js[k]]))
-            _remember(_flag_count_cache, key, cached)
+            cached = memo.remember(
+                _flag_counts, key,
+                sum(mult * rec(ccid, crep, k + 1) for ccid, crep, mult in
+                    _class_children_of(cid, rep, simples[js[k]])))
         return cached
 
     return rec(*_module_class(m), 0)
@@ -310,19 +290,9 @@ def stratify_ext_classes(m: RepModule, n: RepModule,
     return counts
 
 
-_rank_profile_cache: dict = {}
-
-
+@memo.cached(lambda m: m.key())
 def _arrow_rank_profile(m: RepModule):
-    from .linalg import rank
-    key = m.key()
-    prof = _rank_profile_cache.get(key)
-    if prof is None:
-        prof = tuple(rank(m.field, a) for a in m.matrices)
-        if len(_rank_profile_cache) > 200000:
-            _rank_profile_cache.clear()
-        _rank_profile_cache[key] = prof
-    return prof
+    return tuple(rank(m.field, a) for a in m.matrices)
 
 
 def _match_catalog(mid: RepModule, catalog: Dict[str, RepModule]) -> str:
@@ -409,16 +379,12 @@ def good_prime_for_pairs(pairs: Sequence[Tuple[RepModule, RepModule]],
     from .ext import ext_dim
     from .modules import reduce_module
     from .fields import FieldError
-    red: Dict[str, RepModule] = {}
     try:
-        for a, b in pairs:
-            for x in (a, b):
-                if x.key() not in red:
-                    red[x.key()] = reduce_module(x, p)
+        reduced = [(reduce_module(a, p), reduce_module(b, p))
+                   for a, b in pairs]
     except (FieldError, ModuleError):
         return False
-    for a, b in pairs:
-        ra, rb = red[a.key()], red[b.key()]
+    for (a, b), (ra, rb) in zip(pairs, reduced):
         if hom_dim(a, b) != hom_dim(ra, rb):
             return False
         if ext_dim(a, b) != ext_dim(ra, rb):

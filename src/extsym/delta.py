@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import memo
 from .counting import FlagType, count_flags, count_grassmannian
 from .euler import (EulerValue, euler_of, flag_degree_bound,
                     grassmannian_degree_bound, select_primes)
@@ -78,9 +79,6 @@ class DeltaSignature:
         return hash((self.mode, tuple(sorted(self.values().items()))))
 
 
-_sig_cache: dict = {}
-
-
 def delta_signature(m_rat: RepModule, mode: str,
                     simples: Sequence[RepModule],
                     label: str = "",
@@ -89,21 +87,20 @@ def delta_signature(m_rat: RepModule, mode: str,
 
     ``simples`` is only consulted in flag mode (it fixes the type list).
     """
-    key = (m_rat.algebra.key(), m_rat.key(), mode,
-           tuple(s.key() for s in simples),
-           tuple(primes) if primes is not None else None)
-    cached = _sig_cache.get(key)
-    if cached is not None:
-        return cached if not label else DeltaSignature(
-            label, cached.mode, cached.table)
+    sig = _signature(m_rat, mode, simples, label, primes)
+    return sig if sig.label == label else DeltaSignature(label, sig.mode,
+                                                         sig.table)
+
+
+@memo.cached(lambda m_rat, mode, simples, label, primes: (
+    m_rat.key(), mode, tuple(s.key() for s in simples),
+    tuple(primes) if primes is not None else None))
+def _signature(m_rat, mode, simples, label, primes):
     if mode == "flag":
-        sig = _flag_signature(m_rat, simples, label, primes)
-    elif mode == "grassmann":
-        sig = _grassmann_signature(m_rat, label, primes)
-    else:
-        raise DeltaError(f"unknown signature mode {mode!r}")
-    _sig_cache[key] = sig
-    return sig
+        return _flag_signature(m_rat, simples, label, primes)
+    if mode == "grassmann":
+        return _grassmann_signature(m_rat, label, primes)
+    raise DeltaError(f"unknown signature mode {mode!r}")
 
 
 def _flag_signature(m_rat, simples, label, primes):

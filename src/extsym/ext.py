@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from . import memo
 from .linalg import (Mat, Subspace, identity, kernel_basis, mat_add, mat_mul,
-                     mat_scale, mat_vec, rref, span, vstack, zeros)
-from .modules import RepModule, check_module
+                     mat_scale, mat_vec, rref, solve, span, transpose, vstack,
+                     zeros)
+from .modules import RepModule, _hom_system, check_module
 
 
 class ExtError(ValueError):
@@ -139,7 +141,6 @@ class ExtSpace:
             return ()
         stacked = vstack(field, [self.trivial, self.compl]) \
             if self.trivial.nrows else self.compl
-        from .linalg import solve, transpose
         sol = solve(field, transpose(stacked), vec)
         if sol is None:
             raise ExtError("tuple not in D(X, Y)")
@@ -149,15 +150,9 @@ class ExtSpace:
         return tuple(self.field.zero for _ in range(self.dim))
 
 
-_ext_cache: dict = {}
-
-
+@memo.cached(lambda x, y: (x.key(), y.key()))
 def ext1_space(x: RepModule, y: RepModule) -> ExtSpace:
     """Ext^1(X, Y): classes of extensions 0 -> Y -> L -> X -> 0."""
-    ck = (x.algebra.key(), x.key(), y.key())
-    cached = _ext_cache.get(ck)
-    if cached is not None:
-        return cached
     field = x.field
     if x.field != y.field or x.algebra.key() != y.algebra.key():
         raise ExtError("modules over different algebras or fields")
@@ -184,32 +179,9 @@ def ext1_space(x: RepModule, y: RepModule) -> ExtSpace:
                            for r in range(neqs)), neqs, total)
         d_basis = kernel_basis(field, eq_mat)
 
-    # trivial part: image of phi |-> (phi_t X_a - Y_a phi_s)
-    q = x.algebra.quiver
-    triv_vecs = []
-    for i, v in enumerate(q.vertices):
-        for ii in range(y.dims[i]):
-            for jj in range(x.dims[i]):
-                d_mats = []
-                for ai, arr in enumerate(q.arrows):
-                    s = q.vertex_index(arr.source)
-                    t = q.vertex_index(arr.target)
-                    blk = [[field.zero] * x.dims[s] for _ in range(y.dims[t])]
-                    if t == i:
-                        # phi_t X_a contribution: phi = E_{ii,jj} at vertex i
-                        xa = x.matrices[ai]
-                        for col in range(x.dims[s]):
-                            blk[ii][col] = field.add(blk[ii][col], xa.rows[jj][col])
-                    if s == i:
-                        ya = y.matrices[ai]
-                        for row in range(y.dims[t]):
-                            blk[row][jj] = field.sub(blk[row][jj], ya.rows[row][ii])
-                    d_mats.append(Mat(tuple(tuple(r) for r in blk),
-                                      y.dims[t], x.dims[s]))
-                triv_vecs.append(_pack_tuple(d_mats, layout, total, field.zero))
-    triv_mat = Mat(tuple(triv_vecs), len(triv_vecs), total) if triv_vecs \
-        else Mat((), 0, total)
-    trivial = rref(field, triv_mat)[0]
+    # trivial part: image of phi |-> (phi_t X_a - Y_a phi_s), whose matrix
+    # is the transpose of the Hom system's (equation rows, Hom unknowns)
+    trivial = rref(field, transpose(_hom_system(x, y)[0]))[0]
 
     # complement: rows of d_basis whose D-coordinates extend the trivial RREF
     if d_basis.nrows:
@@ -227,11 +199,7 @@ def ext1_space(x: RepModule, y: RepModule) -> ExtSpace:
     else:
         compl = Mat((), 0, total)
 
-    space = ExtSpace(x, y, d_basis, trivial, compl, tuple(layout), total)
-    if len(_ext_cache) > 100000:
-        _ext_cache.clear()
-    _ext_cache[ck] = space
-    return space
+    return ExtSpace(x, y, d_basis, trivial, compl, tuple(layout), total)
 
 
 def _pivots_of_rref(field, m: Mat):
@@ -518,9 +486,8 @@ def beta_flag_maps(flag_m: Flag, flag_n: Flag) -> FlagBetaPair:
                     col[off2 + i] = field.sub(col[off2 + i], v)
             cols.append(tuple(col))
     beta = Mat(tuple(tuple(col[i] for col in cols) for i in range(total_dst)),
-               total_dst, total_src) if cols else Mat((), total_dst, 0)
-    if not cols:
-        beta = Mat(tuple(() for _ in range(total_dst)), total_dst, 0)
+               total_dst, total_src) \
+        if cols else Mat(tuple(() for _ in range(total_dst)), total_dst, 0)
 
     ps_dims = [s.dim for s in ep_src]
     pd_dims = [s.dim for s in ep_dst]

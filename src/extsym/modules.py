@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
+from . import memo
 from .algebra import AlgebraPresentation, evaluate_relation
 from .fields import GF, QQ
 from .linalg import (Mat, Subspace, coords_in, kernel_basis, mat_from_fractions,
@@ -47,18 +48,26 @@ class RepModule:
     def dims_dict(self) -> Dict[str, int]:
         return dict(zip(self.algebra.quiver.vertices, self.dims))
 
-    def mats_dict(self) -> Dict[str, Mat]:
-        return {a.name: m for a, m in zip(self.algebra.quiver.arrows, self.matrices)}
-
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims)
 
     def key(self):
-        cached = getattr(self, "_key", None)
+        """The identity of the module, computed once: (algebra key, field,
+        dims, entries).  Entries are integers only: a GF(p) entry as it
+        is, a rational one as its numerator and denominator, each matrix
+        flattened row by row (the dims fix its shape)."""
+        cached = self.__dict__.get("_key")
         if cached is None:
-            cached = (repr(self.field), self.dims,
-                      tuple(tuple(tuple(str(x) for x in r) for r in m.rows)
-                            for m in self.matrices))
+            if isinstance(self.field, QQ):
+                entries = tuple(
+                    tuple(v for r in m.rows for x in r
+                          for v in (x.numerator, x.denominator))
+                    for m in self.matrices)
+            else:
+                entries = tuple(tuple(x for r in m.rows for x in r)
+                                for m in self.matrices)
+            cached = (self.algebra.key(), repr(self.field), self.dims,
+                      entries)
             object.__setattr__(self, "_key", cached)
         return cached
 
@@ -149,8 +158,10 @@ def direct_sum_many(algebra, field, mods: Sequence[RepModule]) -> RepModule:
     return acc
 
 
+@memo.cached(lambda m, p: (m.key(), p))
 def reduce_module(m: RepModule, p: int) -> RepModule:
-    """Reduction mod p of a rational module (validating the relations)."""
+    """Reduction mod p of a rational module, validating the relations on
+    the first call for each (module, p)."""
     if not isinstance(m.field, QQ):
         raise ModuleError("can only reduce a rational module")
     gf = GF(p)
@@ -243,21 +254,12 @@ def _unpack_hom(field, vec: Sequence, layout) -> Tuple[Mat, ...]:
     return tuple(mats)
 
 
-_hom_cache: dict = {}
-
-
+@memo.cached(lambda m, n: (m.key(), n.key()))
 def hom_basis(m: RepModule, n: RepModule) -> HomBasis:
-    ck = (m.algebra.key(), m.key(), n.key())
-    cached = _hom_cache.get(ck)
-    if cached is None:
-        sys_mat, layout = _hom_system(m, n)
-        kern = kernel_basis(m.field, sys_mat)
-        basis = tuple(_unpack_hom(m.field, row, layout) for row in kern.rows)
-        cached = HomBasis(m, n, basis)
-        if len(_hom_cache) > 200000:
-            _hom_cache.clear()
-        _hom_cache[ck] = cached
-    return cached
+    sys_mat, layout = _hom_system(m, n)
+    kern = kernel_basis(m.field, sys_mat)
+    basis = tuple(_unpack_hom(m.field, row, layout) for row in kern.rows)
+    return HomBasis(m, n, basis)
 
 
 def hom_dim(m: RepModule, n: RepModule) -> int:

@@ -101,6 +101,16 @@ class TestChi:
         assert r.exit_code == 0
         assert json.loads(r.output)["chi"] == 0
 
+    @pytest.mark.parametrize("jseq, bad", [("-2,-1", "-2, -1"),
+                                           ("0,5", "5")])
+    def test_flag_chi_indices_out_of_range(self, files, jseq, bad):
+        r = run("flag", "chi", "--algebra", files["algebra"],
+                "--module", files["P1"], "--simples", "vertex:1,vertex:2",
+                "--type", jseq)
+        assert r.exit_code == 1
+        assert r.output.startswith("error: ")
+        assert r.output.rstrip().endswith(f"2 simples: {bad}")
+
     def test_explicit_primes(self, files):
         r = run("grassmann", "chi", "--algebra", files["algebra"],
                 "--module", files["S1"], "--dims", "1,0",

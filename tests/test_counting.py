@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from extsym import counting
+from extsym import counting, memo
 from extsym.counting import (CountError, FlagType, count_efg,
                              count_efg_split, count_flags, count_grassmannian,
                              good_prime, good_prime_for_pairs,
@@ -101,6 +101,15 @@ class TestFlags:
         with pytest.raises(CountError, match="drops"):
             count_flags(p1, FlagType((0,), (1,)), simples)
 
+    @pytest.mark.parametrize("jseq, bad", [((-2, -1), "-2, -1"),
+                                           ((0, 5), "5")])
+    def test_indices_out_of_range_rejected(self, a2, jseq, bad):
+        _, mods = a2
+        p1 = reduce_module(mods["P1"], 3)
+        simples = [reduce_module(mods["S1"], 3), reduce_module(mods["S2"], 3)]
+        with pytest.raises(CountError, match=f"2 simples: {bad}$"):
+            count_flags(p1, FlagType(jseq, (1, 1)), simples)
+
     def test_semisimple_square_counts(self, a2):
         _, mods = a2
         p = 3
@@ -159,9 +168,9 @@ def _shared_invariant_pair(alg):
 def cold_classes():
     """Empty class tables before and after the test, so that it classifies
     every module itself and leaves nothing it forced behind."""
-    counting._clear_class_caches()
+    memo.clear_all()
     yield
-    counting._clear_class_caches()
+    memo.clear_all()
 
 
 class TestFlagsByClass:
@@ -255,7 +264,7 @@ class TestFlagsByClass:
     @pytest.mark.parametrize("limit", [1, 2, 5])
     def test_counts_survive_clearing_at_a_small_bound(
             self, a2, two_loop, monkeypatch, cold_classes, limit):
-        monkeypatch.setattr(counting, "_CACHE_LIMIT", limit)
+        monkeypatch.setattr(memo, "LIMIT", limit)
         alg, mods = a2
         simples = [mods["S1"], mods["S2"]]
         for lab in ("S1+S1+S2", "S1+S2+P2", "S2+S2+P1", "P1+P2"):

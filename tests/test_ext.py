@@ -2,18 +2,23 @@
 the paired block maps and their dimension identity."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
+from extsym import memo
+from extsym.algebra import validate_presentation
 from extsym.counting import iter_submodules
 from extsym.ext import (ExtError, beta_map, beta_prime_map, beta_flag_maps,
                         ext1_space, ext_dim, ext_symmetry_audit, Flag,
                         flag_symmetry_identity, image_first_block_dim,
                         kernel_projection_dim, middle_term, transport_class,
                         trivial_flag_step)
-from extsym.fields import GF
+from extsym.fields import GF, RATIONALS
+from extsym.instances import a2_sums, deformed_a2_module
 from extsym.linalg import Mat, mat_mul
-from extsym.modules import (direct_sum, hom_dim, is_isomorphic, reduce_module,
+from extsym.modules import (direct_sum, hom_dim, is_isomorphic,
+                            module_from_fractions, reduce_module,
                             sub_quotient, witness_from_rows)
 
 
@@ -52,6 +57,37 @@ class TestDimensions:
             assert ext_dim(reduce_module(mods[la], p),
                            reduce_module(mods[lb], p)) == \
                 ext_dim(mods[la], mods[lb])
+
+
+    def test_trivial_part_by_rank_nullity(self, a2, two_loop,
+                                          three_vertex):
+        """The trivial tuples are the image of the Hom-tuple map, whose
+        kernel is Hom(X, Y): rank = sum_i x_i y_i - hom(X, Y)."""
+        alg, _ = a2
+        sums = list(a2_sums(alg, 3).values())
+        families = [sums, [reduce_module(m, 3) for m in sums],
+                    list(two_loop[1].values()), list(three_vertex[1].values()),
+                    [deformed_a2_module(Fraction(a))
+                     for a in (1, 2, -1, Fraction(1, 2), 3)]]
+        for mods in families:
+            for x, y in itertools.product(mods, repeat=2):
+                assert ext1_space(x, y).trivial.nrows == \
+                    sum(a * b for a, b in zip(x.dims, y.dims)) - hom_dim(x, y)
+
+    def test_key_names_the_algebra(self, a2):
+        """P1's matrices over the doubled quiver without relations have a
+        self-extension; over the preprojective algebra they have none."""
+        alg, mods = a2
+        free = validate_presentation(alg.quiver, [])
+        p1 = mods["P1"]
+        p1_free = module_from_fractions(free, RATIONALS, {"1": 1, "2": 1},
+                                        {"a": [[1]], "a*": [[0]]})
+        assert p1_free.matrices == p1.matrices
+        assert p1_free.key() != p1.key()
+        for order in ((p1, p1_free), (p1_free, p1)):
+            memo.clear_all()
+            for m in order:
+                assert ext_dim(m, m) == (1 if m is p1_free else 0)
 
 
 class TestMiddleTerm:

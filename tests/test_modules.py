@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsym.fields import GF, RATIONALS
+from extsym.fields import GF, RATIONALS, FieldError
 from extsym.modules import (ModuleError, composition_series, direct_sum,
                             direct_sum_many, hom_dim, is_isomorphic,
                             module_from_fractions, reduce_module,
@@ -137,3 +137,20 @@ def test_reduce_module_checks_relations(a2):
     r = reduce_module(mods["P1"], 5)
     assert r.field == GF(5)
     assert r.dims == mods["P1"].dims
+
+
+class TestReductionMemo:
+    def test_same_object_per_module_and_prime(self, a2):
+        _, mods = a2
+        assert reduce_module(mods["P1"], 7) is reduce_module(mods["P1"], 7)
+        assert reduce_module(mods["P1"], 7) is not reduce_module(mods["P1"],
+                                                                 11)
+
+    def test_bad_prime_raises_on_every_call(self, a2):
+        alg, _ = a2
+        p1 = module_from_fractions(alg, RATIONALS, {"1": 1, "2": 1},
+                                   {"a": [[Fraction(1, 5)]], "a*": [[0]]})
+        for _ in range(2):
+            with pytest.raises(FieldError, match="bad prime 5"):
+                reduce_module(p1, 5)
+        assert reduce_module(p1, 7).mat("a").rows == ((3,),)
