@@ -58,7 +58,6 @@ class TestDimensions:
                            reduce_module(mods[lb], p)) == \
                 ext_dim(mods[la], mods[lb])
 
-
     def test_trivial_part_by_rank_nullity(self, a2, two_loop,
                                           three_vertex):
         """The trivial tuples are the image of the Hom-tuple map, whose
