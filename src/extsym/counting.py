@@ -9,18 +9,21 @@ correction-term count pairing submodule pairs with extension data.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
 from . import memo
-from .ext import beta_map, ext1_space, image_first_block_dim, middle_term
+from .ext import (beta_map, ext1_equations, ext1_space, ext_dim,
+                  image_first_block_dim, middle_term)
+from .fields import QQ, FieldError
 from .linalg import (contains_vector, enumerate_subspaces, identity,
-                     kernel_basis, mat_vec, rank, span)
+                     integer_rank_minor, kernel_basis, mat_vec, rank, span)
 # unused here; perfbench/tests/test_tracing.py checks the tracer wraps it
 from .linalg import rref  # noqa: F401
-from .modules import (ModuleError, RepModule, UndecidableError, hom_basis,
-                      hom_combination, hom_dim, is_isomorphic, sub_quotient,
-                      witness_from_rows)
+from .modules import (ModuleError, RepModule, UndecidableError, _hom_system,
+                      hom_basis, hom_combination, hom_dim, is_isomorphic,
+                      reduce_module, sub_quotient, witness_from_rows)
 
 
 class CountError(ValueError):
@@ -372,19 +375,55 @@ def count_efg(n: RepModule, m: RepModule, edims: Sequence[int]) -> int:
 # Prime screening
 
 
+@memo.cached(lambda x, y: (x.key(), y.key()))
+def prime_certificate(x: RepModule, y: RepModule) -> int:
+    """A positive integer with this property: at every prime that does not
+    divide it, the reductions of X and Y exist and keep dim Hom(X, Y) and
+    dim Ext^1(X, Y).  It is 0, which tells nothing, unless both modules
+    are rational.
+
+    Over any field dim Hom = cols(H) - rank H for the Hom system H, and
+    dim Ext^1 = cols(E) - rank E - rank H for the Ext^1 equation matrix E
+    (the trivial tuples are the column space of H).  Ranks can
+    only drop mod p, so p keeps both dimensions when it keeps rank H and
+    rank E.  The certificate is the product of the lcm of all denominators
+    (module entries and relation coefficients), the factors that scale the
+    rows of H and E to integers, and one nonzero maximal minor of each.
+    """
+    if not (isinstance(x.field, QQ) and isinstance(y.field, QQ)):
+        return 0
+    dens = [v.denominator for m in (x, y) for mat in m.matrices
+            for row in mat.rows for v in row]
+    dens += [c.denominator for rel in x.algebra.relations
+             for c, _ in rel.terms]
+    cert = math.lcm(*dens)
+    for mat in (_hom_system(x, y)[0], ext1_equations(x, y)):
+        rows = []
+        for row in mat.rows:
+            scale = math.lcm(*(v.denominator for v in row))
+            rows.append([v.numerator * (scale // v.denominator)
+                         for v in row])
+            cert *= scale
+        cert *= integer_rank_minor(rows, mat.ncols)[1]
+    return cert
+
+
 def good_prime_for_pairs(pairs: Sequence[Tuple[RepModule, RepModule]],
                          p: int) -> bool:
     """Whether reduction mod p preserves the Hom and Ext dimensions of the
-    given rational module pairs (and the reductions themselves exist)."""
-    from .ext import ext_dim
-    from .modules import reduce_module
-    from .fields import FieldError
+    given rational module pairs (and the reductions themselves exist).
+
+    A pair whose certificate p does not divide passes at once; the others
+    are reduced mod p and their dimensions compared.  One minor is
+    sufficient, not necessary, so divisibility alone rejects nothing.
+    """
+    doubtful = [(a, b) for a, b in pairs if prime_certificate(a, b) % p == 0]
     try:
         reduced = [(reduce_module(a, p), reduce_module(b, p))
-                   for a, b in pairs]
+                   for a, b in doubtful]
     except (FieldError, ModuleError):
         return False
-    for (a, b), (ra, rb) in zip(pairs, reduced):
+    for (a, b), (ra, rb) in zip(doubtful, reduced):
         if hom_dim(a, b) != hom_dim(ra, rb):
             return False
         if ext_dim(a, b) != ext_dim(ra, rb):

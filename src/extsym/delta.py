@@ -123,12 +123,13 @@ def _flag_signature(m_rat, simples, label, primes):
 
 
 def _grassmann_signature(m_rat, label, primes):
+    # one screen for every e: each takes the first bound + 2 of the primes
+    es = all_dim_vectors(m_rat.dims)
+    bounds = [grassmannian_degree_bound(m_rat.dims, e) for e in es]
+    ps = select_primes(m_rat, zero_module(m_rat.algebra, m_rat.field),
+                       (), max(bounds) + 2, primes)
     table = []
-    for e in all_dim_vectors(m_rat.dims):
-        bound = grassmannian_degree_bound(m_rat.dims, e)
-        ps = select_primes(m_rat, zero_module(m_rat.algebra, m_rat.field),
-                           (), bound + 2, primes)
-
+    for e, bound in zip(es, bounds):
         def counter(p, e=e):
             return count_grassmannian(reduce_module(m_rat, p), e)
 

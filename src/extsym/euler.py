@@ -20,6 +20,11 @@ class EulerError(ValueError):
     pass
 
 
+# The largest prime that automatic selection scans to and that a caller
+# may supply: primality is tested by trial division.
+PRIME_LIMIT = 10000
+
+
 def primes_from(start: int = 2) -> Iterator[int]:
     n = max(2, start)
     while True:
@@ -163,7 +168,7 @@ def efg_degree_bound(m_dims: Sequence[int], n_dims: Sequence[int],
 
 
 def good_primes(pred: Callable[[int], bool], count: int,
-                start: int = 2, limit: int = 10000) -> List[int]:
+                start: int = 2, limit: int = PRIME_LIMIT) -> List[int]:
     """First ``count`` primes satisfying a screening predicate."""
     out = []
     for p in primes_from(start):
@@ -183,15 +188,20 @@ def select_primes(m, n, extra: Sequence, count: int,
     rational pair (m, n) with auxiliary modules ``extra``.
 
     Supplied primes are screened the same way and used in their given
-    order; automatic selection scans upward from 2.  A supplied value that
-    is not a prime is an error.  One module alone is screened as the pair
-    (m, zero module).
+    order; automatic selection scans upward from 2.  A supplied value
+    above ``PRIME_LIMIT`` or not a prime is an error, and values are
+    checked against the limit before any primality test.  One module
+    alone is screened as the pair (m, zero module).
     """
     def pred(p):
         return good_prime(m, n, p, extra=extra)
 
     if supplied is None:
         return good_primes(pred, count)
+    too_large = [p for p in supplied if p > PRIME_LIMIT]
+    if too_large:
+        raise EulerError(f"supplied values exceed {PRIME_LIMIT}: "
+                         + ", ".join(str(p) for p in too_large))
     not_prime = [p for p in supplied if not _is_prime(p)]
     if not_prime:
         raise EulerError("supplied values are not prime: "

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from . import memo
-from .linalg import (Mat, Subspace, identity, kernel_basis, mat_add, mat_mul,
-                     mat_scale, mat_vec, rref, solve, span, transpose, vstack,
-                     zeros)
+from .linalg import (Mat, Subspace, identity, kernel_basis, mat_mul, mat_vec,
+                     rref, solve, span, transpose, vstack)
 from .modules import RepModule, _hom_system, check_module
 
 
@@ -60,42 +59,57 @@ def _pack_tuple(mats, layout, total, zero):
     return tuple(vec)
 
 
-def _offdiag_path_block(field, x: RepModule, y: RepModule, d_mats, path):
-    """Off-diagonal block of L(d)_p for a path p.
-
-    D_p = sum_k Y_{a1..a_{k-1}} d(a_k) X_{a_{k+1}..a_m}; zero for a vertex
-    path.
-    """
-    q = x.algebra.quiver
-    src, tgt = path.endpoints(q)
-    if path.is_vertex:
-        return zeros(field, y.dim(path.vertex), x.dim(path.vertex))
-    names = path.arrows
-    acc = None
-    for k in range(len(names)):
-        term = d_mats[q.arrow_index(names[k])]
-        # prefix over Y (applied last), suffix over X (applied first)
-        for nm in reversed(names[:k]):
-            term = mat_mul(field, y.mat(nm), term)
-        for nm in names[k + 1:]:
-            term = mat_mul(field, term, x.mat(nm))
-        acc = term if acc is None else mat_add(field, acc, term)
+def _path_matrix(field, m: RepModule, names, n: int) -> Mat:
+    """m_{a1} ... m_{ak} for arrow names a1..ak; the n x n identity when
+    there are none."""
+    if not names:
+        return identity(field, n)
+    acc = m.mat(names[0])
+    for nm in names[1:]:
+        acc = mat_mul(field, acc, m.mat(nm))
     return acc
 
 
-def _relation_blocks(field, x: RepModule, y: RepModule, d_mats):
-    """Per-relation off-diagonal residues of L(d)."""
-    out = []
+def ext1_equations(x: RepModule, y: RepModule) -> Mat:
+    """The linear equations cutting D(X, Y) out of the arrow tuples.
+
+    One row per entry of each relation's off-diagonal residue (relations in
+    order, entries row-major), one column per tuple coordinate.  A path
+    a1...am contributes sum_k Y_{a1..a(k-1)} d(a_k) X_{a(k+1)..am}, so its
+    term k adds coeff * (P kron S^T) to the columns of d(a_k), with
+    P = Y_{a1..a(k-1)} and S = X_{a(k+1)..am}; a vertex path adds nothing.
+    """
+    field = x.field
     q = x.algebra.quiver
+    layout, total = _tuple_layout(x, y)
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    rows = []
     for rel in x.algebra.relations:
         src, tgt = rel.endpoints(q)
-        acc = zeros(field, y.dim(tgt), x.dim(src))
+        nr, nc = y.dim(tgt), x.dim(src)
+        block = [[field.zero] * total for _ in range(nr * nc)]
         for coeff, path in rel.terms:
-            blk = _offdiag_path_block(field, x, y, d_mats, path)
-            acc = mat_add(field, acc,
-                          mat_scale(field, field.from_fraction(coeff), blk))
-        out.append(acc)
-    return out
+            if path.is_vertex:
+                continue
+            c = field.from_fraction(coeff)
+            names = path.arrows
+            for k, name in enumerate(names):
+                _, r, cc, off = layout[q.arrow_index(name)]
+                pre = _path_matrix(field, y, names[:k], nr).rows
+                suf = _path_matrix(field, x, names[k + 1:], nc).rows
+                for i in range(nr):
+                    for u in range(r):
+                        cp = mul(c, pre[i][u])
+                        if is_zero(cp):
+                            continue
+                        base = off + u * cc
+                        for j in range(nc):
+                            row = block[i * nc + j]
+                            for v in range(cc):
+                                row[base + v] = add(row[base + v],
+                                                    mul(cp, suf[v][j]))
+        rows.extend(tuple(r) for r in block)
+    return Mat(tuple(rows), len(rows), total)
 
 
 @dataclass(frozen=True)
@@ -157,27 +171,7 @@ def ext1_space(x: RepModule, y: RepModule) -> ExtSpace:
     if x.field != y.field or x.algebra.key() != y.algebra.key():
         raise ExtError("modules over different algebras or fields")
     layout, total = _tuple_layout(x, y)
-    # D(X, Y) = kernel of d |-> per-relation off-diagonal residues
-    eq_rows = []
-    basis_vec = [field.zero] * total
-    for pos in range(total):
-        basis_vec[pos] = field.one
-        d_mats = _unpack_tuple(field, basis_vec, layout)
-        blocks = _relation_blocks(field, x, y, d_mats)
-        col = []
-        for blk in blocks:
-            for rrow in blk.rows:
-                col.extend(rrow)
-        eq_rows.append(tuple(col))
-        basis_vec[pos] = field.zero
-    neqs = len(eq_rows[0]) if eq_rows else 0
-    # eq_rows are columns of the equation matrix
-    if total == 0:
-        d_basis = Mat((), 0, 0)
-    else:
-        eq_mat = Mat(tuple(tuple(eq_rows[c][r] for c in range(total))
-                           for r in range(neqs)), neqs, total)
-        d_basis = kernel_basis(field, eq_mat)
+    d_basis = kernel_basis(field, ext1_equations(x, y))
 
     # trivial part: image of phi |-> (phi_t X_a - Y_a phi_s), whose matrix
     # is the transpose of the Hom system's (equation rows, Hom unknowns)

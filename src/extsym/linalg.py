@@ -257,6 +257,37 @@ def rank(field, a: Mat) -> int:
     return rref(field, a)[0].nrows
 
 
+def integer_rank_minor(rows: Sequence[Sequence[int]], ncols: int):
+    """Rank r of an integer matrix and the absolute value of one nonzero
+    r x r minor of it (1 when r = 0).
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): after each
+    pivot step every entry below is a minor of the matrix, so the divisions
+    are exact and the last pivot is the minor on the pivot rows and columns.
+    Reduction mod p keeps the rank when p does not divide that minor.
+    """
+    a = [list(r) for r in rows]
+    nrows = len(a)
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top = a[r]
+        lead = top[c]
+        for i in range(r + 1, nrows):
+            row = a[i]
+            f = row[c]
+            a[i] = [(lead * x - f * y) // prev for x, y in zip(row, top)]
+        prev = lead
+        r += 1
+        if r == nrows:
+            break
+    return r, abs(prev)
+
+
 def kernel_basis(field, a: Mat) -> Mat:
     """Canonical RREF basis (rows) of the right kernel of ``a``."""
     if a.ncols == 0:

@@ -200,8 +200,8 @@ def verify_formula1(m: RepModule, n: RepModule,
     dim_e = ext_dim(m, n)
     gr_bound = max(grassmannian_degree_bound(d, ee)
                    for ee in all_dim_vectors(d))
-    efg_bound = efg_degree_bound(m.dims, n.dims, ext_dim(n, m),
-                                 hom_dim(m, n))
+    dim_nm = ext_dim(n, m)
+    efg_bound = efg_degree_bound(m.dims, n.dims, dim_nm, hom_dim(m, n))
     nprimes = max(gr_bound, efg_bound,
                   projective_space_degree_bound(dim_e) + 1) + 2
     ps = select_primes(m, n, list(catalog.values()) + list(simples), nprimes,
@@ -224,24 +224,30 @@ def verify_formula1(m: RepModule, n: RepModule,
             return count_grassmannian(reduce_module(mod_rat, p), e)
         return euler_of(f"submodules {e}", counter, b, ps[:b + 2]).value
 
+    # terms weighted by zero are not counted: the left side vanishes with
+    # Ext(M, N), a stratum with c1 = 0 adds nothing, and the correction
+    # vanishes with Ext(N, M), whose classes it counts
     rows = []
     efg_table: Dict[str, int] = {}
     for e in all_dim_vectors(d):
-        lhs_sum = 0
-        for e1 in itertools.product(*[range(min(a, b) + 1)
-                                      for a, b in zip(e, m.dims)]):
-            e2 = tuple(x - y for x, y in zip(e, e1))
-            if any(v < 0 or v > b for v, b in zip(e2, n.dims)):
-                continue
-            lhs_sum += gr_chi(m, e1) * gr_chi(n, e2)
-        lhs = dim_e * lhs_sum
+        lhs = 0
+        if dim_e:
+            for e1 in itertools.product(*[range(min(a, b) + 1)
+                                          for a, b in zip(e, m.dims)]):
+                e2 = tuple(x - y for x, y in zip(e, e1))
+                if any(v < 0 or v > b for v, b in zip(e2, n.dims)):
+                    continue
+                lhs += dim_e * gr_chi(m, e1) * gr_chi(n, e2)
 
-        rhs = sum(c1 * gr_chi(catalog[rep], e) for rep, c1 in class_chi)
+        rhs = sum(c1 * gr_chi(catalog[rep], e) for rep, c1 in class_chi
+                  if c1)
 
-        def efg_counter(p, e=e):
-            return count_efg(reduce_module(n, p), reduce_module(m, p), e)
-        efg_val = euler_of(f"correction {e}", efg_counter, efg_bound,
-                           ps[:efg_bound + 2]).value
+        efg_val = 0
+        if dim_nm:
+            def efg_counter(p, e=e):
+                return count_efg(reduce_module(n, p), reduce_module(m, p), e)
+            efg_val = euler_of(f"correction {e}", efg_counter, efg_bound,
+                               ps[:efg_bound + 2]).value
         efg_table[str(e)] = efg_val
         rhs += efg_val
         rows.append((e, lhs, rhs))

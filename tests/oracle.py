@@ -215,3 +215,58 @@ def gaussian_binomial_int(n, k, q):
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
+
+
+# ---------------------------------------------------------------------------
+# Brute-force extension tuples
+
+
+def _block_mul(a, b, ncols, p):
+    """a * b mod p for row lists, with the column count of b given (b may
+    have no rows)."""
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) % p
+             for j in range(ncols)] for i in range(len(a))]
+
+
+def extension_tuple_satisfies(xdims, ydims, arrows, relations, vals, p):
+    """Whether the arrow tuple d with coordinates ``vals`` (the entries of
+    each d(a): X_{s(a)} -> Y_{t(a)}, row-major, arrows in order) makes the
+    block matrices [[Y_a, d(a)], [0, X_a]] satisfy every relation mod p.
+
+    arrows: list of (source index, target index, X matrix, Y matrix), the
+    matrices as row lists.  relations: list of term lists, each term
+    (coefficient mod p, source index, target index, arrow indices); the
+    leftmost arrow is applied last, and no arrows means the vertex path.
+    """
+    dims = [y + x for y, x in zip(ydims, xdims)]
+    blocks = []
+    pos = 0
+    for s, t, xm, ym in arrows:
+        r, c = ydims[t], xdims[s]
+        d = [list(vals[pos + i * c:pos + (i + 1) * c]) for i in range(r)]
+        pos += r * c
+        blocks.append([list(ym[i]) + d[i] for i in range(r)]
+                      + [[0] * ydims[s] + list(xm[i])
+                         for i in range(xdims[t])])
+    for terms in relations:
+        _, src, tgt, _ = terms[0]
+        res = [[0] * dims[src] for _ in range(dims[tgt])]
+        for coeff, _, _, path in terms:
+            acc = [[int(i == j) for j in range(dims[src])]
+                   for i in range(dims[src])]
+            for ai in reversed(path):
+                acc = _block_mul(blocks[ai], acc, dims[src], p)
+            res = [[(u + coeff * v) % p for u, v in zip(ru, rv)]
+                   for ru, rv in zip(res, acc)]
+        if any(any(row) for row in res):
+            return False
+    return True
+
+
+def count_extension_tuples(xdims, ydims, arrows, relations, p):
+    """Number of arrow tuples satisfying every relation (see
+    ``extension_tuple_satisfies``), by sweeping all tuples over F_p."""
+    ncoords = sum(ydims[t] * xdims[s] for s, t, _, _ in arrows)
+    return sum(1 for vals in itertools.product(range(p), repeat=ncoords)
+               if extension_tuple_satisfies(xdims, ydims, arrows, relations,
+                                            vals, p))

@@ -292,6 +292,20 @@ def test_8_formula2_skips_chains_weighted_by_zero(a2):
         assert rep.rows == (((0, 0, 0, 0, 0), 0, 0),)
 
 
+def test_9_formula1_skips_terms_weighted_by_zero(a2):
+    """With Ext^1(M, N) = 0 both ways every row of the Grassmannian
+    identity is 0 = 0: the left side, the strata and the correction are
+    all weighted by zero, so none of them is counted.  Dimension vector
+    (5, 0).  Budget: 30 s."""
+    with Budget(30):
+        alg, mods = a2
+        s1 = mods["S1"]
+        n = direct_sum_many(alg, RATIONALS, [s1] * 4)
+        rep = verify_formula1(s1, n, [s1, mods["S2"]], a2_catalog(alg, 5))
+        assert rep.rows == tuple(((k, 0), 0, 0) for k in range(6))
+        assert set(rep.efg.values()) == {0}
+
+
 def test_7_consistency_check_catches_corruption(a2):
     """Every interpolation carries surplus-prime checks; a single corrupted
     sample must be rejected."""

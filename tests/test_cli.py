@@ -134,6 +134,15 @@ class TestChi:
         assert out["message"] == "supplied values are not prime: 4, 6, 8, 9"
 
 
+    def test_values_above_the_limit_rejected(self, files):
+        r = run("grassmann", "chi", "--algebra", files["algebra"],
+                "--module", files["P1"], "--dims", "0,1",
+                "--primes", "2305843009213693951,2,3,5,7")
+        assert r.exit_code == 1
+        assert r.output == ("error: supplied values exceed 10000: "
+                            "2305843009213693951\n")
+
+
 class TestDeltaAndStratify:
     def test_delta_flag_mode(self, files):
         r = run("delta", "--algebra", files["algebra"],

@@ -3,6 +3,7 @@ submodules with simple quotients, middle-term strata, the correction-set
 count, and prime screening."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from extsym.counting import (CountError, FlagType, count_efg,
                              iter_submodules, stratify_ext_classes)
 from extsym.delta import enumerate_flag_types
 from extsym.fields import RATIONALS
-from extsym.instances import a2_catalog, a2_sums
+from extsym.instances import a2_catalog, a2_sums, deformed_a2_module
 from extsym.linalg import mat_from_fractions
 from extsym.modules import (UndecidableError, conjugate, direct_sum,
                             direct_sum_many, module_from_fractions,
@@ -351,3 +352,58 @@ class TestPrimeScreening:
                                      {"a": [[Fraction(1, 3)]], "a*": [[0]]})
         assert not good_prime_for_pairs([(frac, frac)], 3)
         assert good_prime_for_pairs([(frac, frac)], 5)
+
+
+PRIMES_BELOW_60 = [p for p in range(2, 60)
+                   if all(p % d for d in range(2, p))]
+
+
+class TestCertificateScreen:
+    """A prime that divides no certificate is accepted without reducing
+    anything.  With every certificate set to 0 each prime is reduced and
+    compared instead, and the screen must give the same answers."""
+
+    @staticmethod
+    def families(a2, two_loop, three_vertex):
+        alg, mods = a2
+
+        def p1(a):
+            return module_from_fractions(alg, RATIONALS, {"1": 1, "2": 1},
+                                         {"a": [[a]], "a*": [[0]]})
+
+        x12 = module_from_fractions(alg, RATIONALS, {"1": 1, "2": 2},
+                                    {"a": [[3], [1]], "a*": [[0, 0]]})
+        return [list(a2_catalog(alg, 3).values()),
+                [p1(3), p1(Fraction(1, 5))] + list(mods.values()),
+                [x12, mods["S1"]],
+                list(two_loop[1].values()),
+                [deformed_a2_module(Fraction(k))
+                 for k in (1, 2, 3, Fraction(1, 2))],
+                list(three_vertex[1].values())]
+
+    @staticmethod
+    def screen(families):
+        return [[good_prime_for_pairs([pair], p)
+                 for pair in itertools.product(mods, repeat=2)]
+                for mods in families for p in PRIMES_BELOW_60]
+
+    def test_agrees_with_reduction_at_every_prime(self, a2, two_loop,
+                                                   three_vertex,
+                                                   monkeypatch):
+        families = self.families(a2, two_loop, three_vertex)
+        screened = self.screen(families)
+        monkeypatch.setattr(counting, "prime_certificate", lambda a, b: 0)
+        assert self.screen(families) == screened
+
+    def test_bad_primes_divide_certificates(self, a2, two_loop,
+                                            three_vertex):
+        _, variants, (x12, s1), *_ = self.families(a2, two_loop,
+                                                   three_vertex)
+        p1_3, p1_fifth = variants[:2]
+        assert not good_prime_for_pairs([(p1_3, p1_3)], 3)
+        assert not good_prime_for_pairs([(p1_fifth, p1_fifth)], 5)
+        # a prime that changes a dimension must divide the certificate
+        assert counting.prime_certificate(p1_3, p1_3) % 3 == 0
+        assert counting.prime_certificate(p1_fifth, p1_fifth) % 5 == 0
+        # a = (3, 1) keeps rank 1 mod 3, so 3 is good for this pair
+        assert good_prime(x12, s1, 3)

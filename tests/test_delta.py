@@ -5,7 +5,7 @@ import pytest
 from extsym.delta import (DeltaError, all_dim_vectors,
                           check_delta_multiplicativity, delta_signature,
                           enumerate_flag_types, stratify_by_signature)
-from extsym.euler import EulerError, select_primes
+from extsym.euler import PRIME_LIMIT, EulerError, select_primes
 from extsym.instances import a2_catalog
 from extsym.modules import module_from_fractions, zero_module
 from extsym.fields import RATIONALS
@@ -105,6 +105,30 @@ class TestSuppliedValuesMustBePrime:
         with pytest.raises(EulerError, match="not prime: 4, 6, 8, 9$"):
             select_primes(mods["P1"], z, [], 3,
                           supplied=[4, 6, 8, 9, 2, 3, 5, 7])
+
+
+class TestSuppliedValuesAreBounded:
+    def test_values_above_the_limit_raise_before_primality(self, a2,
+                                                           monkeypatch):
+        _, mods = a2
+        z = zero_module(mods["P1"].algebra, RATIONALS)
+
+        def no_primality_test(n):
+            raise AssertionError(f"primality of {n} tested")
+
+        monkeypatch.setattr("extsym.euler._is_prime", no_primality_test)
+        with pytest.raises(EulerError,
+                           match="exceed 10000: 2305843009213693951, "
+                                 "10007$"):
+            select_primes(mods["P1"], z, [], 3,
+                          supplied=[2305843009213693951, 2, 3, 10007, 5])
+
+    def test_largest_prime_below_the_limit_is_accepted(self, a2):
+        _, mods = a2
+        z = zero_module(mods["P1"].algebra, RATIONALS)
+        assert PRIME_LIMIT == 10000
+        assert select_primes(mods["P1"], z, [], 2,
+                             supplied=[9973, 9967]) == [9973, 9967]
 
 
 class TestSuppliedPrimesAreScreened:

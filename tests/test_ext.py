@@ -21,6 +21,8 @@ from extsym.modules import (direct_sum, hom_dim, is_isomorphic,
                             module_from_fractions, reduce_module,
                             sub_quotient, witness_from_rows)
 
+from oracle import count_extension_tuples, extension_tuple_satisfies
+
 
 class TestDimensions:
     def test_a2_matrix(self, a2):
@@ -87,6 +89,58 @@ class TestDimensions:
             memo.clear_all()
             for m in order:
                 assert ext_dim(m, m) == (1 if m is p1_free else 0)
+
+
+class TestEquationBuilder:
+    """D(X, Y), the kernel of the Ext^1 equation matrix, against a sweep
+    of every tuple over GF(p): its basis tuples satisfy the relations, and
+    p^dim D(X, Y) tuples do.  GF(3) tells the signs of the relation terms
+    apart; GF(2) reaches larger tuple spaces."""
+
+    @staticmethod
+    def plain(x, y, p):
+        q = x.algebra.quiver
+        arrows = [(q.vertex_index(a.source), q.vertex_index(a.target),
+                   xm.rows, ym.rows)
+                  for a, xm, ym in zip(q.arrows, x.matrices, y.matrices)]
+        relations = []
+        for rel in x.algebra.relations:
+            src, tgt = rel.endpoints(q)
+            relations.append([
+                (c.numerator * pow(c.denominator, -1, p) % p,
+                 q.vertex_index(src), q.vertex_index(tgt),
+                 tuple(q.arrow_index(a) for a in path.arrows))
+                for c, path in rel.terms])
+        return arrows, relations
+
+    @pytest.mark.parametrize("p, max_coords, npairs",
+                             [(2, 12, 225 + 144 + 81), (3, 5, 311)])
+    def test_dimension_matches_the_tuple_count(self, a2, two_loop,
+                                                three_vertex, p,
+                                                max_coords, npairs):
+        alg, _ = a2
+        simples3 = list(three_vertex[1].values())
+        families = [list(a2_sums(alg, 3).values()),
+                    list(two_loop[1].values()),
+                    simples3 + [direct_sum(a, b) for a, b in
+                                itertools.combinations_with_replacement(
+                                    simples3, 2)]]
+        checked = 0
+        for mods in families:
+            mods_p = [reduce_module(m, p) for m in mods]
+            for x, y in itertools.product(mods_p, repeat=2):
+                space = ext1_space(x, y)
+                if space.total > max_coords:
+                    continue
+                arrows, relations = self.plain(x, y, p)
+                # the basis lies in the solution set and spans all of it
+                assert all(extension_tuple_satisfies(
+                    x.dims, y.dims, arrows, relations, row, p)
+                    for row in space.d_basis.rows)
+                assert p ** space.d_basis.nrows == count_extension_tuples(
+                    x.dims, y.dims, arrows, relations, p), (x.dims, y.dims)
+                checked += 1
+        assert checked == npairs
 
 
 class TestMiddleTerm:

@@ -1,5 +1,6 @@
 """Exact linear algebra against an independent elimination oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from extsym.fields import GF, RATIONALS, FieldError
 from extsym.linalg import (Mat, enumerate_subspaces, gaussian_binomial,
-                           kernel_basis, mat_from_fractions, mat_mul, rank,
+                           integer_rank_minor, kernel_basis,
+                           mat_from_fractions, mat_mul, rank,
                            reduce_mod_p, rref, solve, span,
                            subspace_intersection, subspace_sum, transpose)
 
@@ -44,6 +46,46 @@ class TestRationalElimination:
         assert sol == (Fraction(2), Fraction(1))
         assert solve(RATIONALS, frac_mat([[1, 1], [1, 1]]),
                      (Fraction(0), Fraction(1))) is None
+
+
+def _det(m):
+    """Leibniz expansion, for the minors of tiny matrices."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+class TestIntegerRankMinor:
+    def test_rank_and_minor_against_all_minors(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 5)
+            rows = [[rng.randrange(-3, 4) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.5:
+                # force a dependent row
+                rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+            r, minor = integer_rank_minor(rows, ncols)
+            assert r == gauss_rank(rows, ncols)
+            minors = {abs(_det([[rows[i][j] for j in cs] for i in rs]))
+                      for rs in itertools.combinations(range(nrows), r)
+                      for cs in itertools.combinations(range(ncols), r)}
+            assert minor > 0 and minor in minors
+            for p in (2, 3, 5, 7):
+                if minor % p:
+                    assert gauss_rank(rows, ncols, p) == r
+
+    def test_empty_and_zero(self):
+        assert integer_rank_minor([], 3) == (0, 1)
+        assert integer_rank_minor([[0, 0], [0, 0]], 2) == (0, 1)
+        assert integer_rank_minor([[3, 0], [0, 0]], 2) == (1, 3)
 
 
 class TestPrimeField:
