@@ -13,7 +13,7 @@ from typing import List, Optional
 import click
 
 from .algebra import AlgebraError, validate_presentation
-from .counting import CountError, FlagType, count_flags, count_grassmannian
+from .counting import CountError, count_flags, count_grassmannian
 from .delta import delta_signature, stratify_by_signature
 from .euler import EulerError, euler_of, flag_degree_bound, \
     grassmannian_degree_bound, select_primes
@@ -83,8 +83,6 @@ simples_opt = click.option("--simples", "simples_arg",
                            help="comma list of catalog labels or vertex:v")
 primes_opt = click.option("--primes", "primes_arg",
                           help="comma list of primes to use (screened)")
-bound_opt = click.option("--degree-bound", "degree_bound", type=int,
-                         help="override the automatic degree bound")
 json_opt = click.option("--json", "as_json", is_flag=True)
 seed_opt = click.option("--seed", type=int, default=None,
                         help="seed for the randomized isomorphism fast path")
@@ -162,18 +160,15 @@ def grassmann():
 @click.option("--dims", "edims", required=True,
               help="comma dimension vector, vertex order")
 @primes_opt
-@bound_opt
 @json_opt
-def grassmann_chi(algebra_file, module_files, edims, primes_arg,
-                  degree_bound, as_json):
+def grassmann_chi(algebra_file, module_files, edims, primes_arg, as_json):
     """Euler characteristic of the submodule variety at one dim vector."""
     if len(module_files) != 1:
         _fail("grassmann chi needs exactly one --module", as_json)
     try:
         _, (m,), _, _ = _load(algebra_file, module_files)
         e = tuple(_parse_int_list(edims))
-        bound = degree_bound if degree_bound is not None else \
-            grassmannian_degree_bound(m.dims, e)
+        bound = grassmannian_degree_bound(m.dims, e)
         ps = select_primes(m, zero_module(m.algebra, m.field), [],
                            bound + 2, _parse_int_list(primes_arg))
         ev = euler_of(f"submodules {e}",
@@ -195,12 +190,11 @@ def flag():
 @catalog_opt
 @simples_opt
 @click.option("--type", "type_arg", required=True,
-              help="comma list of 0-based simple indices (all steps drop)")
+              help="comma list of 0-based simple indices, top first")
 @primes_opt
-@bound_opt
 @json_opt
 def flag_chi(algebra_file, module_files, catalog_file, simples_arg,
-             type_arg, primes_arg, degree_bound, as_json):
+             type_arg, primes_arg, as_json):
     """Euler characteristic of the chain variety for one ordered type."""
     if len(module_files) != 1:
         _fail("flag chi needs exactly one --module", as_json)
@@ -210,14 +204,12 @@ def flag_chi(algebra_file, module_files, catalog_file, simples_arg,
         if not simples:
             _fail("flag chi needs --simples", as_json)
         jseq = tuple(_parse_int_list(type_arg))
-        ft = FlagType(jseq, tuple(1 for _ in jseq))
-        bound = degree_bound if degree_bound is not None else \
-            flag_degree_bound(m.dims)
+        bound = flag_degree_bound(m.dims)
         ps = select_primes(m, zero_module(m.algebra, m.field), simples,
                            bound + 2, _parse_int_list(primes_arg))
         ev = euler_of(
             f"chains {jseq}",
-            lambda p: count_flags(reduce_module(m, p), ft,
+            lambda p: count_flags(reduce_module(m, p), jseq,
                                   [reduce_module(s, p) for s in simples]),
             bound, ps)
     except _ERRORS as exc:

@@ -97,40 +97,6 @@ def count_grassmannian(m: RepModule, edims: Sequence[int]) -> int:
 # Flags with prescribed simple quotients
 
 
-@dataclass(frozen=True)
-class FlagType:
-    """Ordered quotient prescription.
-
-    Step k of a matching chain M_{k-1} >= M_k has quotient isomorphic to
-    c[k] copies of the simple with index j[k]; multiplicities are 0 or 1,
-    a zero meaning the step repeats the module.
-    """
-
-    j: Tuple[int, ...]
-    c: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.j) != len(self.c):
-            raise CountError("flag type index/multiplicity length mismatch")
-        for ck in self.c:
-            if ck not in (0, 1):
-                raise CountError("flag steps drop at most one simple")
-
-    @property
-    def length(self) -> int:
-        return len(self.j)
-
-    def dims_dropped(self, simples: Sequence[RepModule]):
-        """Total dimension vector removed across all steps."""
-        n = len(simples[0].dims)
-        tot = [0] * n
-        for idx, ck in zip(self.j, self.c):
-            if ck:
-                for i in range(n):
-                    tot[i] += simples[idx].dims[i]
-        return tuple(tot)
-
-
 def _normalized_classes(field, dim: int):
     """Nonzero coordinate tuples with first nonzero entry 1: one per line,
     (p^dim - 1)/(p - 1) of them times (p - 1) scalings collapsed."""
@@ -219,43 +185,43 @@ def _class_children_of(cid, rep: RepModule, simple: RepModule):
     return tuple(tuple(v) for v in mult.values())
 
 
-def count_flags(m: RepModule, flag_type: FlagType,
+def count_flags(m: RepModule, jseq: Sequence[int],
                 simples: Sequence[RepModule]) -> int:
-    """Number of chains of submodules with the prescribed simple quotients.
+    """Number of chains of submodules M = M_0 > M_1 > ... > 0 whose step k
+    has quotient isomorphic to the simple with index ``jseq[k]``.
 
-    Chains run all the way to zero; the flag type must drop exactly the
-    dimension vector of the module.  Counted without materializing the
-    chains, by recursion over isomorphism classes: the number of chains
-    below a submodule depends only on its class, so the count is the sum,
-    over the classes of submodules with the first simple as quotient, of
-    their Hall multiplicities times the count of the remaining type.  The
-    children of a (class, simple) are enumerated once and shared by every
-    flag type; counts are cached by (class, remaining type, simples).
+    The type must drop exactly the dimension vector of the module.
+    Counted without materializing the chains, by recursion over
+    isomorphism classes: the number of chains below a submodule depends
+    only on its class, so the count is the sum, over the classes of
+    submodules with the first simple as quotient, of their Hall
+    multiplicities times the count of the remaining type.  The children of
+    a (class, simple) are enumerated once and shared by every flag type;
+    counts are cached by (class, remaining type, simples).
     """
-    bad = [j for j in flag_type.j if not 0 <= j < len(simples)]
+    jseq = tuple(jseq)
+    bad = [j for j in jseq if not 0 <= j < len(simples)]
     if bad:
         raise CountError(
             f"flag type indices out of range for {len(simples)} simples: "
             f"{', '.join(map(str, bad))}")
-    if flag_type.dims_dropped(simples) != m.dims:
+    dropped = tuple(sum(simples[j].dims[i] for j in jseq)
+                    for i in range(len(m.dims)))
+    if dropped != m.dims:
         raise CountError(
-            f"flag type drops {flag_type.dims_dropped(simples)}, "
-            f"module has dimension vector {m.dims}")
+            f"flag type drops {dropped}, module has dimension vector {m.dims}")
     skeys = tuple(s.key() for s in simples)
-    js, cs = flag_type.j, flag_type.c
 
     def rec(cid, rep: RepModule, k: int) -> int:
-        while k < len(js) and cs[k] == 0:
-            k += 1
-        if k == len(js):
+        if k == len(jseq):
             return 1
-        key = (cid, js[k:], cs[k:], skeys)
+        key = (cid, jseq[k:], skeys)
         cached = _flag_counts.get(key)
         if cached is None:
             cached = memo.remember(
                 _flag_counts, key,
                 sum(mult * rec(ccid, crep, k + 1) for ccid, crep, mult in
-                    _class_children_of(cid, rep, simples[js[k]])))
+                    _class_children_of(cid, rep, simples[jseq[k]])))
         return cached
 
     return rec(*_module_class(m), 0)

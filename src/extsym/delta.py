@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import memo
-from .counting import FlagType, count_flags, count_grassmannian
+from .counting import count_flags, count_grassmannian
 from .euler import (EulerValue, euler_of, flag_degree_bound,
                     grassmannian_degree_bound, select_primes)
 from .modules import RepModule, reduce_module, zero_module
@@ -93,7 +93,8 @@ def delta_signature(m_rat: RepModule, mode: str,
 
 
 @memo.cached(lambda m_rat, mode, simples, label, primes: (
-    m_rat.key(), mode, tuple(s.key() for s in simples),
+    m_rat.key(), mode,
+    tuple(s.key() for s in simples) if mode == "flag" else None,
     tuple(primes) if primes is not None else None))
 def _signature(m_rat, mode, simples, label, primes):
     if mode == "flag":
@@ -109,12 +110,10 @@ def _flag_signature(m_rat, simples, label, primes):
                        simples, bound + 2, primes)
     table = []
     for jseq in enumerate_flag_types(m_rat.dims, simples):
-        ft = FlagType(jseq, tuple(1 for _ in jseq))
-
-        def counter(p, ft=ft):
+        def counter(p, jseq=jseq):
             mp = reduce_module(m_rat, p)
             sp = [reduce_module(s, p) for s in simples]
-            return count_flags(mp, ft, sp)
+            return count_flags(mp, jseq, sp)
 
         ev = euler_of(f"{label or 'module'} chains {jseq}", counter,
                       bound, ps)
@@ -173,47 +172,22 @@ def check_delta_multiplicativity(m_rat: RepModule, n_rat: RepModule,
                                  simples: Sequence[RepModule],
                                  primes: Optional[Sequence[int]] = None
                                  ) -> MultiplicativityReport:
-    """Chain counts of a direct sum split as sums over complementary 0/1
-    multiplicity vectors of products of the summands' chain counts."""
+    """Evaluation forms multiply on direct sums: for every flag type j of
+    M + N, delta_{M+N}(j) is the sum over 0/1 vectors c of
+    delta_M(j|c) * delta_N(j|1-c), where j|c keeps the steps with c = 1.
+    A split counts only when both subsequences are types of their module.
+    """
     from .modules import direct_sum
-    combined = direct_sum(m_rat, n_rat)
-    dims = combined.dims
-    bound = flag_degree_bound(dims)
-    ps = select_primes(combined, zero_module(combined.algebra, combined.field),
-                       list(simples) + [m_rat, n_rat], bound + 2, primes)
+    full, left, right = (
+        delta_signature(x, "flag", simples, primes=primes).values()
+        for x in (direct_sum(m_rat, n_rat), m_rat, n_rat))
     rows = []
-    for jseq in enumerate_flag_types(dims, simples):
-        ft_full = FlagType(jseq, tuple(1 for _ in jseq))
-
-        def count_full(p, ft=ft_full):
-            return count_flags(reduce_module(combined, p), ft,
-                               [reduce_module(s, p) for s in simples])
-
-        lhs = euler_of(f"sum chains {jseq}", count_full, bound, ps).value
+    for jseq, lhs in full.items():
         rhs = 0
-        for cm in itertools.product((0, 1), repeat=len(jseq)):
-            cn = tuple(1 - c for c in cm)
-            ftm = FlagType(jseq, cm)
-            ftn = FlagType(jseq, cn)
-            if ftm.dims_dropped(simples) != m_rat.dims:
-                continue
-            if ftn.dims_dropped(simples) != n_rat.dims:
-                continue
-
-            def count_m(p, ft=ftm):
-                return count_flags(reduce_module(m_rat, p), ft,
-                                   [reduce_module(s, p) for s in simples])
-
-            def count_n(p, ft=ftn):
-                return count_flags(reduce_module(n_rat, p), ft,
-                                   [reduce_module(s, p) for s in simples])
-
-            bm = flag_degree_bound(m_rat.dims)
-            bn = flag_degree_bound(n_rat.dims)
-            vm = euler_of(f"left chains {jseq}|{cm}", count_m, bm,
-                          ps[:bm + 2]).value
-            vn = euler_of(f"right chains {jseq}|{cn}", count_n, bn,
-                          ps[:bn + 2]).value
-            rhs += vm * vn
+        for c in itertools.product((0, 1), repeat=len(jseq)):
+            jm = tuple(j for j, ck in zip(jseq, c) if ck)
+            jn = tuple(j for j, ck in zip(jseq, c) if not ck)
+            if jm in left and jn in right:
+                rhs += left[jm] * right[jn]
         rows.append((jseq, lhs, rhs))
     return MultiplicativityReport(tuple(rows))

@@ -9,16 +9,13 @@ Grassmannian identity with its correction term).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .counting import (CountSeries, FlagType, count_efg, count_flags,
-                       count_grassmannian, stratify_ext_classes)
-from .delta import (all_dim_vectors, enumerate_flag_types,
+from .counting import CountSeries, count_efg, stratify_ext_classes
+from .delta import (all_dim_vectors, delta_signature, enumerate_flag_types,
                     stratify_by_signature)
-from .euler import (efg_degree_bound, euler_of, flag_degree_bound,
-                    grassmannian_degree_bound, interpolate_euler,
+from .euler import (efg_degree_bound, euler_of, interpolate_euler,
                     projective_space_degree_bound, projectivize_series,
                     select_primes)
 from .ext import ext_dim, ext_symmetry_audit
@@ -38,7 +35,7 @@ class VerificationReport:
     strata: Dict[str, Dict[str, int]]
     efg: Optional[Dict[str, int]]
     symmetry_ok: bool
-    primes: Tuple[int, ...]
+    primes: Tuple[int, ...]           # of the strata and correction counts
     details: Dict[str, object] = dc_field(default_factory=dict)
 
     @property
@@ -111,13 +108,6 @@ def _strata_chi(m, n, catalog, primes, direction_label) -> Dict[str, int]:
     return out
 
 
-def _group_by_signature(catalog, simples, mode, labels):
-    """Group catalog labels with equal signatures; returns list of
-    (representative label, all labels in class)."""
-    return [(g[0], g) for g in stratify_by_signature(
-        {lab: catalog[lab] for lab in labels}, simples, mode)]
-
-
 def verify_formula2(m: RepModule, n: RepModule,
                     simples: Sequence[RepModule],
                     catalog: Dict[str, RepModule],
@@ -131,46 +121,41 @@ def verify_formula2(m: RepModule, n: RepModule,
 
     where chi1, chi2 are the stratum Euler characteristics of the
     projectivized extension spaces in the two directions and strata are
-    classes of equal flag signature in the catalog.
+    classes of equal flag signature in the catalog.  Chain Euler
+    characteristics are read from flag signatures.
     """
     _require_members(m, n, simples)
     sym_ok = _advisory_symmetry(m, n, simples, allow_asymmetric)
     combined = direct_sum(m, n)
     d = combined.dims
-    dim_e = ext_dim(m, n)
-    bound = flag_degree_bound(d)
-    nprimes = max(bound, projective_space_degree_bound(max(dim_e, ext_dim(n, m))) + 1) + 2
+    dim_e, dim_nm = ext_dim(m, n), ext_dim(n, m)
+    nprimes = projective_space_degree_bound(max(dim_e, dim_nm)) + 2
     ps = select_primes(m, n, list(catalog.values()) + list(simples), nprimes,
                        primes)
 
-    chi_mn = _strata_chi(m, n, catalog, ps, "forward") if dim_e else {}
-    chi_nm = _strata_chi(n, m, catalog, ps, "backward") if ext_dim(n, m) else {}
-    touched = sorted(set(chi_mn) | set(chi_nm))
-    classes = _group_by_signature(catalog, simples, "flag", touched)
+    def chains(mod):
+        return delta_signature(mod, "flag", simples, primes=primes).values()
 
-    rows = []
+    chi_mn = _strata_chi(m, n, catalog, ps, "forward") if dim_e else {}
+    chi_nm = _strata_chi(n, m, catalog, ps, "backward") if dim_nm else {}
+    touched = sorted(set(chi_mn) | set(chi_nm))
+
     strata_table: Dict[str, Dict[str, int]] = {}
-    class_chi = []
-    for rep, members in classes:
+    class_chains = []
+    for members in stratify_by_signature(
+            {lab: catalog[lab] for lab in touched}, simples, "flag", primes):
         c1 = sum(chi_mn.get(lab, 0) for lab in members)
         c2 = sum(chi_nm.get(lab, 0) for lab in members)
-        class_chi.append((rep, c1, c2))
-        strata_table[rep] = {"forward": c1, "backward": c2,
-                             "members": members}  # type: ignore[dict-item]
+        class_chains.append((c1 + c2, chains(catalog[members[0]])))
+        strata_table[members[0]] = {"forward": c1, "backward": c2,
+                                    "members": members}  # type: ignore[dict-item]
 
-    def chains_of(mod_rat, jseq):
-        ft = FlagType(jseq, tuple(1 for _ in jseq))
-
-        def counter(p):
-            return count_flags(reduce_module(mod_rat, p), ft,
-                               [reduce_module(s, p) for s in simples])
-        return euler_of(f"chains {jseq}", counter, bound, ps[:bound + 2]).value
-
+    # the left side vanishes with Ext(M, N): skip counting its chains
+    lhs_chains = chains(combined) if dim_e else {}
+    rows = []
     for jseq in enumerate_flag_types(d, simples):
-        # the left side vanishes with Ext(M, N): skip counting its chains
-        lhs = dim_e * chains_of(combined, jseq) if dim_e else 0
-        rhs = sum((c1 + c2) * chains_of(catalog[rep], jseq)
-                  for rep, c1, c2 in class_chi)
+        lhs = dim_e * lhs_chains[jseq] if dim_e else 0
+        rhs = sum(c * ch[jseq] for c, ch in class_chains)
         rows.append((jseq, lhs, rhs))
 
     return VerificationReport(
@@ -192,55 +177,44 @@ def verify_formula1(m: RepModule, n: RepModule,
           = sum over strata <L> of chi_L * chi(Gr_e(L)) + correction(e),
 
     with strata grouped by submodule-count signatures and the correction
-    counted by the paired-transport fibration.
+    counted by the paired-transport fibration.  Submodule Euler
+    characteristics are read from grassmann signatures.
     """
     _require_members(m, n, simples)
     sym_ok = _advisory_symmetry(m, n, simples, allow_asymmetric)
     d = tuple(a + b for a, b in zip(m.dims, n.dims))
-    dim_e = ext_dim(m, n)
-    gr_bound = max(grassmannian_degree_bound(d, ee)
-                   for ee in all_dim_vectors(d))
-    dim_nm = ext_dim(n, m)
+    dim_e, dim_nm = ext_dim(m, n), ext_dim(n, m)
     efg_bound = efg_degree_bound(m.dims, n.dims, dim_nm, hom_dim(m, n))
-    nprimes = max(gr_bound, efg_bound,
-                  projective_space_degree_bound(dim_e) + 1) + 2
+    nprimes = max(efg_bound, projective_space_degree_bound(dim_e)) + 2
     ps = select_primes(m, n, list(catalog.values()) + list(simples), nprimes,
                        primes)
 
+    def submodules(mod):
+        return delta_signature(mod, "grassmann", simples,
+                               primes=primes).values()
+
     chi_mn = _strata_chi(m, n, catalog, ps, "forward") if dim_e else {}
-    touched = sorted(chi_mn)
-    classes = _group_by_signature(catalog, simples, "grassmann", touched)
     class_chi = []
     strata_table: Dict[str, Dict[str, int]] = {}
-    for rep, members in classes:
+    for members in stratify_by_signature(
+            {lab: catalog[lab] for lab in sorted(chi_mn)}, simples,
+            "grassmann", primes):
         c1 = sum(chi_mn.get(lab, 0) for lab in members)
-        class_chi.append((rep, c1))
-        strata_table[rep] = {"forward": c1, "members": members}  # type: ignore[dict-item]
-
-    def gr_chi(mod_rat, e):
-        b = grassmannian_degree_bound(mod_rat.dims, e)
-
-        def counter(p):
-            return count_grassmannian(reduce_module(mod_rat, p), e)
-        return euler_of(f"submodules {e}", counter, b, ps[:b + 2]).value
+        if c1:
+            class_chi.append((c1, submodules(catalog[members[0]])))
+        strata_table[members[0]] = {"forward": c1, "members": members}  # type: ignore[dict-item]
 
     # terms weighted by zero are not counted: the left side vanishes with
     # Ext(M, N), a stratum with c1 = 0 adds nothing, and the correction
     # vanishes with Ext(N, M), whose classes it counts
+    gr_m, gr_n = (submodules(m), submodules(n)) if dim_e else ({}, {})
     rows = []
     efg_table: Dict[str, int] = {}
     for e in all_dim_vectors(d):
-        lhs = 0
-        if dim_e:
-            for e1 in itertools.product(*[range(min(a, b) + 1)
-                                          for a, b in zip(e, m.dims)]):
-                e2 = tuple(x - y for x, y in zip(e, e1))
-                if any(v < 0 or v > b for v, b in zip(e2, n.dims)):
-                    continue
-                lhs += dim_e * gr_chi(m, e1) * gr_chi(n, e2)
-
-        rhs = sum(c1 * gr_chi(catalog[rep], e) for rep, c1 in class_chi
-                  if c1)
+        lhs = dim_e * sum(
+            v * gr_n.get(tuple(x - y for x, y in zip(e, e1)), 0)
+            for e1, v in gr_m.items())
+        rhs = sum(c1 * gr[e] for c1, gr in class_chi)
 
         efg_val = 0
         if dim_nm:

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from extsym.counting import (count_efg, count_flags, count_grassmannian,
-                             FlagType, iter_submodules, stratify_ext_classes)
+                             iter_submodules, stratify_ext_classes)
 from extsym.delta import check_delta_multiplicativity
 from extsym.ext import (beta_map, beta_prime_map, ext1_space, ext_dim,
                         ext_symmetry_audit, image_first_block_dim,
@@ -148,10 +148,10 @@ def test_4_worked_instance_against_committed_oracle(a2):
             sq = [reduce_module(s, q) for s in simples]
             for lab in labels:
                 want = node["chains"][lab]
-                assert count_flags(cat_q[lab], FlagType((0, 1), (1, 1)),
-                                   sq) == want["drop_S1_first"]
-                assert count_flags(cat_q[lab], FlagType((1, 0), (1, 1)),
-                                   sq) == want["drop_S2_first"]
+                assert count_flags(cat_q[lab], (0, 1), sq) == \
+                    want["drop_S1_first"]
+                assert count_flags(cat_q[lab], (1, 0), sq) == \
+                    want["drop_S2_first"]
                 for e_str, cnt in node["submodules"][lab].items():
                     e = tuple(int(x) for x in e_str.split(","))
                     assert count_grassmannian(cat_q[lab], e) == cnt
@@ -266,7 +266,7 @@ def test_6_counting_invariants(a2):
     base_counts = {e: count_grassmannian(m, e)
                    for e in itertools.product(range(2), range(3))}
     base_flags = count_flags(
-        m, FlagType((0, 1, 1), (1, 1, 1)),
+        m, (0, 1, 1),
         [reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)])
     for _ in range(5):
         g = tuple(random_invertible(d) for d in m.dims)
@@ -274,7 +274,7 @@ def test_6_counting_invariants(a2):
         for e, want in base_counts.items():
             assert count_grassmannian(tw, e) == want
         assert count_flags(
-            tw, FlagType((0, 1, 1), (1, 1, 1)),
+            tw, (0, 1, 1),
             [reduce_module(mods["S1"], p),
              reduce_module(mods["S2"], p)]) == base_flags
 

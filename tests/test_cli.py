@@ -192,6 +192,17 @@ class TestVerify:
         assert r.exit_code == 0
         assert json.loads(r.output)["verdict"] == "pass"
 
+    def test_f2_with_supplied_primes(self, files):
+        r = run("verify", "f2", "--algebra", files["algebra"],
+                "--module", files["S1"], "--module", files["S2"],
+                "--catalog", files["catalog"],
+                "--simples", "vertex:1,vertex:2",
+                "--primes", "3,2,5,7,11,13", "--json")
+        assert r.exit_code == 0
+        out = json.loads(r.output)
+        assert out["verdict"] == "pass"
+        assert out["primes"] == [3, 2]
+
     def test_verify_needs_catalog(self, files):
         r = run("verify", "f2", "--algebra", files["algebra"],
                 "--module", files["S1"], "--module", files["S2"],

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from extsym import counting, memo
-from extsym.counting import (CountError, FlagType, count_efg,
-                             count_efg_split, count_flags, count_grassmannian,
-                             good_prime, good_prime_for_pairs,
-                             iter_submodules, stratify_ext_classes)
+from extsym.counting import (CountError, count_efg, count_efg_split,
+                             count_flags, count_grassmannian, good_prime,
+                             good_prime_for_pairs, iter_submodules,
+                             stratify_ext_classes)
 from extsym.delta import enumerate_flag_types
 from extsym.fields import RATIONALS
 from extsym.instances import a2_catalog, a2_sums, deformed_a2_module
@@ -79,8 +79,8 @@ class TestFlags:
         p1 = reduce_module(mods["P1"], 3)
         simples = [reduce_module(mods["S1"], 3), reduce_module(mods["S2"], 3)]
         # the top quotient of P1 is S1, then S2 remains
-        assert count_flags(p1, FlagType((0, 1), (1, 1)), simples) == 1
-        assert count_flags(p1, FlagType((1, 0), (1, 1)), simples) == 0
+        assert count_flags(p1, (0, 1), simples) == 1
+        assert count_flags(p1, (1, 0), simples) == 0
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_matches_bruteforce(self, a2, p):
@@ -88,8 +88,7 @@ class TestFlags:
         simples = [reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)]
         m = reduce_module(direct_sum(mods["P1"], mods["S1"]), p)
         for order in itertools.permutations([0, 0, 1]):
-            ft = FlagType(tuple(order), (1, 1, 1))
-            got = count_flags(m, ft, simples)
+            got = count_flags(m, order, simples)
             factor_dims = [list(simples[j].dims) for j in order]
             want = count_flags_bruteforce(list(m.dims), _arrow_data(m),
                                           factor_dims, p)
@@ -100,7 +99,7 @@ class TestFlags:
         p1 = reduce_module(mods["P1"], 3)
         simples = [reduce_module(mods["S1"], 3), reduce_module(mods["S2"], 3)]
         with pytest.raises(CountError, match="drops"):
-            count_flags(p1, FlagType((0,), (1,)), simples)
+            count_flags(p1, (0,), simples)
 
     @pytest.mark.parametrize("jseq, bad", [((-2, -1), "-2, -1"),
                                            ((0, 5), "5")])
@@ -109,7 +108,7 @@ class TestFlags:
         p1 = reduce_module(mods["P1"], 3)
         simples = [reduce_module(mods["S1"], 3), reduce_module(mods["S2"], 3)]
         with pytest.raises(CountError, match=f"2 simples: {bad}$"):
-            count_flags(p1, FlagType(jseq, (1, 1)), simples)
+            count_flags(p1, jseq, simples)
 
     def test_semisimple_square_counts(self, a2):
         _, mods = a2
@@ -117,7 +116,7 @@ class TestFlags:
         s = reduce_module(direct_sum(mods["S1"], mods["S1"]), p)
         simples = [reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)]
         # full flags of a 2-dim space over GF(3): p + 1 lines
-        assert count_flags(s, FlagType((0, 0), (1, 1)), simples) == p + 1
+        assert count_flags(s, (0, 0), simples) == p + 1
 
 
 _ORACLE: dict = {}
@@ -127,7 +126,7 @@ def _flag_table(m_rat, simples_rat, p):
     """count_flags of the reduction mod p for every flag type."""
     m = reduce_module(m_rat, p)
     simples = [reduce_module(s, p) for s in simples_rat]
-    return {jseq: count_flags(m, FlagType(jseq, (1,) * len(jseq)), simples)
+    return {jseq: count_flags(m, jseq, simples)
             for jseq in enumerate_flag_types(m.dims, simples)}
 
 
@@ -215,7 +214,7 @@ class TestFlagsByClass:
                           p)
         simples = [reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)]
         # complete flags of F_5^k
-        assert count_flags(m, FlagType((0,) * k, (1,) * k), simples) == \
+        assert count_flags(m, (0,) * k, simples) == \
             _q_factorial(k, p)
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -230,9 +229,8 @@ class TestFlagsByClass:
         twisted = conjugate(m, g)
         assert twisted.key() != m.key()
         for jseq in enumerate_flag_types(m.dims, simples):
-            ft = FlagType(jseq, (1,) * len(jseq))
-            assert count_flags(twisted, ft, simples) == \
-                count_flags(m, ft, simples)
+            assert count_flags(twisted, jseq, simples) == \
+                count_flags(m, jseq, simples)
 
     def test_undecidable_comparisons_fall_back_to_presentations(
             self, a2, two_loop, monkeypatch, cold_classes):

@@ -1,7 +1,12 @@
 """Evaluation signatures of modules and the strata they induce."""
 
+import ast
+import pkgutil
+
 import pytest
 
+import extsym
+from extsym import delta, memo
 from extsym.delta import (DeltaError, all_dim_vectors,
                           check_delta_multiplicativity, delta_signature,
                           enumerate_flag_types, stratify_by_signature)
@@ -9,6 +14,7 @@ from extsym.euler import PRIME_LIMIT, EulerError, select_primes
 from extsym.instances import a2_catalog
 from extsym.modules import module_from_fractions, zero_module
 from extsym.fields import RATIONALS
+from extsym.verify import verify_formula1, verify_formula2
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -72,6 +78,15 @@ class TestSignatures:
         b = delta_signature(mods["P1"], "flag", simples, label="y",
                             primes=PRIMES)
         assert a == b and hash(a) == hash(b)
+
+    def test_grassmann_table_does_not_depend_on_simples(self, a2):
+        _, mods = a2
+        memo.clear_all()
+        a = delta_signature(mods["P1"], "grassmann", [mods["S1"], mods["S2"]],
+                            primes=PRIMES)
+        b = delta_signature(mods["P1"], "grassmann", [mods["S2"]],
+                            primes=PRIMES)
+        assert a is b
 
 
 class TestStratification:
@@ -162,6 +177,32 @@ class TestSuppliedPrimesAreScreened:
         assert sorted(map(sorted, supplied)) == \
             [["P1", "P1'"], ["P2"], ["S1+S2"]]
 
+    def test_verify_formulas(self, a2, monkeypatch):
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        cat = dict(a2_catalog(alg, 2))
+        cat["P1'"] = self.p1_scaled(alg)
+        supplied = [3, 2] + PRIMES[2:]
+        given = []
+
+        def recording(m, n, extra, count, primes):
+            given.append(primes)
+            return select_primes(m, n, extra, count, primes)
+
+        for verify in (verify_formula2, verify_formula1):
+            auto = verify(mods["S1"], mods["S2"], simples, cat)
+            memo.clear_all()
+            monkeypatch.setattr(delta, "select_primes", recording)
+            rep = verify(mods["S1"], mods["S2"], simples, cat,
+                         primes=supplied)
+            monkeypatch.undo()
+            assert rep.rows == auto.rows and rep.passed
+            assert rep.strata == auto.strata
+            assert 3 not in rep.primes
+            # every signature, those of the grouping included, took them
+            assert given and all(p == supplied for p in given)
+            given.clear()
+
 
 class TestMultiplicativity:
     def test_base_pair(self, a2):
@@ -197,3 +238,34 @@ class TestMultiplicativity:
         rep = check_delta_multiplicativity(mods["P1"], mods["S2"], simples,
                                            primes=PRIMES)
         assert rep.passed
+
+    def test_two_loop_pairs(self, two_loop):
+        """Every pair of combined dimension <= 3; with one simple, each
+        module has one flag type."""
+        _, mods = two_loop
+        pairs = [(a, b) for a in mods for b in mods
+                 if mods[a].total_dim + mods[b].total_dim <= 3]
+        assert len(pairs) == 23
+        for a, b in pairs:
+            rep = check_delta_multiplicativity(mods[a], mods[b], [mods["S"]])
+            assert rep.passed, (a, b)
+            assert len(rep.per_type) == 1
+
+
+def test_only_evaluation_forms_and_the_cli_count_points():
+    """Euler characteristics of a module come from its evaluation form:
+    no other module of the package calls the point counters."""
+    counters = {"count_flags", "count_grassmannian"}
+    callers = set()
+    for info in pkgutil.iter_modules(extsym.__path__):
+        path = f"{extsym.__path__[0]}/{info.name}.py"
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    getattr(f, "attr", None)
+                if name in counters:
+                    callers.add(info.name)
+    assert callers == {"delta", "cli"}

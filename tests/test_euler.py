@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsym.counting import (CountSeries, FlagType, count_flags,
-                             count_grassmannian)
+from extsym.counting import CountSeries, count_flags, count_grassmannian
 from extsym.euler import (EulerError, euler_of, flag_degree_bound, good_primes,
                           grassmannian_degree_bound, interpolate_euler,
                           polynomial_coeffs, primes_from,
@@ -109,7 +108,7 @@ class TestGeometricValues:
         simples = [mods["S1"], mods["S2"]]
 
         def counter(q):
-            return count_flags(reduce_module(plane, q), FlagType((1, 1), (1, 1)),
+            return count_flags(reduce_module(plane, q), (1, 1),
                                [reduce_module(s, q) for s in simples])
 
         ev = euler_of("fl", counter, flag_degree_bound(plane.dims), PRIMES)
