@@ -17,8 +17,9 @@ from . import memo
 from .ext import (beta_map, ext1_equations, ext1_space, ext_dim,
                   image_first_block_dim, middle_term)
 from .fields import QQ, FieldError
-from .linalg import (contains_vector, enumerate_subspaces, identity,
-                     integer_rank_minor, kernel_basis, mat_vec, rank, span)
+from .linalg import (Mat, contains_vector, enumerate_subspaces,
+                     gaussian_binomial, identity, integer_rank_minor,
+                     kernel_basis, mat_vec, rank, span)
 # unused here; perfbench/tests/test_tracing.py checks the tracer wraps it
 from .linalg import rref  # noqa: F401
 from .modules import (ModuleError, RepModule, UndecidableError, _hom_system,
@@ -50,47 +51,121 @@ class CountSeries:
 # Submodules with a fixed dimension vector
 
 
-def _witness_is_stable(m: RepModule, rows_by_vertex) -> bool:
-    """Whether per-vertex subspaces are preserved by every arrow map."""
-    field = m.field
-    q = m.algebra.quiver
-    spaces = []
-    for i, rows in enumerate(rows_by_vertex):
-        spaces.append(span(field, rows, m.dims[i]))
-    for ai, arr in enumerate(q.arrows):
-        s = q.vertex_index(arr.source)
-        t = q.vertex_index(arr.target)
-        for row in rows_by_vertex[s]:
-            img = mat_vec(field, m.matrices[ai], row)
-            if not contains_vector(field, spaces[t], img):
-                return False
-    return True
+def _vertex_walk(m: RepModule, edims: Sequence[int], count_last: bool):
+    """Submodules with dimension vector e, fixed one vertex at a time in
+    quiver order, as (per-vertex subspaces, weight) pairs.
 
-
-def iter_submodules(m: RepModule,
-                    edims: Sequence[int]) -> Iterator[Tuple[Tuple, ...]]:
-    """All submodules of a GF(p) module with the given dimension vector,
-    as per-vertex row tuples (canonical echelon bases)."""
+    Each arrow s -> t is checked once.  With s < t it makes ``low``, the
+    span of the images of the fixed U_s, which U_t must contain; with
+    s > t it makes ``up``, the preimage of the fixed U_t, in which U_s
+    must lie.  The subspaces between them of the right dimension are
+    ``low`` plus a subspace of a fixed complement of ``low`` in ``up``;
+    only loops are checked on a candidate.  With ``count_last`` a last
+    vertex without loops is not enumerated: the walk yields the subspaces
+    of the other vertices, weighted by the number of its choices.
+    Otherwise every weight is 1.
+    """
     field = m.field
     p = getattr(field, "p", None)
     if p is None:
         raise CountError("submodule enumeration requires a prime field")
     if len(edims) != len(m.dims):
         raise CountError("dimension vector length mismatch")
-    for e, d in zip(edims, m.dims):
-        if e < 0 or e > d:
+    if any(e < 0 or e > d for e, d in zip(edims, m.dims)):
+        return
+    q = m.algebra.quiver
+    nv = len(m.dims)
+    into = [[] for _ in range(nv)]    # (s, A) for arrows s -> v, s < v
+    out = [[] for _ in range(nv)]     # (t, A) for arrows v -> t, t < v
+    loops = [[] for _ in range(nv)]
+    for arr, a in zip(q.arrows, m.matrices):
+        s, t = q.vertex_index(arr.source), q.vertex_index(arr.target)
+        if s < t:
+            into[t].append((s, a))
+        elif s > t:
+            out[s].append((t, a))
+        else:
+            loops[s].append(a)
+    fixed = []
+
+    def rec(v):
+        if v == nv:
+            yield tuple(fixed), 1
             return
-    per_vertex = [list(enumerate_subspaces(m.dims[i], edims[i], p))
-                  for i in range(len(m.dims))]
-    for combo in itertools.product(*per_vertex):
-        rows_by_vertex = tuple(tuple(sub.mat.rows) for sub in combo)
-        if _witness_is_stable(m, rows_by_vertex):
-            yield rows_by_vertex
+        d = m.dims[v]
+        low = span(field, [mat_vec(field, a, u) for s, a in into[v]
+                           for u in fixed[s].mat.rows], d)
+        k = edims[v] - low.dim
+        if k < 0:
+            return
+        # x lies in up when A x has zero residue modulo U_t, read at the
+        # non-pivot coordinates of U_t
+        eqs = []
+        for t, a in out[v]:
+            w = fixed[t]
+            for c in range(m.dims[t]):
+                if c in w.pivots:
+                    continue
+                row = a.rows[c]
+                for wr, pc in zip(w.mat.rows, w.pivots):
+                    if wr[c]:
+                        row = tuple((x - wr[c] * y) % p
+                                    for x, y in zip(row, a.rows[pc]))
+                eqs.append(row)
+        if eqs:
+            eq_mat = Mat(tuple(eqs), len(eqs), d)
+            if any(any(mat_vec(field, eq_mat, u)) for u in low.mat.rows):
+                return
+            up = kernel_basis(field, eq_mat).rows
+        else:
+            up = identity(field, d).rows
+        if count_last and v == nv - 1 and not loops[v]:
+            yield tuple(fixed), gaussian_binomial(len(up) - low.dim, k, p)
+            return
+        # the up rows off the pivots of low, read in up coordinates,
+        # complete low to up
+        taken = set()
+        if low.dim:
+            upiv = [r.index(1) for r in up]
+            taken = set(span(field, [[u[c] for c in upiv]
+                                     for u in low.mat.rows], len(up)).pivots)
+        comp = [r for i, r in enumerate(up) if i not in taken]
+        for sub in enumerate_subspaces(len(comp), k, p):
+            extra = tuple(tuple(sum(c * r[j] for c, r in zip(coeffs, comp))
+                                % p for j in range(d))
+                          for coeffs in sub.mat.rows)
+            u = span(field, low.mat.rows + extra, d)
+            if all(contains_vector(field, u, mat_vec(field, a, x))
+                   for a in loops[v] for x in u.mat.rows):
+                fixed.append(u)
+                yield from rec(v + 1)
+                fixed.pop()
+
+    yield from rec(0)
+
+
+def iter_submodules(m: RepModule,
+                    edims: Sequence[int]) -> Iterator[Tuple[Tuple, ...]]:
+    """All submodules of a GF(p) module with the given dimension vector,
+    as per-vertex row tuples (canonical echelon bases), each once.
+
+    Enumerated vertex by vertex in quiver order: at each vertex only the
+    subspaces that contain the images of the subspaces already fixed and
+    map into them are generated, so no candidate outside the submodule
+    variety is built except for loops, which are checked.
+    """
+    for spaces, _ in _vertex_walk(m, edims, False):
+        yield tuple(u.mat.rows for u in spaces)
 
 
 def count_grassmannian(m: RepModule, edims: Sequence[int]) -> int:
-    """Number of submodules of a GF(p) module with dimension vector e."""
-    return sum(1 for _ in iter_submodules(m, edims))
+    """Number of submodules of a GF(p) module with dimension vector e.
+
+    The vertex walk of ``iter_submodules``, except that a last vertex
+    without loops is counted in closed form: its choices are the
+    subspaces of one dimension in a quotient space, a Gaussian binomial.
+    """
+    return sum(w for _, w in _vertex_walk(m, edims, True))
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +384,12 @@ def count_efg_split(n: RepModule, m: RepModule,
     m1_list = list(iter_submodules(m, edims_m))
     if not n1_list or not m1_list:
         return 0
+    m1_subs = [sub_quotient(m, witness_from_rows(m, rows))
+               for rows in m1_list]
     for n1_rows in n1_list:
         n1_wit = witness_from_rows(n, n1_rows)
         n1, n_quot, n1_incl, _ = sub_quotient(n, n1_wit)
-        for m1_rows in m1_list:
-            m1_wit = witness_from_rows(m, m1_rows)
-            m1, _, m1_incl, _ = sub_quotient(m, m1_wit)
+        for m1, _, m1_incl, _ in m1_subs:
             bp = beta_map(n, m, n1, n1_incl, m1, m1_incl)
             w = image_first_block_dim(field, bp.matrix, bp.dst_nm.dim)
             if w == 0:

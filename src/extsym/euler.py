@@ -8,6 +8,7 @@ last sample, cross-check the last one, and evaluate at q = 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -160,11 +161,30 @@ def projective_space_degree_bound(ext_dim: int) -> int:
 
 
 def efg_degree_bound(m_dims: Sequence[int], n_dims: Sequence[int],
-                     ext_nm_dim: int, hom_mn_dim: int) -> int:
-    """Conservative bound for the correction set: Grassmannian factors plus
-    the class line plus the affine fiber."""
-    gr = sum(a * b for a, b in zip(m_dims, n_dims))
-    return gr + ext_nm_dim + hom_mn_dim
+                     ext_nm_dim: int, edims: Sequence[int]) -> int:
+    """Degree bound for the correction count at dimension vector e.
+
+    The count is a sum over the splits e = e1 + e2 (e1 inside M, e2
+    inside N) and over pairs M1 <= M, N1 <= N of (q^w - 1)/(q - 1) * q^h.
+    The M1 and the N1 lie in products of vertex Grassmannians, w is at
+    most dim Ext^1(N, M), and h = dim Hom(M1, N/N1) is at most the
+    dimension of the vertex-wise linear maps.  So the bound is the
+    maximum over the splits of
+
+        sum e1_i (m_i - e1_i) + sum e2_i (n_i - e2_i)
+          + sum e1_i (n_i - e2_i) + dim Ext^1(N, M) - 1,
+
+    and 0 when no split exists or the sum is negative.
+    """
+    best = 0
+    ranges = [range(max(0, e - n), min(e, m) + 1)
+              for e, m, n in zip(edims, m_dims, n_dims)]
+    for e1 in itertools.product(*ranges):
+        e2 = [e - a for e, a in zip(edims, e1)]
+        best = max(best, sum(a * (m - a) + b * (n - b) + a * (n - b)
+                             for a, b, m, n in zip(e1, e2, m_dims, n_dims))
+                   + ext_nm_dim - 1)
+    return best
 
 
 def good_primes(pred: Callable[[int], bool], count: int,

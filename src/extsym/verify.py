@@ -19,7 +19,7 @@ from .euler import (efg_degree_bound, euler_of, interpolate_euler,
                     projective_space_degree_bound, projectivize_series,
                     select_primes)
 from .ext import ext_dim, ext_symmetry_audit
-from .modules import (RepModule, composition_series, direct_sum, hom_dim,
+from .modules import (RepModule, composition_series, direct_sum,
                       reduce_module)
 
 
@@ -184,8 +184,13 @@ def verify_formula1(m: RepModule, n: RepModule,
     sym_ok = _advisory_symmetry(m, n, simples, allow_asymmetric)
     d = tuple(a + b for a, b in zip(m.dims, n.dims))
     dim_e, dim_nm = ext_dim(m, n), ext_dim(n, m)
-    efg_bound = efg_degree_bound(m.dims, n.dims, dim_nm, hom_dim(m, n))
-    nprimes = max(efg_bound, projective_space_degree_bound(dim_e)) + 2
+    # the correction is counted only when Ext(N, M) is nonzero, each row
+    # at its own degree bound
+    dvecs = all_dim_vectors(d)
+    efg_bounds = {e: efg_degree_bound(m.dims, n.dims, dim_nm, e)
+                  for e in dvecs} if dim_nm else {}
+    nprimes = max([projective_space_degree_bound(dim_e)]
+                  + list(efg_bounds.values())) + 2
     ps = select_primes(m, n, list(catalog.values()) + list(simples), nprimes,
                        primes)
 
@@ -210,7 +215,7 @@ def verify_formula1(m: RepModule, n: RepModule,
     gr_m, gr_n = (submodules(m), submodules(n)) if dim_e else ({}, {})
     rows = []
     efg_table: Dict[str, int] = {}
-    for e in all_dim_vectors(d):
+    for e in dvecs:
         lhs = dim_e * sum(
             v * gr_n.get(tuple(x - y for x, y in zip(e, e1)), 0)
             for e1, v in gr_m.items())
@@ -220,8 +225,9 @@ def verify_formula1(m: RepModule, n: RepModule,
         if dim_nm:
             def efg_counter(p, e=e):
                 return count_efg(reduce_module(n, p), reduce_module(m, p), e)
-            efg_val = euler_of(f"correction {e}", efg_counter, efg_bound,
-                               ps[:efg_bound + 2]).value
+            bound = efg_bounds[e]
+            efg_val = euler_of(f"correction {e}", efg_counter, bound,
+                               ps[:bound + 2]).value
         efg_table[str(e)] = efg_val
         rhs += efg_val
         rows.append((e, lhs, rhs))

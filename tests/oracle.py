@@ -8,6 +8,7 @@ the same quantities.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -70,24 +71,30 @@ def span_set(gens, n, p):
     return frozenset(vecs)
 
 
+@functools.lru_cache(maxsize=None)
+def _subspaces_by_dim(n, p):
+    """Subspaces of F_p^n grouped by dimension: those of dimension k + 1
+    are the spans of one of dimension k and one vector outside it."""
+    levels = [[span_set((), n, p)]]
+    for _ in range(n):
+        grown = {}
+        for s in levels[-1]:
+            for v in all_vectors(n, p):
+                if v not in s:
+                    t = frozenset(tuple((a + c * b) % p for a, b in zip(x, v))
+                                  for x in s for c in range(p))
+                    grown[t] = None
+        levels.append(list(grown))
+    return levels
+
+
 def all_subspaces(n, p, k=None):
     """Every subspace of F_p^n (as a frozenset of its vectors), optionally
     only those of dimension k.  Exponential; for tiny n, p only."""
-    seen = {}
-    vs = all_vectors(n, p)
-    max_gens = n
-    for r in range(0, max_gens + 1):
-        for gens in itertools.combinations(vs, r):
-            s = span_set(gens, n, p)
-            if s not in seen:
-                dim = 0
-                size = len(s)
-                while p ** dim < size:
-                    dim += 1
-                seen[s] = dim
+    levels = _subspaces_by_dim(n, p)
     if k is None:
-        return list(seen)
-    return [s for s, d in seen.items() if d == k]
+        return [s for level in levels for s in level]
+    return list(levels[k]) if 0 <= k <= n else []
 
 
 def mat_apply(mat, vec, p):

@@ -17,8 +17,8 @@ from extsym.delta import check_delta_multiplicativity
 from extsym.ext import (beta_map, beta_prime_map, ext1_space, ext_dim,
                         ext_symmetry_audit, image_first_block_dim,
                         kernel_projection_dim, middle_term)
-from extsym.euler import (EulerError, euler_of, interpolate_euler,
-                          projective_space_degree_bound)
+from extsym.euler import (EulerError, efg_degree_bound, euler_of,
+                          interpolate_euler, projective_space_degree_bound)
 from extsym.counting import CountSeries
 from extsym.fields import RATIONALS
 from extsym.instances import (a2_catalog, a2_modules, a2_preprojective,
@@ -331,3 +331,42 @@ def test_7_consistency_check_catches_corruption(a2):
 
     with pytest.raises(EulerError):
         euler_of("lying", lying_counter, 2, [2, 3, 5, 7, 11])
+
+
+def test_10_dimension_six_pair_within_budget(a2):
+    """The Grassmannian identity on a pair of combined dimension 6, with
+    its correction table.  The vertex walk enumerates only submodules, so
+    the pair fits a tier-1 budget.  Budget: 20 s."""
+    with Budget(20):
+        alg, mods = a2
+        sums = a2_sums(alg, 3)
+        rep = verify_formula1(sums["S2+P1"], sums["S1+P2"],
+                              [mods["S1"], mods["S2"]], a2_catalog(alg, 6))
+        assert rep.passed
+        ones = {(0, 1), (0, 2), (1, 1), (1, 3), (2, 2), (2, 3)}
+        want = {str(e): 3 if e == (1, 2) else int(e in ones)
+                for e in itertools.product(range(4), repeat=2)}
+        assert rep.efg == want
+
+
+def test_11_correction_row_degree_bound(a2):
+    """Row e = (1, 1) of the correction term for (S2, 4 S1).  The count is
+    a sum over the lines N1 of F_q^4 (degree 3) of a class factor of
+    degree up to 3, so the old bound 4 fails its surplus check; the row
+    bound is 6 and the fitted polynomial has degree 5.  Budget: 30 s."""
+    with Budget(30):
+        alg, mods = a2
+        m = mods["S2"]
+        n = direct_sum_many(alg, RATIONALS, [mods["S1"]] * 4)
+        e = (1, 1)
+        bound = efg_degree_bound(m.dims, n.dims, ext_dim(n, m), e)
+        assert bound == 6
+        ev = euler_of("correction (1, 1)",
+                      lambda q: count_efg(reduce_module(n, q),
+                                          reduce_module(m, q), e),
+                      bound, PRIMES)
+        assert ev.value == 12
+        assert len(ev.coeffs) - 1 == 5
+        with pytest.raises(EulerError, match="count at q=13 is 435540, "
+                                             "interpolation predicts 424980"):
+            interpolate_euler(CountSeries("old bound", ev.samples[:6], 4))

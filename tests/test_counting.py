@@ -8,20 +8,24 @@ from fractions import Fraction
 import pytest
 
 from extsym import counting, memo
+from extsym.algebra import AlgebraPresentation, make_quiver
 from extsym.counting import (CountError, count_efg, count_efg_split,
                              count_flags, count_grassmannian, good_prime,
                              good_prime_for_pairs, iter_submodules,
                              stratify_ext_classes)
 from extsym.delta import enumerate_flag_types
-from extsym.fields import RATIONALS
-from extsym.instances import a2_catalog, a2_sums, deformed_a2_module
+from extsym.ext import ext1_space, middle_term
+from extsym.fields import RATIONALS, FieldError
+from extsym.instances import (a2_catalog, a2_sums, deformed_a2_module,
+                              three_vertex_algebra, three_vertex_simples,
+                              two_loop_modules)
 from extsym.linalg import mat_from_fractions
 from extsym.modules import (UndecidableError, conjugate, direct_sum,
                             direct_sum_many, module_from_fractions,
                             reduce_module)
 
 from oracle import (count_flags_bruteforce, count_submodules_bruteforce,
-                    gaussian_binomial_int)
+                    gaussian_binomial_int, mat_apply, span_set)
 
 
 def _arrow_data(m):
@@ -71,6 +75,123 @@ class TestGrassmannian:
         twisted = conjugate(m, g)
         for e in itertools.product(range(2), range(3)):
             assert count_grassmannian(m, e) == count_grassmannian(twisted, e)
+
+
+def _is_rref(rows, ncols):
+    """Nonzero rows, leading entries 1 in increasing columns, each pivot
+    column zero in the other rows."""
+    pivots = []
+    for r in rows:
+        nz = [j for j, x in enumerate(r) if x]
+        if len(r) != ncols or not nz or r[nz[0]] != 1:
+            return False
+        pivots.append(nz[0])
+    return pivots == sorted(set(pivots)) and all(
+        rows[i][pc] == 0 for k, pc in enumerate(pivots)
+        for i in range(len(rows)) if i != k)
+
+
+def _is_submodule(m, rows_by_vertex):
+    p = m.field.p
+    spaces = [span_set(rows, d, p) for rows, d in zip(rows_by_vertex, m.dims)]
+    return all(mat_apply([list(r) for r in mat], v, p) in spaces[t]
+               for s, t, mat in _arrow_data(m) for v in spaces[s])
+
+
+def _walk_families(a2):
+    """Rational modules of total dimension <= 4 from five families: direct
+    sums over the doubled-arrow algebra, two-loop modules and their sums,
+    the deformed (1, 1) family and its sums, three-vertex modules built
+    from simples by nonzero extension classes and direct sums, and 0/1
+    modules over the doubled-arrow quiver without relations."""
+    alg, _ = a2
+    yield from a2_sums(alg, 4).values()
+
+    _, loops = two_loop_modules()
+    small = list(loops.values())
+    yield from small
+    for x, y in itertools.combinations_with_replacement(small, 2):
+        if x.total_dim + y.total_dim <= 4:
+            yield direct_sum(x, y)
+
+    deformed = [deformed_a2_module(Fraction(a)) for a in (1, 2, -1)]
+    yield from deformed
+    for x, y in itertools.combinations_with_replacement(deformed, 2):
+        yield direct_sum(x, y)
+
+    alg3 = three_vertex_algebra()
+    simples = list(three_vertex_simples(alg3).values())
+
+    def extended_by_simples(mods):
+        out = []
+        for x in mods:
+            for y in simples:
+                for a, b in ((x, y), (y, x)):
+                    space = ext1_space(a, b)
+                    for i in range(space.dim):
+                        coords = [space.field.zero] * space.dim
+                        coords[i] = space.field.one
+                        out.append(middle_term(space, coords)[0])
+        return out
+
+    length2 = extended_by_simples(simples)
+    bricks = simples + length2 + extended_by_simples(length2)
+    for r in range(1, 5):
+        for combo in itertools.combinations_with_replacement(bricks, r):
+            if sum(b.total_dim for b in combo) <= 4:
+                yield direct_sum_many(alg3, RATIONALS, list(combo))
+
+    # no relations: the path 1 -> 2 -> 1 need not vanish, so the images
+    # fixed at vertex 2 can leave the preimage of the subspace at vertex 1
+    cyc = AlgebraPresentation(make_quiver(("1", "2"), (("a", "1", "2"),
+                                                       ("b", "2", "1"))),
+                              (), label="cycle")
+    for d1, d2 in ((1, 1), (2, 1), (1, 2)):
+        for vals in itertools.product(range(2), repeat=2 * d1 * d2):
+            a = [list(vals[i * d1:(i + 1) * d1]) for i in range(d2)]
+            b = [list(vals[d1 * d2 + i * d2:d1 * d2 + (i + 1) * d2])
+                 for i in range(d1)]
+            yield module_from_fractions(cyc, RATIONALS, {"1": d1, "2": d2},
+                                        {"a": a, "b": b})
+
+
+class TestVertexWalk:
+    """The vertex-by-vertex submodule walk against the brute-force count,
+    on modules with arrows into earlier and later vertices and with
+    loops, at every dimension vector."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_bruteforce(self, a2, p):
+        slots = 0
+        for m_rat in _walk_families(a2):
+            try:
+                m = reduce_module(m_rat, p)
+            except FieldError:
+                continue    # a denominator vanishes mod p
+            for e in itertools.product(*[range(d + 1) for d in m.dims]):
+                subs = list(iter_submodules(m, e))
+                assert len(set(subs)) == len(subs)
+                for rows_by_vertex in subs:
+                    assert all(len(rows) == k and _is_rref(rows, d)
+                               for rows, k, d in zip(rows_by_vertex, e,
+                                                     m.dims))
+                    assert _is_submodule(m, rows_by_vertex)
+                want = count_submodules_bruteforce(
+                    list(m.dims), _arrow_data(m), list(e), p)
+                assert len(subs) == want, (m.key(), e)
+                assert count_grassmannian(m, e) == want, (m.key(), e)
+                slots += 1
+        assert slots > 1000
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_semisimple_at_five_gives_gaussian_binomials(self, a2, k):
+        alg, mods = a2
+        m = reduce_module(direct_sum_many(alg, RATIONALS, [mods["S1"]] * k),
+                          5)
+        for e in range(k + 1):
+            want = gaussian_binomial_int(k, e, 5)
+            assert len(list(iter_submodules(m, (e, 0)))) == want
+            assert count_grassmannian(m, (e, 0)) == want
 
 
 class TestFlags:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extsym.counting import CountSeries, count_flags, count_grassmannian
-from extsym.euler import (EulerError, euler_of, flag_degree_bound, good_primes,
+from extsym.euler import (EulerError, efg_degree_bound, euler_of,
+                          flag_degree_bound, good_primes,
                           grassmannian_degree_bound, interpolate_euler,
                           polynomial_coeffs, primes_from,
                           projective_space_degree_bound, projectivize_series)
@@ -113,6 +114,21 @@ class TestGeometricValues:
 
         ev = euler_of("fl", counter, flag_degree_bound(plane.dims), PRIMES)
         assert ev.value == 2
+
+
+class TestCorrectionBound:
+    def test_maximum_over_splits(self):
+        # M = S1, N = 4 S2, dim Ext^1(N, M) = 4: the only split of (1, 2)
+        # is e1 = (1, 0), e2 = (0, 2), giving 0 + 2*2 + 1*0 + 4 - 1
+        assert efg_degree_bound((1, 0), (0, 4), 4, (1, 2)) == 7
+        assert efg_degree_bound((1, 0), (0, 4), 4, (1, 1)) == 6
+        assert efg_degree_bound((1, 0), (0, 4), 4, (0, 0)) == 3
+        # two splits of (1, 0) inside M = N = S1: e1 = (1, 0) adds
+        # e1 (n - e2) = 1, e1 = (0, 0) adds nothing
+        assert efg_degree_bound((1, 0), (1, 0), 1, (1, 0)) == 1
+
+    def test_never_negative(self):
+        assert efg_degree_bound((1, 0), (0, 1), 0, (0, 0)) == 0
 
 
 class TestPrimeStream:
