@@ -84,15 +84,7 @@ simples_opt = click.option("--simples", "simples_arg",
 primes_opt = click.option("--primes", "primes_arg",
                           help="comma list of primes to use (screened)")
 json_opt = click.option("--json", "as_json", is_flag=True)
-seed_opt = click.option("--seed", type=int, default=None,
-                        help="seed for the randomized isomorphism fast path")
 asym_opt = click.option("--allow-asymmetric", is_flag=True)
-
-
-def _apply_seed(seed: Optional[int]):
-    if seed is not None:
-        from . import modules
-        modules.set_iso_seed(seed)
 
 
 @click.group()
@@ -134,10 +126,8 @@ def ext():
 @algebra_opt
 @module_opt
 @json_opt
-@seed_opt
-def ext_dim_cmd(algebra_file, module_files, as_json, seed):
+def ext_dim_cmd(algebra_file, module_files, as_json):
     """dim Ext^1(M, N) for two module files (M first)."""
-    _apply_seed(seed)
     if len(module_files) != 2:
         _fail("ext dim needs exactly two --module files", as_json)
     try:
@@ -294,8 +284,7 @@ def verify():
 
 
 def _verify_common(algebra_file, module_files, catalog_file, simples_arg,
-                   primes_arg, as_json, allow_asymmetric, seed, which):
-    _apply_seed(seed)
+                   primes_arg, as_json, allow_asymmetric, which):
     if len(module_files) != 2:
         _fail(f"verify {which} needs exactly two --module files", as_json)
     try:
@@ -325,13 +314,12 @@ def _verify_common(algebra_file, module_files, catalog_file, simples_arg,
 @simples_opt
 @primes_opt
 @json_opt
-@seed_opt
 @asym_opt
 def verify_f1(algebra_file, module_files, catalog_file, simples_arg,
-              primes_arg, as_json, seed, allow_asymmetric):
+              primes_arg, as_json, allow_asymmetric):
     """Grassmannian identity with correction term."""
     _verify_common(algebra_file, module_files, catalog_file, simples_arg,
-                   primes_arg, as_json, allow_asymmetric, seed, "f1")
+                   primes_arg, as_json, allow_asymmetric, "f1")
 
 
 @verify.command("f2")
@@ -341,13 +329,12 @@ def verify_f1(algebra_file, module_files, catalog_file, simples_arg,
 @simples_opt
 @primes_opt
 @json_opt
-@seed_opt
 @asym_opt
 def verify_f2(algebra_file, module_files, catalog_file, simples_arg,
-              primes_arg, as_json, seed, allow_asymmetric):
+              primes_arg, as_json, allow_asymmetric):
     """Symmetric chain-type identity."""
     _verify_common(algebra_file, module_files, catalog_file, simples_arg,
-                   primes_arg, as_json, allow_asymmetric, seed, "f2")
+                   primes_arg, as_json, allow_asymmetric, "f2")
 
 
 @main.command("selftest")

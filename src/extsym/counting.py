@@ -45,6 +45,8 @@ class CountSeries:
             raise CountError("duplicate sample primes")
         if any(c < 0 for _, c in self.samples):
             raise CountError("negative count")
+        if self.degree_bound < 0:
+            raise CountError(f"negative degree bound {self.degree_bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +174,6 @@ def count_grassmannian(m: RepModule, edims: Sequence[int]) -> int:
 # Flags with prescribed simple quotients
 
 
-def _normalized_classes(field, dim: int):
-    """Nonzero coordinate tuples with first nonzero entry 1: one per line,
-    (p^dim - 1)/(p - 1) of them times (p - 1) scalings collapsed."""
-    p = field.p
-    for lead in range(dim):
-        for tail in itertools.product(range(p), repeat=dim - lead - 1):
-            coords = [field.zero] * lead + [field.one] + \
-                     [field.from_int(t) for t in tail]
-            yield tuple(coords)
-
-
 def _quotient_kernels(m: RepModule, simple: RepModule):
     """Canonical submodule witnesses K <= M with M/K isomorphic to a given
     simple, via kernels of nonzero maps M -> S.
@@ -193,9 +184,9 @@ def _quotient_kernels(m: RepModule, simple: RepModule):
     field = m.field
     basis = hom_basis(m, simple).basis
     seen = set()
-    # nonzero maps up to scalar
-    for coeffs in _normalized_classes(field, len(basis)):
-        phi = hom_combination(field, basis, coeffs)
+    # nonzero maps up to scalar: one per line of the Hom space
+    for line in enumerate_subspaces(len(basis), 1, field.p):
+        phi = hom_combination(field, basis, line.mat.rows[0])
         kern_rows = []
         ok = True
         for i in range(len(m.dims)):
@@ -319,13 +310,11 @@ def stratify_ext_classes(m: RepModule, n: RepModule,
     mid_dims = tuple(a + b for a, b in zip(m.dims, n.dims))
     counts: Dict[str, int] = {lab: 0 for lab, c in catalog.items()
                               if c.dims == mid_dims}
-    matched_cache: Dict[str, str] = {}
-    for coords in _normalized_classes(field, space.dim):
-        mid, _, _ = middle_term(space, coords)
-        label = matched_cache.get(mid.key())
-        if label is None:
-            label = _match_catalog(mid, catalog)
-            matched_cache[mid.key()] = label
+    # distinct lines give distinct middle-term presentations (the
+    # complement rows are independent), so each is matched once
+    for line in enumerate_subspaces(space.dim, 1, field.p):
+        mid, _, _ = middle_term(space, line.mat.rows[0])
+        label = _match_catalog(mid, catalog)
         counts[label] = counts.get(label, 0) + 1
     q = field.p
     expected = (q ** space.dim - 1) // (q - 1) if space.dim else 0

@@ -146,7 +146,15 @@ def euler_of(label: str, counter: Callable[[int], int], degree_bound: int,
 
 def grassmannian_degree_bound(dims: Sequence[int],
                               edims: Sequence[int]) -> int:
-    """Submodule variety sits in a product of vertex Grassmannians."""
+    """Submodule variety sits in a product of vertex Grassmannians.
+
+    Raises EulerError unless 0 <= e_i <= dim_i at every vertex.
+    """
+    edims, dims = tuple(edims), tuple(dims)
+    if len(edims) != len(dims) or \
+            any(not 0 <= e <= d for d, e in zip(dims, edims)):
+        raise EulerError(f"dimension vector {edims} does not lie between 0 "
+                         f"and the module's dimension vector {dims}")
     return sum(e * (d - e) for d, e in zip(dims, edims))
 
 

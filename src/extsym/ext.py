@@ -138,12 +138,8 @@ class ExtSpace:
 
     def class_tuple(self, coords: Sequence) -> Tuple[Mat, ...]:
         """Representative arrow tuple of the class with given coordinates."""
-        field = self.field
-        vec = [field.zero] * self.total
-        for c, row in zip(coords, self.compl.rows):
-            if not field.is_zero(c):
-                vec = [field.add(v, field.mul(c, r)) for v, r in zip(vec, row)]
-        return _unpack_tuple(field, vec, self.layout)
+        vec = mat_vec(self.field, transpose(self.compl), coords)
+        return _unpack_tuple(self.field, vec, self.layout)
 
     def reduce(self, d_mats: Sequence[Mat]) -> Tuple:
         """Complement coordinates of a tuple in D(X, Y)."""
@@ -414,11 +410,6 @@ class Flag:
     def incl(self, k: int) -> Tuple[Mat, ...]:
         """Inclusion M_k -> M_{k-1}, for 1 <= k <= length."""
         return self.steps[k - 1][1]
-
-
-def trivial_flag_step(m: RepModule) -> Tuple[RepModule, Tuple[Mat, ...]]:
-    field = m.field
-    return m, tuple(identity(field, d) for d in m.dims)
 
 
 @dataclass(frozen=True)

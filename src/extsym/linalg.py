@@ -5,8 +5,12 @@ everywhere in this problem, so ``len(rows)`` is not enough).  Subspaces are
 identified with their reduced-row-echelon bases, which makes equality and
 dedup canonical.
 
-Over GF(p) the products and eliminations run on plain int rows through the
-private ``_gf_*`` helpers below.
+Entries are normalised field elements: ints in range(p) over GF(p),
+Fractions or ints over Q, so a zero entry is exactly a falsy one.  Each
+product and elimination is one loop for both fields.  It uses the native
+``+ - *`` and, when ``field.char`` is p, reduces each output entry once
+with ``% p``; a pivot's inverse comes from ``field.inv``, once per pivot,
+so int-valued input over Q stays exact.
 """
 
 from __future__ import annotations
@@ -84,48 +88,45 @@ def mat_from_fractions(field, rows: Sequence[Sequence[Fraction]],
 def mat_mul(field, a: Mat, b: Mat) -> Mat:
     if a.ncols != b.nrows:
         raise LinAlgError(f"shape mismatch {a.nrows}x{a.ncols} * {b.nrows}x{b.ncols}")
-    if a.nrows == 0 or b.ncols == 0:
+    if a.nrows == 0 or b.ncols == 0 or a.ncols == 0:
         return zeros(field, a.nrows, b.ncols)
-    if a.ncols == 0:
-        return zeros(field, a.nrows, b.ncols)
-    if isinstance(field, GF):
-        return Mat(_gf_matmul(a.rows, b.rows, field.p), a.nrows, b.ncols)
-    add, mul, z = field.add, field.mul, field.zero
-    bt = list(zip(*b.rows))
+    p, m = field.char, b.ncols
     out = []
     for ar in a.rows:
-        row = []
-        for bc in bt:
-            acc = z
-            for x, y in zip(ar, bc):
-                acc = add(acc, mul(x, y))
-            row.append(acc)
-        out.append(tuple(row))
+        row = [0] * m
+        for x, br in zip(ar, b.rows):
+            if x:
+                for j in range(m):
+                    row[j] += x * br[j]
+        out.append(tuple(v % p for v in row) if p else tuple(row))
     return Mat(tuple(out), a.nrows, b.ncols)
 
 
 def mat_add(field, a: Mat, b: Mat) -> Mat:
     if (a.nrows, a.ncols) != (b.nrows, b.ncols):
         raise LinAlgError("shape mismatch in add")
-    return Mat(tuple(tuple(field.add(x, y) for x, y in zip(ra, rb))
+    p = field.char
+    return Mat(tuple(tuple((x + y) % p if p else x + y
+                           for x, y in zip(ra, rb))
                      for ra, rb in zip(a.rows, b.rows)), a.nrows, a.ncols)
 
 
 def mat_scale(field, c, a: Mat) -> Mat:
-    return Mat(tuple(tuple(field.mul(c, x) for x in r) for r in a.rows),
-               a.nrows, a.ncols)
+    p = field.char
+    return Mat(tuple(tuple(c * x % p if p else c * x for x in r)
+                     for r in a.rows), a.nrows, a.ncols)
 
 
 def mat_vec(field, a: Mat, v: Sequence) -> tuple:
     if a.ncols != len(v):
         raise LinAlgError("shape mismatch in mat_vec")
-    add, mul, z = field.add, field.mul, field.zero
+    p = field.char
     out = []
     for r in a.rows:
-        acc = z
+        acc = 0
         for x, y in zip(r, v):
-            acc = add(acc, mul(x, y))
-        out.append(acc)
+            acc += x * y
+        out.append(acc % p if p else acc)
     return tuple(out)
 
 
@@ -147,48 +148,35 @@ def vstack(field, mats: Sequence[Mat]) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# F_p kernels on int rows already reduced mod p.  They call only each other,
-# never the public functions below, so one public call stays one call for
-# anything that wraps or counts those.
+# Echelon forms, kernels, solving
 
 
-def _gf_matmul(a, b, p) -> tuple:
-    m = len(b[0])
-    out = []
-    for ai in a:
-        row = [0] * m
-        for ait, bt in zip(ai, b):
-            if ait:
-                for j in range(m):
-                    row[j] += ait * bt[j]
-        out.append(tuple(v % p for v in row))
-    return tuple(out)
-
-
-def _gf_rref(mat, p):
-    """Nonzero rows of the reduced row echelon form, and the pivot columns."""
-    rows = [list(r) for r in mat]
+def _rref(field, rows, ncols: int):
+    """Nonzero rows of the reduced row echelon form of ``rows``, and the
+    pivot columns.  It calls no public function, so one public call stays
+    one call for anything that wraps or counts those."""
+    p = field.char
+    rows = list(rows)
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                piv = i
+        for piv in range(r, nrows):
+            if rows[piv][c]:
                 break
-        if piv < 0:
+        else:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c] % p, p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
+        top = rows[piv]
+        rows[piv] = rows[r]
+        inv = field.inv(top[c])
+        top = [v * inv % p for v in top] if p else [v * inv for v in top]
+        rows[r] = top
         for i in range(nrows):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c] % p
+            f = rows[i][c]
+            if f and i != r:
                 ri = rows[i]
-                rr = rows[r]
-                rows[i] = [(ri[j] - f * rr[j]) % p for j in range(ncols)]
+                rows[i] = [(x - f * y) % p for x, y in zip(ri, top)] if p \
+                    else [x - f * y for x, y in zip(ri, top)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -196,65 +184,14 @@ def _gf_rref(mat, p):
     return rows[:r], pivots
 
 
-def _gf_kernel(mat, ncols, p):
-    """Canonical (RREF) basis of the right kernel of ``mat``."""
-    red, pivots = _gf_rref(mat, p)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-red[i][fc]) % p
-        basis.append(vec)
-    if not basis:
-        return []
-    return _gf_rref(basis, p)[0]
-
-
-# ---------------------------------------------------------------------------
-# Echelon forms, kernels, solving
-
-
 def rref(field, a: Mat):
     """Reduced row echelon form; returns (Mat of nonzero rows, pivots)."""
-    if isinstance(field, GF):
-        rows, pivots = _gf_rref(a.rows, field.p)
-        return Mat(tuple(tuple(r) for r in rows), len(rows), a.ncols), tuple(pivots)
-    rows = [list(r) for r in a.rows]
-    nrows, ncols = a.nrows, a.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if not field.is_zero(rows[i][c]):
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Mat(tuple(tuple(row) for row in rows[:r]), r, ncols), tuple(pivots)
+    rows, pivots = _rref(field, a.rows, a.ncols)
+    return Mat(tuple(map(tuple, rows)), len(rows), a.ncols), tuple(pivots)
 
 
 def rank(field, a: Mat) -> int:
-    if isinstance(field, GF):
-        if a.nrows == 0 or a.ncols == 0:
-            return 0
-        return len(_gf_rref(a.rows, field.p)[0])
-    return rref(field, a)[0].nrows
+    return len(_rref(field, a.rows, a.ncols)[0])
 
 
 def integer_rank_minor(rows: Sequence[Sequence[int]], ncols: int):
@@ -294,22 +231,20 @@ def kernel_basis(field, a: Mat) -> Mat:
         return Mat((), 0, 0)
     if a.nrows == 0:
         return identity(field, a.ncols)
-    if isinstance(field, GF):
-        rows = _gf_kernel(a.rows, a.ncols, field.p)
-        return Mat(tuple(tuple(r) for r in rows), len(rows), a.ncols)
-    red, pivots = rref(field, a)
+    p = field.char
+    red, pivots = _rref(field, a.rows, a.ncols)
     pivset = set(pivots)
-    free = [c for c in range(a.ncols) if c not in pivset]
     basis = []
-    for fc in free:
-        vec = [field.zero] * a.ncols
-        vec[fc] = field.one
-        for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(red.rows[i][fc])
-        basis.append(tuple(vec))
-    if not basis:
-        return Mat((), 0, a.ncols)
-    return rref(field, Mat.from_rows(basis))[0]
+    for fc in range(a.ncols):
+        if fc in pivset:
+            continue
+        vec = [0] * a.ncols
+        vec[fc] = 1
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc] % p if p else -row[fc]
+        basis.append(vec)
+    rows = _rref(field, basis, a.ncols)[0]
+    return Mat(tuple(map(tuple, rows)), len(rows), a.ncols)
 
 
 def solve(field, a: Mat, b: Sequence):
@@ -363,46 +298,26 @@ def reduce_against(field, sub: Subspace, vec: Sequence) -> tuple:
 
     With an RREF basis the coordinate along row i is just vec[pivot_i].
     """
-    v = list(vec)
-    for i, pc in enumerate(sub.pivots):
+    p = field.char
+    v = tuple(vec)
+    for row, pc in zip(sub.mat.rows, sub.pivots):
         c = v[pc]
-        if not field.is_zero(c):
-            row = sub.mat.rows[i]
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
-    return tuple(v)
+        if c:
+            v = tuple((x - c * y) % p for x, y in zip(v, row)) if p \
+                else tuple(x - c * y for x, y in zip(v, row))
+    return v
 
 
 def contains_vector(field, sub: Subspace, vec: Sequence) -> bool:
-    return all(field.is_zero(x) for x in reduce_against(field, sub, vec))
+    return not any(reduce_against(field, sub, vec))
 
 
 def coords_in(field, sub: Subspace, vec: Sequence):
     """Coordinates of vec in the RREF basis of sub, or None."""
     coords = tuple(vec[pc] for pc in sub.pivots)
-    if not all(field.is_zero(x) for x in reduce_against(field, sub, vec)):
+    if any(reduce_against(field, sub, vec)):
         return None
     return coords
-
-
-def subspace_sum(field, a: Subspace, b: Subspace) -> Subspace:
-    return span(field, list(a.mat.rows) + list(b.mat.rows), a.ambient)
-
-
-def subspace_intersection(field, a: Subspace, b: Subspace) -> Subspace:
-    # kernel of [A^T | B^T] gives coefficient pairs with equal combinations
-    if a.dim == 0 or b.dim == 0:
-        return zero_space(field, a.ambient)
-    stacked = vstack(field, [a.mat, mat_scale(field, field.neg(field.one), b.mat)])
-    k = kernel_basis(field, transpose(stacked))
-    vecs = []
-    for row in k.rows:
-        coeffs = row[:a.dim]
-        vec = [field.zero] * a.ambient
-        for c, basis_row in zip(coeffs, a.mat.rows):
-            if not field.is_zero(c):
-                vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, basis_row)]
-        vecs.append(tuple(vec))
-    return span(field, vecs, a.ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +362,6 @@ def enumerate_subspaces(n: int, k: int, q: int) -> Iterator[Subspace]:
                 rows[i][c] = v
             mat = Mat(tuple(tuple(r) for r in rows), k, n)
             yield Subspace(field, n, mat, tuple(pivots))
-
-
-def reduce_mod_p(rows: Sequence[Sequence[Fraction]], p: int,
-                 ncols: Optional[int] = None) -> Mat:
-    """Entrywise reduction of a rational matrix mod p.
-
-    Raises FieldError("bad prime ...") when a denominator vanishes mod p.
-    """
-    return mat_from_fractions(GF(p), rows, ncols=ncols)
 
 
 def mat_inv(field, a: Mat) -> Optional[Mat]:

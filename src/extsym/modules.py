@@ -268,21 +268,17 @@ def hom_dim(m: RepModule, n: RepModule) -> int:
 
 def hom_combination(field, basis: Sequence[Tuple[Mat, ...]], coeffs: Sequence):
     """Per-vertex matrices of sum_k coeffs[k] * basis[k]."""
-    nverts = len(basis[0])
+    p = field.char
     out = []
-    for v in range(nverts):
-        proto = basis[0][v]
-        rows = [[field.zero] * proto.ncols for _ in range(proto.nrows)]
+    for v, proto in enumerate(basis[0]):
+        rows = [[0] * proto.ncols for _ in range(proto.nrows)]
         for c, phis in zip(coeffs, basis):
-            if field.is_zero(c):
-                continue
-            mv = phis[v]
-            for i in range(mv.nrows):
-                mr = mv.rows[i]
-                row = rows[i]
-                for j in range(mv.ncols):
-                    row[j] = field.add(row[j], field.mul(c, mr[j]))
-        out.append(Mat(tuple(tuple(r) for r in rows), proto.nrows, proto.ncols))
+            if c:
+                for row, mr in zip(rows, phis[v].rows):
+                    for j, y in enumerate(mr):
+                        row[j] += c * y
+        out.append(Mat(tuple(tuple(x % p for x in r) if p else tuple(r)
+                             for r in rows), proto.nrows, proto.ncols))
     return tuple(out)
 
 
@@ -296,22 +292,9 @@ def _grid_values(field, side: int):
     return [Fraction(x) for x in range(side)]
 
 
-_ISO_SEED = 0x2545F4914F6CDD1D
-
-
-def set_iso_seed(seed: int) -> None:
-    """Reseed the scrambled probe sweep used by the isomorphism search.
-
-    Only the order of fast probes changes; the exhaustive fallback keeps
-    every result seed-independent.
-    """
-    global _ISO_SEED
-    _ISO_SEED = (0x2545F4914F6CDD1D ^ (seed * 0x9E3779B97F4A7C15)) % (1 << 64)
-
-
 def _lcg_tuples(nvals: int, h: int, count: int):
-    # deterministic scrambled sweep; fixed multiplier/increment
-    state = _ISO_SEED
+    # deterministic scrambled sweep; fixed start, multiplier and increment
+    state = 0x2545F4914F6CDD1D
     for _ in range(count):
         out = []
         for _ in range(h):

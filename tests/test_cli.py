@@ -72,13 +72,6 @@ class TestExtDim:
                 "--module", files["S1"])
         assert r.exit_code == 1
 
-    def test_seed_accepted(self, files):
-        r = run("ext", "dim", "--algebra", files["algebra"],
-                "--module", files["P1"], "--module", files["P2"],
-                "--seed", "7", "--json")
-        assert r.exit_code == 0
-        assert json.loads(r.output) == {"dim_ext_mn": 0, "dim_ext_nm": 0}
-
 
 class TestChi:
     def test_grassmann_chi(self, files):
@@ -117,6 +110,25 @@ class TestChi:
                 "--primes", "2,3,5,7,11", "--json")
         assert r.exit_code == 0
         assert json.loads(r.output)["chi"] == 1
+
+    @pytest.mark.parametrize("module, edims, primes", [
+        ("S1", "5,0", None), ("S1", "5,0", "2,3,5"), ("P1", "2,-1", None),
+        ("S1", "1", None), ("S1", "1,0,0", "2,3,5")])
+    def test_dims_outside_module_rejected(self, files, module, edims,
+                                          primes):
+        args = ["grassmann", "chi", "--algebra", files["algebra"],
+                "--module", files[module], "--dims", edims, "--json"]
+        if primes:
+            args += ["--primes", primes]
+        r = run(*args)
+        assert r.exit_code == 1
+        out = json.loads(r.output)
+        assert out["verdict"] == "error"
+        msg = out["message"]
+        assert "usable primes" not in msg
+        given = tuple(int(x) for x in edims.split(","))
+        module_dims = (1, 0) if module == "S1" else (1, 1)
+        assert str(given) in msg and str(module_dims) in msg
 
     def test_too_few_primes(self, files):
         r = run("grassmann", "chi", "--algebra", files["algebra"],

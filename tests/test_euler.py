@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsym.counting import CountSeries, count_flags, count_grassmannian
+from extsym.counting import (CountError, CountSeries, count_flags,
+                             count_grassmannian)
 from extsym.euler import (EulerError, efg_degree_bound, euler_of,
                           flag_degree_bound, good_primes,
                           grassmannian_degree_bound, interpolate_euler,
@@ -114,6 +115,20 @@ class TestGeometricValues:
 
         ev = euler_of("fl", counter, flag_degree_bound(plane.dims), PRIMES)
         assert ev.value == 2
+
+    @pytest.mark.parametrize("edims", [(2, 0), (0, 1), (1,), (1, 0, 0),
+                                       (-1, 0)])
+    def test_grassmannian_bound_rejects_vector_outside_module(self, edims):
+        with pytest.raises(EulerError) as err:
+            grassmannian_degree_bound((1, 0), edims)
+        assert f"vector {edims} " in str(err.value)
+        assert str(err.value).endswith("dimension vector (1, 0)")
+
+    def test_negative_degree_bound_rejected(self):
+        # a negative bound would ask for fewer than two samples and
+        # "verify" an interpolation on none
+        with pytest.raises(CountError, match="negative degree bound -20"):
+            CountSeries("empty", (), -20)
 
 
 class TestCorrectionBound:

@@ -12,8 +12,7 @@ from extsym.counting import iter_submodules
 from extsym.ext import (ExtError, beta_map, beta_prime_map, beta_flag_maps,
                         ext1_space, ext_dim, ext_symmetry_audit, Flag,
                         flag_symmetry_identity, image_first_block_dim,
-                        kernel_projection_dim, middle_term, transport_class,
-                        trivial_flag_step)
+                        kernel_projection_dim, middle_term, transport_class)
 from extsym.fields import GF, RATIONALS
 from extsym.instances import a2_sums, deformed_a2_module
 from extsym.linalg import Mat, mat_mul

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsym.fields import GF, RATIONALS, FieldError
-from extsym.linalg import (Mat, enumerate_subspaces, gaussian_binomial,
-                           integer_rank_minor, kernel_basis,
-                           mat_from_fractions, mat_mul, rank,
-                           reduce_mod_p, rref, solve, span,
-                           subspace_intersection, subspace_sum, transpose)
+from extsym.fields import GF, QQ, RATIONALS, FieldError
+from extsym.linalg import (Mat, coords_in, enumerate_subspaces,
+                           gaussian_binomial, identity, integer_rank_minor,
+                           kernel_basis, mat_add, mat_from_fractions,
+                           mat_inv, mat_mul, mat_scale, mat_vec, rank,
+                           reduce_against, rref, solve, span, transpose)
 
 from oracle import gauss_rank, gaussian_binomial_int, null_space_dim
 
@@ -109,8 +109,8 @@ class TestPrimeField:
 
     def test_reduce_mod_p_denominator(self):
         with pytest.raises(FieldError, match="bad prime"):
-            reduce_mod_p([[Fraction(1, 3)]], 3)
-        m = reduce_mod_p([[Fraction(1, 3)]], 5)
+            mat_from_fractions(GF(3), [[Fraction(1, 3)]])
+        m = mat_from_fractions(GF(5), [[Fraction(1, 3)]])
         assert m.rows[0][0] == pow(3, -1, 5)
 
 
@@ -122,16 +122,6 @@ class TestSubspaces:
             assert gaussian_binomial(n, k, q) == gaussian_binomial_int(n, k, q)
             # canonical: all distinct
             assert len({s.mat.rows for s in subs}) == len(subs)
-
-    def test_sum_and_intersection_dims(self):
-        f = GF(5)
-        a = span(f, [(1, 0, 0), (0, 1, 0)], 3)
-        b = span(f, [(0, 1, 0), (0, 0, 1)], 3)
-        s = subspace_sum(f, a, b)
-        i = subspace_intersection(f, a, b)
-        assert s.dim == 3 and i.dim == 1
-        # modular law of dimensions
-        assert a.dim + b.dim == s.dim + i.dim
 
 
 def test_matmul_associative_gf():
@@ -183,3 +173,108 @@ def test_kernel_rows_annihilate():
 def test_transpose_involution():
     m = frac_mat([[1, 2, 3], [4, 5, 6]])
     assert transpose(transpose(m)) == m
+
+
+# ---------------------------------------------------------------------------
+# One loop for both fields
+
+
+def _entries(*results):
+    """Every field entry of Mats, tuples of entries, and nested tuples."""
+    for r in results:
+        if isinstance(r, Mat):
+            yield from (x for row in r.rows for x in row)
+        elif isinstance(r, tuple):
+            yield from _entries(*r)
+        else:
+            yield r
+
+
+def _linalg_results(field, a, b, v):
+    """The results of every public product and elimination on a square
+    ``a``, a ``b`` with as many rows and a vector ``v`` of that length."""
+    red, _ = rref(field, b)
+    sub = span(field, b.rows, b.ncols)
+    return [red, kernel_basis(field, b), solve(field, a, v),
+            mat_inv(field, a), mat_vec(field, a, v), mat_mul(field, a, b),
+            mat_add(field, a, a), mat_scale(field, v[0], a),
+            reduce_against(field, sub, b.rows[0]),
+            coords_in(field, sub, b.rows[-1])]
+
+
+class TestOnePath:
+    def test_int_valued_rationals_stay_exact(self):
+        q = RATIONALS
+        a = Mat(((2, 1), (1, 1)), 2, 2)
+        b = Mat(((2, 4, 1), (1, 2, 3)), 2, 3)
+        v = (1, 3)
+        for x in _entries(*_linalg_results(q, a, b, v)):
+            assert type(x) in (Fraction, int), x
+        red, piv = rref(q, b)
+        assert piv == (0, 2)
+        for row in b.rows:
+            # in RREF the coordinate along row i is the entry at pivot i
+            combo = [sum(row[pc] * r[j] for pc, r in zip(piv, red.rows))
+                     for j in range(3)]
+            assert combo == list(row)
+        kern = kernel_basis(q, b)
+        assert kern.nrows == 1
+        assert all(mat_vec(q, b, k) == (0, 0) for k in kern.rows)
+        x = solve(q, a, v)
+        assert x == (Fraction(-2), Fraction(5))
+        assert mat_vec(q, a, x) == v
+        inv = mat_inv(q, a)
+        assert mat_mul(q, a, inv) == identity(q, 2)
+        assert mat_mul(q, a, b).rows == ((5, 10, 5), (3, 6, 4))
+        assert mat_vec(q, a, (Fraction(1, 2), 0)) == (1, Fraction(1, 2))
+
+    def test_prime_field_entries_normalised(self):
+        rng = random.Random(5)
+        for p in (2, 7, 4294967311):
+            f = GF(p)
+            for _ in range(20):
+                a = rand_gf_mat(rng, 3, 3, p)
+                b = rand_gf_mat(rng, 3, 4, p)
+                v = tuple(rng.randrange(p) for _ in range(3))
+                for x in _entries(*_linalg_results(f, a, b, v)):
+                    if x is not None:
+                        assert type(x) is int and 0 <= x < p, (p, x)
+
+    def test_prime_field_agrees_with_rationals(self):
+        rng = random.Random(17)
+        q = RATIONALS
+        for _ in range(40):
+            nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 5)
+            rows = [[rng.randrange(-6, 7) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.5:
+                rows[-1] = [a + 3 * b for a, b in zip(rows[0], rows[1])]
+            a = Mat(tuple(map(tuple, rows)), nrows, ncols)
+            b = Mat(tuple(tuple(rng.randrange(-6, 7) for _ in range(3))
+                          for _ in range(ncols)), ncols, 3)
+            v = tuple(rng.randrange(-6, 7) for _ in range(ncols))
+            r, minor = integer_rank_minor(rows, ncols)
+            assert rank(q, a) == r
+            for p in (2, 3, 5, 7, 11, 4294967311):
+                f = GF(p)
+                ap, bp = mat_from_fractions(f, a.rows), \
+                    mat_from_fractions(f, b.rows)
+                vp = tuple(x % p for x in v)
+                if minor % p:
+                    assert rank(f, ap) == r
+                assert mat_mul(f, ap, bp) == \
+                    mat_from_fractions(f, mat_mul(q, a, b).rows)
+                assert mat_vec(f, ap, vp) == \
+                    tuple(x % p for x in mat_vec(q, a, v))
+
+    def test_no_per_entry_field_method_calls(self):
+        def refuse(self, *args):
+            raise AssertionError("per-entry field method call")
+
+        names = ("add", "sub", "mul", "neg", "is_zero")
+        strict_q = type("StrictQQ", (QQ,), dict.fromkeys(names, refuse))()
+        strict_gf = type("StrictGF", (GF,), dict.fromkeys(names, refuse))(7)
+        a = Mat(((2, 1), (1, 1)), 2, 2)
+        b = Mat(((2, 4, 1), (1, 2, 3)), 2, 3)
+        for f in (strict_q, strict_gf):
+            _linalg_results(f, a, b, (1, 3))
