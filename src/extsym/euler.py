@@ -9,6 +9,7 @@ last sample, cross-check the last one, and evaluate at q = 1.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -217,8 +218,8 @@ def select_primes(m, n, extra: Sequence, count: int,
 
     Supplied primes are screened the same way and used in their given
     order; automatic selection scans upward from 2.  A supplied value
-    above ``PRIME_LIMIT`` or not a prime is an error, and values are
-    checked against the limit before any primality test.  One module
+    above ``PRIME_LIMIT``, repeated or not a prime is an error, and values
+    are checked against the limit before any primality test.  One module
     alone is screened as the pair (m, zero module).
     """
     def pred(p):
@@ -230,6 +231,10 @@ def select_primes(m, n, extra: Sequence, count: int,
     if too_large:
         raise EulerError(f"supplied values exceed {PRIME_LIMIT}: "
                          + ", ".join(str(p) for p in too_large))
+    repeated = sorted(p for p, k in Counter(supplied).items() if k > 1)
+    if repeated:
+        raise EulerError("supplied values are repeated: "
+                         + ", ".join(str(p) for p in repeated))
     not_prime = [p for p in supplied if not _is_prime(p)]
     if not_prime:
         raise EulerError("supplied values are not prime: "

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 from . import memo
 from .linalg import (Mat, Subspace, identity, kernel_basis, mat_mul, mat_vec,
                      rref, solve, span, transpose, vstack)
-from .modules import RepModule, _hom_system, check_module
+from .modules import RepModule, _hom_system, check_module, hom_basis
 
 
 class ExtError(ValueError):
@@ -279,6 +279,35 @@ def transport_class(coords: Sequence, src: ExtSpace, dst: ExtSpace,
         else:
             raise ExtError(f"unknown transport side {side!r}")
     return dst.reduce(out)
+
+
+@memo.cached(lambda x, y, z: (x.key(), y.key(), z.key()))
+def connecting_tensor(x: RepModule, y: RepModule,
+                      z: RepModule) -> Tuple[Mat, ...]:
+    """The connecting map of Hom(Z, -) at each basis class of Ext^1(X, Y).
+
+    For a class xi with sequence 0 -> Y -> E -> X -> 0, the map
+    delta_Z(xi): Hom(Z, X) -> Ext^1(Z, Y) pulls xi back along each map,
+    and the long exact sequence of Hom(Z, -) gives
+
+        hom(Z, E) = hom(Z, X) + hom(Z, Y) - rank delta_Z(xi).
+
+    Entry k is the matrix of delta_Z at the k-th complement basis class:
+    rows are Ext^1(Z, Y) coordinates, columns the Hom(Z, X) basis.  The
+    matrix is linear in xi, so the matrix of any class is the combination
+    of these with its coordinates.
+    """
+    src, dst = ext1_space(x, y), ext1_space(z, y)
+    maps = hom_basis(z, x).basis
+    field = x.field
+    out = []
+    for k in range(src.dim):
+        coords = tuple(field.one if i == k else field.zero
+                       for i in range(src.dim))
+        cols = tuple(transport_class(coords, src, dst, g, "pullback")
+                     for g in maps)
+        out.append(transpose(Mat(cols, len(cols), dst.dim)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,12 @@ Rows are indexed by the target vertex, columns by the source.
 
 Catalog file::
 
-    {"modules": {"P1": {<module object>}, "P2": {...}}}
+    {"modules": {"P1": {<module object>}, "P2": {...}},
+     "indecomposables": ["P1", ...]}
+
+The optional "indecomposables" lists the labels of entries that are every
+indecomposable module, one per isomorphism class, up to the largest total
+dimension among the entries; each must be a label of "modules".
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ from typing import Dict, Sequence
 from .algebra import (AlgebraPresentation, Path, Relation, arrow_path,
                       make_quiver, vertex_path)
 from .fields import RATIONALS
-from .modules import RepModule, module_from_fractions
+from .modules import (Catalog, ModuleError, RepModule, module_from_fractions,
+                      named_indecomposables)
 
 
 class FormatError(ValueError):
@@ -133,13 +139,21 @@ def parse_module(data: dict, algebra: AlgebraPresentation) -> RepModule:
     return module_from_fractions(algebra, RATIONALS, full_dims, mats)
 
 
-def parse_catalog(data: dict,
-                  algebra: AlgebraPresentation) -> Dict[str, RepModule]:
-    _require_keys(data, ["modules"], [], "catalog")
+def parse_catalog(data: dict, algebra: AlgebraPresentation) -> Catalog:
+    _require_keys(data, ["modules"], ["indecomposables"], "catalog")
     if not isinstance(data["modules"], dict):
         raise FormatError("catalog: modules must be an object")
-    return {lab: parse_module(m, algebra)
+    names = data.get("indecomposables", [])
+    if not isinstance(names, list) or \
+            not all(isinstance(x, str) for x in names):
+        raise FormatError("catalog: indecomposables must be a list of "
+                          "strings")
+    mods = {lab: parse_module(m, algebra)
             for lab, m in data["modules"].items()}
+    try:
+        return Catalog(mods, names)
+    except ModuleError as exc:
+        raise FormatError(f"catalog: {exc}") from None
 
 
 def load_algebra(path: str) -> AlgebraPresentation:
@@ -152,8 +166,7 @@ def load_module(path: str, algebra: AlgebraPresentation) -> RepModule:
         return parse_module(json.load(fh), algebra)
 
 
-def load_catalog(path: str,
-                 algebra: AlgebraPresentation) -> Dict[str, RepModule]:
+def load_catalog(path: str, algebra: AlgebraPresentation) -> Catalog:
     with open(path, encoding="utf-8") as fh:
         return parse_catalog(json.load(fh), algebra)
 
@@ -186,4 +199,8 @@ def module_to_dict(m: RepModule) -> dict:
 
 
 def catalog_to_dict(cat: Dict[str, RepModule]) -> dict:
-    return {"modules": {lab: module_to_dict(m) for lab, m in cat.items()}}
+    out = {"modules": {lab: module_to_dict(m) for lab, m in cat.items()}}
+    names = named_indecomposables(cat)
+    if names:
+        out["indecomposables"] = list(names)
+    return out

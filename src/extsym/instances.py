@@ -13,8 +13,8 @@ from typing import Dict, Tuple
 from .algebra import (AlgebraPresentation, arrow_path, build_preprojective,
                       make_quiver, relation)
 from .fields import RATIONALS
-from .modules import (RepModule, direct_sum_many, module_from_fractions,
-                      simple_at_vertex)
+from .modules import (Catalog, RepModule, direct_sum_many,
+                      module_from_fractions, simple_at_vertex)
 
 QQ = RATIONALS
 
@@ -54,12 +54,14 @@ def a2_sums(alg: AlgebraPresentation,
     return out
 
 
-def a2_catalog(alg: AlgebraPresentation,
-               max_total: int = 4) -> Dict[str, RepModule]:
+def a2_catalog(alg: AlgebraPresentation, max_total: int = 4) -> Catalog:
     """Isomorphism classes keyed by label.  The algebra has exactly four
     indecomposables, so the direct sums up to the dimension cap exhaust the
-    isomorphism classes of every covered dimension vector."""
-    return a2_sums(alg, max_total)
+    isomorphism classes of every covered dimension vector; the catalog
+    names those of the four that it holds."""
+    sums = a2_sums(alg, max_total)
+    return Catalog(sums, tuple(lab for lab in ("S1", "S2", "P1", "P2")
+                               if lab in sums))
 
 
 def two_loop_algebra() -> AlgebraPresentation:

@@ -158,6 +158,39 @@ def direct_sum_many(algebra, field, mods: Sequence[RepModule]) -> RepModule:
     return acc
 
 
+class Catalog(dict):
+    """Modules keyed by label, which may name their indecomposables.
+
+    ``indecomposables`` holds the labels of entries that the catalog
+    declares to be every indecomposable module, one per isomorphism class,
+    up to the largest total dimension among its entries.  Empty, it
+    declares nothing, and the catalog acts as a plain dict.
+    """
+
+    def __init__(self, entries=(), indecomposables: Sequence[str] = ()):
+        super().__init__(entries)
+        names = tuple(indecomposables)
+        unknown = [lab for lab in names if lab not in self]
+        if unknown:
+            raise ModuleError("named indecomposables are not catalog "
+                              f"entries: {', '.join(map(str, unknown))}")
+        repeated = sorted({lab for lab in names if names.count(lab) > 1})
+        if repeated:
+            raise ModuleError("named indecomposables are repeated: "
+                              + ", ".join(repeated))
+        zero = [lab for lab in names if self[lab].is_zero()]
+        if zero:
+            raise ModuleError("named indecomposables are zero modules: "
+                              + ", ".join(zero))
+        self.indecomposables = names
+
+
+def named_indecomposables(catalog: Dict[str, RepModule]) -> Tuple[str, ...]:
+    """The labels a catalog names as its indecomposables; () for a plain
+    dict."""
+    return catalog.indecomposables if isinstance(catalog, Catalog) else ()
+
+
 @memo.cached(lambda m, p: (m.key(), p))
 def reduce_module(m: RepModule, p: int) -> RepModule:
     """Reduction mod p of a rational module, validating the relations on
@@ -170,6 +203,12 @@ def reduce_module(m: RepModule, p: int) -> RepModule:
     for a, mat in zip(q.arrows, m.matrices):
         mats[a.name] = mat_from_fractions(gf, mat.rows, ncols=mat.ncols)
     return check_module(m.algebra, gf, m.dims_dict(), mats)
+
+
+def reduce_catalog(catalog: Dict[str, RepModule], p: int) -> Catalog:
+    """Every entry reduced mod p, keeping the named indecomposables."""
+    return Catalog({lab: reduce_module(c, p) for lab, c in catalog.items()},
+                   named_indecomposables(catalog))
 
 
 def conjugate(m: RepModule, g: Sequence[Mat]) -> RepModule:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import memo
 from .counting import CountSeries, count_efg, stratify_ext_classes
 from .delta import (all_dim_vectors, delta_signature, enumerate_flag_types,
                     stratify_by_signature)
@@ -20,7 +21,7 @@ from .euler import (efg_degree_bound, euler_of, interpolate_euler,
                     select_primes)
 from .ext import ext_dim, ext_symmetry_audit
 from .modules import (RepModule, composition_series, direct_sum,
-                      reduce_module)
+                      named_indecomposables, reduce_catalog, reduce_module)
 
 
 class VerifyError(ValueError):
@@ -57,12 +58,19 @@ class VerificationReport:
         }
 
 
+@memo.cached(lambda mod, simples: (mod.key(),
+                                   tuple(s.key() for s in simples)))
+def _has_composition_chain(mod: RepModule,
+                           simples: Sequence[RepModule]) -> bool:
+    return composition_series(mod, simples) is not None
+
+
 def _require_members(m: RepModule, n: RepModule,
                      simples: Sequence[RepModule]):
     for lab, mod in (("first module", m), ("second module", n)):
         if mod.total_dim == 0:
             continue
-        if composition_series(mod, simples) is None:
+        if not _has_composition_chain(mod, simples):
             raise VerifyError(
                 f"{lab} has no composition chain with factors drawn from "
                 f"the supplied simple list")
@@ -92,9 +100,9 @@ def _strata_chi(m, n, catalog, primes, direction_label) -> Dict[str, int]:
     use = primes[:bound + 2]
     per_label: Dict[str, List[Tuple[int, int]]] = {}
     for p in use:
-        mp, np_ = reduce_module(m, p), reduce_module(n, p)
-        cat_p = {lab: reduce_module(c, p) for lab, c in catalog.items()}
-        counts = stratify_ext_classes(mp, np_, cat_p)
+        counts = stratify_ext_classes(reduce_module(m, p),
+                                      reduce_module(n, p),
+                                      reduce_catalog(catalog, p))
         for lab, cnt in counts.items():
             # line counts scale back to cone counts for the divisibility
             # check in the projectivization step
@@ -106,6 +114,13 @@ def _strata_chi(m, n, catalog, primes, direction_label) -> Dict[str, int]:
         ev = interpolate_euler(projectivize_series(series))
         out[lab] = ev.value
     return out
+
+
+def _details(catalog) -> Dict[str, object]:
+    """What a report says about its own run: the path that stratified the
+    extension lines with this catalog."""
+    return {"strata_method": "hom-ranks" if named_indecomposables(catalog)
+            else "isomorphism"}
 
 
 def verify_formula2(m: RepModule, n: RepModule,
@@ -162,7 +177,8 @@ def verify_formula2(m: RepModule, n: RepModule,
         "f2",
         {"algebra": m.algebra.label or "unnamed",
          "dims": str(d), "extension dim": str(dim_e)},
-        tuple(rows), strata_table, None, sym_ok, tuple(ps))
+        tuple(rows), strata_table, None, sym_ok, tuple(ps),
+        _details(catalog))
 
 
 def verify_formula1(m: RepModule, n: RepModule,
@@ -236,7 +252,8 @@ def verify_formula1(m: RepModule, n: RepModule,
         "f1",
         {"algebra": m.algebra.label or "unnamed",
          "dims": str(d), "extension dim": str(dim_e)},
-        tuple(rows), strata_table, efg_table, sym_ok, tuple(ps))
+        tuple(rows), strata_table, efg_table, sym_ok, tuple(ps),
+        _details(catalog))
 
 
 # ---------------------------------------------------------------------------

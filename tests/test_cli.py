@@ -21,6 +21,10 @@ def files(tmp_path_factory):
     paths["algebra"].write_text(json.dumps(algebra_to_dict(alg)))
     paths["catalog"].write_text(
         json.dumps(catalog_to_dict(a2_catalog(alg, 2))))
+    # the same entries without the "indecomposables" key
+    paths["plain_catalog"] = root / "plain.json"
+    paths["plain_catalog"].write_text(
+        json.dumps(catalog_to_dict(dict(a2_catalog(alg, 2)))))
     for lab, m in mods.items():
         paths[lab] = root / f"{lab}.json"
         paths[lab].write_text(json.dumps(module_to_dict(m)))
@@ -146,6 +150,27 @@ class TestChi:
         assert out["message"] == "supplied values are not prime: 4, 6, 8, 9"
 
 
+    @pytest.mark.parametrize("command, primes", [
+        (["verify", "f1"], "5,5,5,5,5"), (["verify", "f2"], "5,5,5,5,5"),
+        (["grassmann", "chi"], "5,5,5,5,5,5,5"),
+        (["flag", "chi"], "7,7,7,7,7,7,7,7,7"), (["delta"], "3,2,3,5,2")])
+    def test_repeated_values_rejected(self, files, command, primes):
+        args = {"verify": ["--module", files["S1"], "--module", files["S2"],
+                           "--catalog", files["catalog"],
+                           "--simples", "vertex:1,vertex:2"],
+                "grassmann": ["--module", files["P1"], "--dims", "0,1"],
+                "flag": ["--module", files["P1"],
+                         "--simples", "vertex:1,vertex:2", "--type", "0,1"],
+                "delta": ["--module", files["P1"],
+                          "--simples", "vertex:1,vertex:2"]}[command[0]]
+        r = run(*command, "--algebra", files["algebra"], *args,
+                "--primes", primes, "--json")
+        assert r.exit_code == 1
+        out = json.loads(r.output)
+        assert out["verdict"] == "error"
+        want = "2, 3" if command == ["delta"] else primes[0]
+        assert out["message"] == f"supplied values are repeated: {want}"
+
     def test_values_above_the_limit_rejected(self, files):
         r = run("grassmann", "chi", "--algebra", files["algebra"],
                 "--module", files["P1"], "--dims", "0,1",
@@ -214,6 +239,30 @@ class TestVerify:
         out = json.loads(r.output)
         assert out["verdict"] == "pass"
         assert out["primes"] == [3, 2]
+
+    @pytest.mark.parametrize("which", ["f1", "f2"])
+    @pytest.mark.parametrize("catalog, method", [
+        ("catalog", "hom-ranks"), ("plain_catalog", "isomorphism")])
+    def test_reports_strata_method(self, files, which, catalog, method):
+        r = run("verify", which, "--algebra", files["algebra"],
+                "--module", files["S1"], "--module", files["S2"],
+                "--catalog", files[catalog],
+                "--simples", "vertex:1,vertex:2", "--json")
+        assert r.exit_code == 0
+        out = json.loads(r.output)
+        assert out["details"]["strata_method"] == method
+        assert out["strata"]["P1"]["forward"] == 1
+
+    def test_module_outside_the_subcategory_refused(self, files):
+        # the membership check is memoised: the second run refuses too
+        for _ in range(2):
+            r = run("verify", "f2", "--algebra", files["algebra"],
+                    "--module", files["S1"], "--module", files["S2"],
+                    "--catalog", files["catalog"], "--simples", "vertex:1",
+                    "--json")
+            assert r.exit_code == 1
+            assert json.loads(r.output)["message"].startswith(
+                "second module has no composition chain")
 
     def test_verify_needs_catalog(self, files):
         r = run("verify", "f2", "--algebra", files["algebra"],

@@ -20,8 +20,9 @@ from extsym.instances import (a2_catalog, a2_sums, deformed_a2_module,
                               three_vertex_algebra, three_vertex_simples,
                               two_loop_modules)
 from extsym.linalg import mat_from_fractions
-from extsym.modules import (UndecidableError, conjugate, direct_sum,
+from extsym.modules import (Catalog, UndecidableError, conjugate, direct_sum,
                             direct_sum_many, module_from_fractions,
+                            named_indecomposables, reduce_catalog,
                             reduce_module)
 
 from oracle import (count_flags_bruteforce, count_submodules_bruteforce,
@@ -429,6 +430,97 @@ class TestStrata:
         cat = {"S1+S2": reduce_module(direct_sum(mods["S2"], mods["S1"]), p)}
         with pytest.raises(CountError, match="incomplete"):
             stratify_ext_classes(m, n, cat)
+
+
+class TestHomRankStrata:
+    """Strata read from connecting-map ranks, for catalogs that name their
+    indecomposables, against the isomorphism search of unnamed ones."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_equals_isomorphism_search_on_every_small_pair(
+            self, a2_all_sums, a2_cat, p):
+        sums = a2_all_sums
+        pairs = [(a, b) for a in sums for b in sums
+                 if sums[a].total_dim + sums[b].total_dim <= 4]
+        assert len(pairs) == 81
+        # the pairs come in both directions, so each ordered pair once
+        # covers both directions of every pair
+        assert {(b, a) for a, b in pairs} == set(pairs)
+        named = reduce_catalog(a2_cat, p)
+        plain = dict(named)
+        assert named.indecomposables and not named_indecomposables(plain)
+        for a, b in pairs:
+            m, n = reduce_module(sums[a], p), reduce_module(sums[b], p)
+            got = stratify_ext_classes(m, n, named)
+            want = stratify_ext_classes(m, n, plain)
+            assert list(got.items()) == list(want.items()), (a, b)
+
+    def test_unnamed_catalogs_search_for_isomorphisms(self, a2, two_loop,
+                                                      monkeypatch):
+        alg, mods = a2
+        calls = []
+        match = counting._match_catalog
+
+        def counted(mid, cat):
+            calls.append(1)
+            return match(mid, cat)
+
+        monkeypatch.setattr(counting, "_match_catalog", counted)
+        p = 3
+        m, n = reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)
+        named = reduce_catalog(a2_catalog(alg, 2), p)
+        assert stratify_ext_classes(m, n, named)["P1"] == 1
+        assert calls == []
+        assert stratify_ext_classes(m, n, dict(named))["P1"] == 1
+        assert calls == [1]
+        _, loops = two_loop
+        s = reduce_module(loops["S"], p)
+        cat = {lab: reduce_module(c, p) for lab, c in loops.items()}
+        assert sum(stratify_ext_classes(s, s, cat).values()) == p + 1
+        assert len(calls) == 1 + p + 1
+
+    @pytest.mark.parametrize("names", [
+        sub for r in range(1, 4)
+        for sub in itertools.combinations(("S1", "S2", "P1", "P2"), r)])
+    def test_proper_namings_refused(self, a2, a2_cat, names):
+        _, mods = a2
+        p = 3
+        m, n = reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)
+        cat = reduce_catalog(Catalog(a2_cat, names), p)
+        with pytest.raises(CountError, match="equal Hom vectors|does not "
+                           "name all of its indecomposables"):
+            stratify_ext_classes(m, n, cat)
+
+    def test_isomorphic_entries_refused(self, a2):
+        alg, mods = a2
+        p = 3
+        cat = a2_catalog(alg, 2)
+        twin = Catalog({**cat, "S2+S1": direct_sum(mods["S2"], mods["S1"])},
+                       cat.indecomposables)
+        m, n = reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)
+        with pytest.raises(CountError,
+                           match="entries S1\\+S2 and S2\\+S1 have equal"):
+            stratify_ext_classes(m, n, reduce_catalog(twin, p))
+
+    def test_first_line_of_a_stratum_confirmed(self, a2, monkeypatch):
+        alg, mods = a2
+        p = 3
+        m, n = reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)
+        cat = reduce_catalog(a2_catalog(alg, 2), p)
+        monkeypatch.setattr(counting, "is_isomorphic",
+                            lambda x, y: (False, None))
+        with pytest.raises(CountError, match="not isomorphic to it"):
+            stratify_ext_classes(m, n, cat)
+
+    def test_incomplete_catalog_reported(self, a2):
+        alg, mods = a2
+        p = 3
+        cat = a2_catalog(alg, 2)
+        short = Catalog({lab: c for lab, c in cat.items() if lab != "P1"},
+                        ("S1", "S2", "P2"))
+        m, n = reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)
+        with pytest.raises(CountError, match="incomplete"):
+            stratify_ext_classes(m, n, reduce_catalog(short, p))
 
 
 class TestCorrectionCount:

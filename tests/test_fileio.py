@@ -40,6 +40,16 @@ class TestAlgebraRoundTrip:
         assert set(back) == set(cat)
         for lab in cat:
             assert is_isomorphic(back[lab], cat[lab])[0]
+        assert back.indecomposables == ("S1", "S2", "P1", "P2")
+        assert catalog_to_dict(back) == catalog_to_dict(cat)
+
+    def test_catalog_without_names_loads(self, a2):
+        alg, _ = a2
+        data = catalog_to_dict(dict(a2_catalog(alg, 2)))
+        assert "indecomposables" not in data
+        back = parse_catalog(data, alg)
+        assert back.indecomposables == ()
+        assert set(back) == set(a2_catalog(alg, 2))
 
 
 class TestStrictness:
@@ -88,6 +98,17 @@ class TestStrictness:
         alg, _ = a2
         with pytest.raises(FormatError):
             parse_catalog({"entries": {}}, alg)
+
+    @pytest.mark.parametrize("names, match", [
+        (["S1", "Q7"], "not catalog entries: Q7"),
+        (["S1", "S1"], "repeated: S1"), ("S1", "list of strings"),
+        ([1], "list of strings")])
+    def test_catalog_names_checked(self, a2, names, match):
+        alg, _ = a2
+        data = catalog_to_dict(a2_catalog(alg, 2))
+        data["indecomposables"] = names
+        with pytest.raises(FormatError, match=match):
+            parse_catalog(data, alg)
 
     def test_vertex_path_round_trip(self, a2):
         """Relation terms supported at a vertex survive serialization."""

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extsym.fields import GF, RATIONALS, FieldError
-from extsym.modules import (ModuleError, composition_series, direct_sum,
-                            direct_sum_many, hom_dim, is_isomorphic,
-                            module_from_fractions, reduce_module,
-                            simple_at_vertex, sub_quotient, witness_from_rows,
-                            zero_module)
+from extsym.instances import a2_catalog
+from extsym.modules import (Catalog, ModuleError, composition_series,
+                            direct_sum, direct_sum_many, hom_dim,
+                            is_isomorphic, module_from_fractions,
+                            named_indecomposables, reduce_catalog,
+                            reduce_module, simple_at_vertex, sub_quotient,
+                            witness_from_rows, zero_module)
 
 from oracle import modules_isomorphic_bruteforce
 
@@ -137,6 +139,28 @@ def test_reduce_module_checks_relations(a2):
     r = reduce_module(mods["P1"], 5)
     assert r.field == GF(5)
     assert r.dims == mods["P1"].dims
+
+
+class TestCatalog:
+    def test_names_kept_by_reduction(self, a2):
+        alg, _ = a2
+        cat = reduce_catalog(a2_catalog(alg, 2), 5)
+        assert cat.indecomposables == ("S1", "S2", "P1", "P2")
+        assert cat["P1"].field == GF(5)
+        assert named_indecomposables(dict(cat)) == ()
+
+    def test_names_limited_to_held_entries(self, a2):
+        alg, _ = a2
+        assert a2_catalog(alg, 1).indecomposables == ("S1", "S2")
+
+    @pytest.mark.parametrize("names, match", [
+        (("S1", "X"), "not catalog entries: X"),
+        (("P1", "S1", "P1"), "repeated: P1"), (("O",), "zero modules: O")])
+    def test_bad_names_refused(self, a2, names, match):
+        alg, mods = a2
+        entries = {**mods, "O": zero_module(alg, RATIONALS)}
+        with pytest.raises(ModuleError, match=match):
+            Catalog(entries, names)
 
 
 class TestReductionMemo:
