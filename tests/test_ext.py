@@ -16,7 +16,7 @@ from extsym.ext import (ExtError, beta_map, beta_prime_map, beta_flag_maps,
 from extsym.fields import GF, RATIONALS
 from extsym.instances import a2_sums, deformed_a2_module
 from extsym.linalg import Mat, mat_mul, rank
-from extsym.modules import (direct_sum, hom_dim, is_isomorphic,
+from extsym.modules import (direct_sum, hom_basis, hom_dim, is_isomorphic,
                             module_from_fractions, reduce_module,
                             sub_quotient, witness_from_rows)
 
@@ -197,6 +197,32 @@ class TestConnectingMaps:
                     ), (la, lb, coords)
 
 
+class TestPushouts:
+    @pytest.mark.parametrize("p, nchecks", [(2, 784), (3, 2051)])
+    def test_hom_out_of_the_middle_term(self, a2, p, nchecks):
+        """hom(E, Z) = hom(M, Z) + hom(N, Z) - rank(f -> f_* xi) over a
+        basis f of Hom(N, Z), on every class xi of Ext^1(M, N), M, N and Z
+        among the small direct sums: the connecting map of Hom(-, Z)
+        pushes xi out along each f."""
+        alg, _ = a2
+        sums = [reduce_module(m, p) for m in a2_sums(alg, 2).values()]
+        field = GF(p)
+        checked = 0
+        for m, n in itertools.product(sums, repeat=2):
+            space = ext1_space(m, n)
+            for coords in itertools.product(range(p), repeat=space.dim):
+                e = middle_term(space, coords)[0]
+                for z in sums:
+                    dst = ext1_space(m, z)
+                    cols = [transport_class(coords, space, dst, f, "pushout")
+                            for f in hom_basis(n, z).basis]
+                    delta = Mat(tuple(cols), len(cols), dst.dim)
+                    assert hom_dim(e, z) == (hom_dim(m, z) + hom_dim(n, z)
+                                             - rank(field, delta))
+                    checked += 1
+        assert checked == nchecks
+
+
 class TestTransport:
     def test_identity_maps_fix_classes(self, a2):
         _, mods = a2
@@ -289,6 +315,43 @@ class TestBlockMapIdentity:
                         a, b, d = flag_symmetry_identity(pair, m.field)
                         assert d == target
                         assert a + b == target
+
+    @staticmethod
+    def chains(m, length):
+        """Every chain m = M_0 >= M_1 >= ... >= M_length = 0 of submodules,
+        equal steps allowed, as flag steps."""
+        if length == 0:
+            return [()] if m.is_zero() else []
+        out = []
+        for e in itertools.product(*(range(d + 1) for d in m.dims)):
+            for rows in iter_submodules(m, e):
+                step = _submodule_with_incl(m, rows)
+                out.extend((step,) + rest for rest in
+                           TestBlockMapIdentity.chains(step[0], length - 1))
+        return out
+
+    @pytest.mark.parametrize("la, lb, npairs", [("S1+S2", "S1", 27),
+                                                ("S1", "S2+P1", 78)])
+    def test_flag_form_length_three(self, a2, la, lb, npairs):
+        """Flags of length 3 run the cross-block terms of both maps: the
+        pullback of eps_k along N_{k+1} -> N_k into block k+1 of beta, and
+        the pushout of eta_k along N_k -> N_{k-1} into block k-1 of
+        beta'."""
+        alg, _ = a2
+        sums = a2_sums(alg, 3)
+        m, n = (reduce_module(sums[lab], 3) for lab in (la, lb))
+        target = ext_dim(m, n)
+        checked = 0
+        for steps_m in self.chains(m, 3):
+            flag_m = Flag(m, steps_m, (None,) * 3)
+            for steps_n in self.chains(n, 3):
+                flag_n = Flag(n, steps_n, (None,) * 3)
+                a, b, d = flag_symmetry_identity(
+                    beta_flag_maps(flag_m, flag_n), m.field)
+                assert d == target
+                assert a + b == target
+                checked += 1
+        assert checked == npairs
 
 
 class TestSymmetryAudit:
