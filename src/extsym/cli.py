@@ -14,7 +14,7 @@ import click
 
 from .algebra import AlgebraError, validate_presentation
 from .counting import CountError, count_flags, count_grassmannian
-from .delta import delta_signature, stratify_by_signature
+from .delta import DeltaError, delta_signature, stratify_by_signature
 from .euler import EulerError, euler_of, flag_degree_bound, \
     grassmannian_degree_bound, select_primes
 from .ext import ext_dim
@@ -25,8 +25,8 @@ from .modules import ModuleError, UndecidableError, reduce_module, \
 from .verify import VerifyError, run_audit_suite, verify_formula1, \
     verify_formula2
 
-_ERRORS = (AlgebraError, ModuleError, CountError, EulerError, VerifyError,
-           FormatError, FieldError, UndecidableError, OSError,
+_ERRORS = (AlgebraError, ModuleError, CountError, DeltaError, EulerError,
+           VerifyError, FormatError, FieldError, UndecidableError, OSError,
            json.JSONDecodeError)
 
 

@@ -25,7 +25,7 @@ from .linalg import rref  # noqa: F401
 from .modules import (Catalog, ModuleError, RepModule, UndecidableError,
                       _hom_system, hom_basis, hom_combination, hom_dim,
                       is_isomorphic, named_indecomposables, reduce_module,
-                      sub_quotient, witness_from_rows)
+                      sub_quotient, submodule, witness_from_rows)
 
 
 class CountError(ValueError):
@@ -50,6 +50,13 @@ class CountSeries:
             raise CountError(f"negative degree bound {self.degree_bound}")
 
 
+def _prime(field, what: str) -> int:
+    """The characteristic of a prime field; a ``CountError`` over Q."""
+    if not field.char:
+        raise CountError(f"{what} requires a prime field")
+    return field.char
+
+
 # ---------------------------------------------------------------------------
 # Submodules with a fixed dimension vector
 
@@ -69,9 +76,7 @@ def _vertex_walk(m: RepModule, edims: Sequence[int], count_last: bool):
     Otherwise every weight is 1.
     """
     field = m.field
-    p = getattr(field, "p", None)
-    if p is None:
-        raise CountError("submodule enumeration requires a prime field")
+    p = _prime(field, "submodule enumeration")
     if len(edims) != len(m.dims):
         raise CountError("dimension vector length mismatch")
     if any(e < 0 or e > d for e, d in zip(edims, m.dims)):
@@ -246,8 +251,8 @@ def _class_children_of(cid, rep: RepModule, simple: RepModule):
     simple, as (class id, representative, number of such K)."""
     mult: Dict[int, list] = {}
     for kern_rows in _quotient_kernels(rep, simple):
-        sub, _, _, _ = sub_quotient(rep, witness_from_rows(rep, kern_rows))
-        ccid, crep = _module_class(sub)
+        ccid, crep = _module_class(
+            submodule(rep, witness_from_rows(rep, kern_rows)))
         mult.setdefault(ccid, [ccid, crep, 0])[2] += 1
     return tuple(tuple(v) for v in mult.values())
 
@@ -266,6 +271,7 @@ def count_flags(m: RepModule, jseq: Sequence[int],
     a (class, simple) are enumerated once and shared by every flag type;
     counts are cached by (class, remaining type, simples).
     """
+    _prime(m.field, "flag counting")
     jseq = tuple(jseq)
     bad = [j for j in jseq if not 0 <= j < len(simples)]
     if bad:
@@ -309,13 +315,13 @@ def stratify_ext_classes(m: RepModule, n: RepModule,
     of connecting maps (``_count_by_hom_ranks``); any other catalog by an
     isomorphism search per line.
     """
+    q = _prime(m.field, "stratification of extension classes")
     space = ext1_space(m, n)
-    field = m.field
     mid_dims = tuple(a + b for a, b in zip(m.dims, n.dims))
     counts: Dict[str, int] = {lab: 0 for lab, c in catalog.items()
                               if c.dims == mid_dims}
     lines = (line.mat.rows[0]
-             for line in enumerate_subspaces(space.dim, 1, field.p))
+             for line in enumerate_subspaces(space.dim, 1, q))
     if named_indecomposables(catalog):
         _count_by_hom_ranks(space, catalog, lines, counts)
     else:
@@ -324,7 +330,6 @@ def stratify_ext_classes(m: RepModule, n: RepModule,
         for coords in lines:
             label = _match_catalog(middle_term(space, coords)[0], catalog)
             counts[label] = counts.get(label, 0) + 1
-    q = field.p
     expected = (q ** space.dim - 1) // (q - 1) if space.dim else 0
     if sum(counts.values()) != expected:
         raise CountError("stratification total mismatch")
@@ -479,7 +484,7 @@ def count_efg_split(n: RepModule, m: RepModule,
     with w the dimension of that first-summand slice.
     """
     field = m.field
-    q = field.p
+    q = _prime(field, "correction counting")
     total = 0
     if any(e < 0 or e > d for e, d in zip(edims_m, m.dims)):
         return 0

@@ -28,7 +28,12 @@ class DeltaError(ValueError):
 def enumerate_flag_types(dims: Sequence[int],
                          simples: Sequence[RepModule]) -> List[Tuple[int, ...]]:
     """All index sequences over the simple list whose dimension vectors sum
-    to the target, in lexicographic order."""
+    to the target, in lexicographic order.  A zero module in the list
+    would give types of every length, so it is refused."""
+    zero = [str(i) for i, s in enumerate(simples) if s.is_zero()]
+    if zero:
+        raise DeltaError("the list of simples holds a zero module at index "
+                         + ", ".join(zero))
     dims = tuple(dims)
     n = len(dims)
     out: List[Tuple[int, ...]] = []
@@ -105,11 +110,12 @@ def _signature(m_rat, mode, simples, label, primes):
 
 
 def _flag_signature(m_rat, simples, label, primes):
+    jseqs = enumerate_flag_types(m_rat.dims, simples)
     bound = flag_degree_bound(m_rat.dims)
     ps = select_primes(m_rat, zero_module(m_rat.algebra, m_rat.field),
                        simples, bound + 2, primes)
     table = []
-    for jseq in enumerate_flag_types(m_rat.dims, simples):
+    for jseq in jseqs:
         def counter(p, jseq=jseq):
             mp = reduce_module(m_rat, p)
             sp = [reduce_module(s, p) for s in simples]

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from . import memo
-from .linalg import (Mat, Subspace, identity, kernel_basis, mat_mul, mat_vec,
-                     rref, solve, span, transpose, vstack)
+from .linalg import (Mat, Subspace, coords_in, identity, kernel_basis,
+                     mat_mul, mat_scale, mat_vec, quotient_projection, rref,
+                     span, transpose)
 from .modules import RepModule, _hom_system, check_module, hom_basis
 
 
@@ -42,7 +43,7 @@ def _tuple_layout(x: RepModule, y: RepModule):
     return layout, off
 
 
-def _unpack_tuple(field, vec, layout):
+def _unpack_tuple(vec, layout):
     mats = []
     for _, r, c, off in layout:
         rows = tuple(tuple(vec[off + i * c + j] for j in range(c)) for i in range(r))
@@ -50,13 +51,10 @@ def _unpack_tuple(field, vec, layout):
     return tuple(mats)
 
 
-def _pack_tuple(mats, layout, total, zero):
-    vec = [zero] * total
-    for (_, r, c, off), m in zip(layout, mats):
-        for i in range(r):
-            for j in range(c):
-                vec[off + i * c + j] = m.rows[i][j]
-    return tuple(vec)
+def _pack_tuple(mats):
+    """Tuple coordinates of arrow matrices: the layout's blocks follow
+    each other in arrow order, so the entries concatenate row by row."""
+    return tuple(x for m in mats for row in m.rows for x in row)
 
 
 def _path_matrix(field, m: RepModule, names, n: int) -> Mat:
@@ -80,14 +78,14 @@ def ext1_equations(x: RepModule, y: RepModule) -> Mat:
     P = Y_{a1..a(k-1)} and S = X_{a(k+1)..am}; a vertex path adds nothing.
     """
     field = x.field
+    p = field.char
     q = x.algebra.quiver
     layout, total = _tuple_layout(x, y)
-    add, mul, is_zero = field.add, field.mul, field.is_zero
     rows = []
     for rel in x.algebra.relations:
         src, tgt = rel.endpoints(q)
         nr, nc = y.dim(tgt), x.dim(src)
-        block = [[field.zero] * total for _ in range(nr * nc)]
+        block = [[0] * total for _ in range(nr * nc)]
         for coeff, path in rel.terms:
             if path.is_vertex:
                 continue
@@ -99,16 +97,15 @@ def ext1_equations(x: RepModule, y: RepModule) -> Mat:
                 suf = _path_matrix(field, x, names[k + 1:], nc).rows
                 for i in range(nr):
                     for u in range(r):
-                        cp = mul(c, pre[i][u])
-                        if is_zero(cp):
+                        cp = c * pre[i][u]
+                        if not cp:
                             continue
                         base = off + u * cc
                         for j in range(nc):
                             row = block[i * nc + j]
                             for v in range(cc):
-                                row[base + v] = add(row[base + v],
-                                                    mul(cp, suf[v][j]))
-        rows.extend(tuple(r) for r in block)
+                                row[base + v] += cp * suf[v][j]
+        rows.extend(tuple(v % p for v in r) if p else tuple(r) for r in block)
     return Mat(tuple(rows), len(rows), total)
 
 
@@ -117,14 +114,18 @@ class ExtSpace:
     """D(X, Y) with its trivial part and a deterministic complement.
 
     All bases are rows in tuple coordinates; ``compl`` identifies
-    Ext^1(X, Y).
+    Ext^1(X, Y).  The D-coordinates of a tuple in D(X, Y) are its entries
+    at ``d_pivots``, the pivots of ``d_basis``; ``readout`` maps them to
+    class coordinates.
     """
 
     x: RepModule
     y: RepModule
     d_basis: Mat          # RREF basis of D(X, Y)
+    d_pivots: tuple       # pivots of d_basis
     trivial: Mat          # RREF basis of Ker pi (= image of the Hom map)
     compl: Mat            # complement basis, rows of d_basis not absorbed
+    readout: Mat          # D-coordinates -> class coordinates
     layout: tuple
     total: int
 
@@ -139,22 +140,16 @@ class ExtSpace:
     def class_tuple(self, coords: Sequence) -> Tuple[Mat, ...]:
         """Representative arrow tuple of the class with given coordinates."""
         vec = mat_vec(self.field, transpose(self.compl), coords)
-        return _unpack_tuple(self.field, vec, self.layout)
+        return _unpack_tuple(vec, self.layout)
 
     def reduce(self, d_mats: Sequence[Mat]) -> Tuple:
         """Complement coordinates of a tuple in D(X, Y)."""
         field = self.field
-        vec = _pack_tuple(d_mats, self.layout, self.total, field.zero)
-        if self.trivial.nrows + self.compl.nrows == 0:
-            if any(not field.is_zero(v) for v in vec):
-                raise ExtError("tuple not in D(X, Y)")
-            return ()
-        stacked = vstack(field, [self.trivial, self.compl]) \
-            if self.trivial.nrows else self.compl
-        sol = solve(field, transpose(stacked), vec)
-        if sol is None:
+        d = Subspace(field, self.total, self.d_basis, self.d_pivots)
+        coords = coords_in(field, d, _pack_tuple(d_mats))
+        if coords is None:
             raise ExtError("tuple not in D(X, Y)")
-        return tuple(sol[self.trivial.nrows:])
+        return mat_vec(field, self.readout, coords)
 
     def zero_class(self) -> Tuple:
         return tuple(self.field.zero for _ in range(self.dim))
@@ -173,33 +168,17 @@ def ext1_space(x: RepModule, y: RepModule) -> ExtSpace:
     # is the transpose of the Hom system's (equation rows, Hom unknowns)
     trivial = rref(field, transpose(_hom_system(x, y)[0]))[0]
 
-    # complement: rows of d_basis whose D-coordinates extend the trivial RREF
-    if d_basis.nrows:
-        triv_coords = []
-        dsub = Subspace(field, total, d_basis,
-                        tuple(_pivots_of_rref(field, d_basis)))
-        for row in trivial.rows:
-            coords = tuple(row[pc] for pc in dsub.pivots)
-            triv_coords.append(coords)
-        tc_mat = Mat(tuple(triv_coords), len(triv_coords), d_basis.nrows) \
-            if triv_coords else Mat((), 0, d_basis.nrows)
-        tc_rref, tc_pivots = rref(field, tc_mat)
-        free = [j for j in range(d_basis.nrows) if j not in set(tc_pivots)]
-        compl = Mat(tuple(d_basis.rows[j] for j in free), len(free), total)
-    else:
-        compl = Mat((), 0, total)
-
-    return ExtSpace(x, y, d_basis, trivial, compl, tuple(layout), total)
-
-
-def _pivots_of_rref(field, m: Mat):
-    pivots = []
-    for row in m.rows:
-        for j, v in enumerate(row):
-            if not field.is_zero(v):
-                pivots.append(j)
-                break
-    return pivots
+    # complement: the rows of d_basis off the pivots of the trivial part in
+    # D-coordinates; the class coordinates of a tuple are its D-coordinates
+    # modulo the trivial part, read at those rows
+    d_pivots = tuple(row.index(1) for row in d_basis.rows)
+    triv = span(field, [[row[pc] for pc in d_pivots] for row in trivial.rows],
+                d_basis.nrows)
+    compl = Mat(tuple(r for j, r in enumerate(d_basis.rows)
+                      if j not in triv.pivots),
+                d_basis.nrows - triv.dim, total)
+    return ExtSpace(x, y, d_basis, d_pivots, trivial, compl,
+                    quotient_projection(field, triv), tuple(layout), total)
 
 
 def ext_dim(x: RepModule, y: RepModule) -> int:
@@ -252,9 +231,10 @@ def middle_term(space: ExtSpace, coords: Sequence):
 # Class transport (pushout / pullback)
 
 
-def transport_class(coords: Sequence, src: ExtSpace, dst: ExtSpace,
-                    maps: Sequence[Mat], side: str) -> Tuple:
-    """Transport a class along a module map.
+def transport_matrix(src: ExtSpace, dst: ExtSpace, maps: Sequence[Mat],
+                     side: str) -> Mat:
+    """The matrix of transport along a module map: column k holds the dst
+    coordinates of the transported basis class k of src.
 
     side="pushout": maps f: Y -> Y' act by d(a) -> f_{t(a)} d(a);
     src = Ext(X, Y), dst = Ext(X, Y').
@@ -263,22 +243,31 @@ def transport_class(coords: Sequence, src: ExtSpace, dst: ExtSpace,
     """
     field = src.field
     q = src.x.algebra.quiver
-    d_mats = src.class_tuple(coords)
-    out = []
-    for ai, arr in enumerate(q.arrows):
-        s = q.vertex_index(arr.source)
-        t = q.vertex_index(arr.target)
-        if side == "pushout":
-            if dst.x.key() != src.x.key():
-                raise ExtError("pushout must preserve the X side")
-            out.append(mat_mul(field, maps[t], d_mats[ai]))
-        elif side == "pullback":
-            if dst.y.key() != src.y.key():
-                raise ExtError("pullback must preserve the Y side")
-            out.append(mat_mul(field, d_mats[ai], maps[s]))
-        else:
-            raise ExtError(f"unknown transport side {side!r}")
-    return dst.reduce(out)
+    push = side == "pushout"
+    if push:
+        if dst.x.key() != src.x.key():
+            raise ExtError("pushout must preserve the X side")
+    elif side == "pullback":
+        if dst.y.key() != src.y.key():
+            raise ExtError("pullback must preserve the Y side")
+    else:
+        raise ExtError(f"unknown transport side {side!r}")
+    # the map at the end of each arrow that the tuple entry d(a) meets
+    ends = [maps[q.vertex_index(arr.target if push else arr.source)]
+            for arr in q.arrows]
+    cols = []
+    for row in src.compl.rows:
+        d_mats = _unpack_tuple(row, src.layout)
+        cols.append(dst.reduce([mat_mul(field, f, d) if push
+                                else mat_mul(field, d, f)
+                                for f, d in zip(ends, d_mats)]))
+    return transpose(Mat(tuple(cols), len(cols), dst.dim))
+
+
+def transport_class(coords: Sequence, src: ExtSpace, dst: ExtSpace,
+                    maps: Sequence[Mat], side: str) -> Tuple:
+    """Transport a class along a module map (see ``transport_matrix``)."""
+    return mat_vec(src.field, transport_matrix(src, dst, maps, side), coords)
 
 
 @memo.cached(lambda x, y, z: (x.key(), y.key(), z.key()))
@@ -298,20 +287,29 @@ def connecting_tensor(x: RepModule, y: RepModule,
     of these with its coordinates.
     """
     src, dst = ext1_space(x, y), ext1_space(z, y)
-    maps = hom_basis(z, x).basis
-    field = x.field
-    out = []
-    for k in range(src.dim):
-        coords = tuple(field.one if i == k else field.zero
-                       for i in range(src.dim))
-        cols = tuple(transport_class(coords, src, dst, g, "pullback")
-                     for g in maps)
-        out.append(transpose(Mat(cols, len(cols), dst.dim)))
-    return tuple(out)
+    pulls = [transport_matrix(src, dst, g, "pullback")
+             for g in hom_basis(z, x).basis]
+    return tuple(Mat(tuple(tuple(pm.rows[i][k] for pm in pulls)
+                           for i in range(dst.dim)), dst.dim, len(pulls))
+                 for k in range(src.dim))
 
 
 # ---------------------------------------------------------------------------
 # beta maps (Grassmannian form)
+
+
+def _block_matrix(row_dims: Sequence[int], col_dims: Sequence[int],
+                  blocks) -> Mat:
+    """The matrix with block rows of sizes ``row_dims`` and block columns
+    of sizes ``col_dims``: block (i, j) is ``blocks[i, j]``, or zero when
+    absent."""
+    roff = [sum(row_dims[:i]) for i in range(len(row_dims))]
+    coff = [sum(col_dims[:j]) for j in range(len(col_dims))]
+    rows = [[0] * sum(col_dims) for _ in range(sum(row_dims))]
+    for (i, j), b in blocks.items():
+        for r, brow in enumerate(b.rows):
+            rows[roff[i] + r][coff[j]:coff[j] + b.ncols] = brow
+    return Mat(tuple(map(tuple, rows)), len(rows), sum(col_dims))
 
 
 @dataclass(frozen=True)
@@ -329,21 +327,14 @@ def beta_map(n: RepModule, m: RepModule,
              n1: RepModule, n1_incl: Sequence[Mat],
              m1: RepModule, m1_incl: Sequence[Mat]) -> BetaPair:
     """The map sending a class of Ext^1(N, M1) to (pushout to M, pullback
-    to N1).  Columns are indexed by the complement basis of Ext^1(N, M1)."""
-    field = n.field
+    to N1): the block column [push; pull].  Columns are indexed by the
+    complement basis of Ext^1(N, M1)."""
     e_nm1 = ext1_space(n, m1)
     e_nm = ext1_space(n, m)
     e_n1m1 = ext1_space(n1, m1)
-    cols = []
-    for k in range(e_nm1.dim):
-        coords = tuple(field.one if i == k else field.zero
-                       for i in range(e_nm1.dim))
-        push = transport_class(coords, e_nm1, e_nm, m1_incl, "pushout")
-        pull = transport_class(coords, e_nm1, e_n1m1, n1_incl, "pullback")
-        cols.append(tuple(push) + tuple(pull))
-    nrows = e_nm.dim + e_n1m1.dim
-    mat = Mat(tuple(tuple(col[i] for col in cols) for i in range(nrows)),
-              nrows, e_nm1.dim)
+    mat = _block_matrix((e_nm.dim, e_n1m1.dim), (e_nm1.dim,), {
+        (0, 0): transport_matrix(e_nm1, e_nm, m1_incl, "pushout"),
+        (1, 0): transport_matrix(e_nm1, e_n1m1, n1_incl, "pullback")})
     return BetaPair(mat, e_nm1, e_nm, e_n1m1)
 
 
@@ -361,23 +352,16 @@ def beta_prime_map(m: RepModule, n: RepModule,
                    m1: RepModule, m1_incl: Sequence[Mat],
                    n1: RepModule, n1_incl: Sequence[Mat]) -> BetaPrimePair:
     """(eps, eps') -> pullback of eps along M1 -> M minus pushout of eps'
-    along N1 -> N, both landing in Ext^1(M1, N)."""
+    along N1 -> N, both landing in Ext^1(M1, N): the block row
+    [pull | -push]."""
     field = m.field
     e_mn = ext1_space(m, n)
     e_m1n1 = ext1_space(m1, n1)
     e_m1n = ext1_space(m1, n)
-    cols = []
-    for k in range(e_mn.dim):
-        coords = tuple(field.one if i == k else field.zero
-                       for i in range(e_mn.dim))
-        cols.append(transport_class(coords, e_mn, e_m1n, m1_incl, "pullback"))
-    for k in range(e_m1n1.dim):
-        coords = tuple(field.one if i == k else field.zero
-                       for i in range(e_m1n1.dim))
-        push = transport_class(coords, e_m1n1, e_m1n, n1_incl, "pushout")
-        cols.append(tuple(field.neg(v) for v in push))
-    mat = Mat(tuple(tuple(col[i] for col in cols) for i in range(e_m1n.dim)),
-              e_m1n.dim, e_mn.dim + e_m1n1.dim)
+    mat = _block_matrix((e_m1n.dim,), (e_mn.dim, e_m1n1.dim), {
+        (0, 0): transport_matrix(e_mn, e_m1n, m1_incl, "pullback"),
+        (0, 1): mat_scale(field, -1, transport_matrix(e_m1n1, e_m1n, n1_incl,
+                                                      "pushout"))})
     return BetaPrimePair(mat, e_mn, e_m1n1, e_m1n)
 
 
@@ -475,63 +459,31 @@ def beta_flag_maps(flag_m: Flag, flag_n: Flag) -> FlagBetaPair:
     ep_src = [ext1_space(flag_m.module(k), flag_n.module(k)) for k in ks]
     ep_dst = [ext1_space(flag_m.module(k + 1), flag_n.module(k)) for k in ks]
 
-    src_dims = [s.dim for s in e_src]
-    dst_dims = [s.dim for s in e_dst]
-    total_src = sum(src_dims)
-    total_dst = sum(dst_dims)
-    cols = []
+    # beta: eps_k pushes out along M_{k+1} -> M_k into block k and, with a
+    # minus sign, pulls back along N_{k+1} -> N_k into block k+1
+    blocks = {}
     for k in ks:
-        for b in range(src_dims[k]):
-            coords = tuple(field.one if i == b else field.zero
-                           for i in range(src_dims[k]))
-            col = [field.zero] * total_dst
-            # pushout along M_{k+1} -> M_k lands in block k
-            push = transport_class(coords, e_src[k], e_dst[k],
-                                   flag_m.incl(k + 1), "pushout")
-            off = sum(dst_dims[:k])
-            for i, v in enumerate(push):
-                col[off + i] = field.add(col[off + i], v)
-            # pullback along N_{k+1} -> N_k lands in block k+1
-            if k + 1 <= mlen - 2:
-                pull = transport_class(coords, e_src[k], e_dst[k + 1],
-                                       flag_n.incl(k + 1), "pullback")
-                off2 = sum(dst_dims[:k + 1])
-                for i, v in enumerate(pull):
-                    col[off2 + i] = field.sub(col[off2 + i], v)
-            cols.append(tuple(col))
-    beta = Mat(tuple(tuple(col[i] for col in cols) for i in range(total_dst)),
-               total_dst, total_src) \
-        if cols else Mat(tuple(() for _ in range(total_dst)), total_dst, 0)
+        blocks[k, k] = transport_matrix(e_src[k], e_dst[k],
+                                        flag_m.incl(k + 1), "pushout")
+        if k + 1 <= mlen - 2:
+            blocks[k + 1, k] = mat_scale(field, -1, transport_matrix(
+                e_src[k], e_dst[k + 1], flag_n.incl(k + 1), "pullback"))
+    dst_dims = tuple(s.dim for s in e_dst)
+    beta = _block_matrix(dst_dims, [s.dim for s in e_src], blocks)
 
-    ps_dims = [s.dim for s in ep_src]
-    pd_dims = [s.dim for s in ep_dst]
-    total_ps = sum(ps_dims)
-    total_pd = sum(pd_dims)
-    pcols = []
+    # beta': eta_k pulls back along M_{k+1} -> M_k into block k and, with a
+    # minus sign, pushes out along N_k -> N_{k-1} into block k-1
+    blocks = {}
     for k in ks:
-        for b in range(ps_dims[k]):
-            coords = tuple(field.one if i == b else field.zero
-                           for i in range(ps_dims[k]))
-            col = [field.zero] * total_pd
-            # pullback along M_{k+1} -> M_k lands in block k
-            pull = transport_class(coords, ep_src[k], ep_dst[k],
-                                   flag_m.incl(k + 1), "pullback")
-            off = sum(pd_dims[:k])
-            for i, v in enumerate(pull):
-                col[off + i] = field.add(col[off + i], v)
-            # pushout along N_k -> N_{k-1} lands in block k-1
-            if k >= 1:
-                push = transport_class(coords, ep_src[k], ep_dst[k - 1],
-                                       flag_n.incl(k), "pushout")
-                off2 = sum(pd_dims[:k - 1])
-                for i, v in enumerate(push):
-                    col[off2 + i] = field.sub(col[off2 + i], v)
-            pcols.append(tuple(col))
-    beta_prime = Mat(tuple(tuple(col[i] for col in pcols)
-                           for i in range(total_pd)), total_pd, total_ps) \
-        if pcols else Mat(tuple(() for _ in range(total_pd)), total_pd, 0)
+        blocks[k, k] = transport_matrix(ep_src[k], ep_dst[k],
+                                        flag_m.incl(k + 1), "pullback")
+        if k >= 1:
+            blocks[k - 1, k] = mat_scale(field, -1, transport_matrix(
+                ep_src[k], ep_dst[k - 1], flag_n.incl(k), "pushout"))
+    ps_dims = tuple(s.dim for s in ep_src)
+    beta_prime = _block_matrix([s.dim for s in ep_dst], ps_dims, blocks)
 
-    return FlagBetaPair(beta, tuple(dst_dims), beta_prime, tuple(ps_dims),
+    return FlagBetaPair(beta, dst_dims, beta_prime, ps_dims,
                         ext1_space(flag_m.top, flag_n.top).dim)
 
 

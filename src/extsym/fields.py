@@ -1,7 +1,11 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Elements of the rationals are `fractions.Fraction`; elements of F_p are
-plain ints in range(p).  Field objects are stateless and hashable, so they
+Elements of the rationals are `fractions.Fraction` (or ints); elements
+of F_p are plain ints in range(p).  A field carries its characteristic
+``char``, its ``zero`` and ``one``, the inverse ``inv`` and the conversion
+``from_fraction``, and no entry arithmetic: callers add and multiply
+normalised elements with the native ``+ - *`` and, over F_p, reduce the
+result mod ``char``.  Field objects are stateless and hashable, so they
 can key caches.
 """
 
@@ -32,34 +36,15 @@ def _is_prime(n: int) -> bool:
 class QQ:
     """The field of rational numbers."""
 
-    kind = "rationals"
     char = 0
 
     zero = Fraction(0)
     one = Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise FieldError("division by zero")
         return 1 / Fraction(a)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def from_int(self, n: int):
-        return Fraction(n)
 
     def from_fraction(self, f: Fraction):
         return Fraction(f)
@@ -77,8 +62,6 @@ class QQ:
 class GF:
     """The prime field F_p."""
 
-    kind = "prime"
-
     def __init__(self, p: int):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
@@ -87,29 +70,11 @@ class GF:
         self.zero = 0
         self.one = 1 % p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         a %= self.p
         if a == 0:
             raise FieldError("division by zero")
         return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
-    def from_int(self, n: int):
-        return n % self.p
 
     def from_fraction(self, f: Fraction):
         den = f.denominator

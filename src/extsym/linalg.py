@@ -139,14 +139,6 @@ def hstack(field, mats: Sequence[Mat]) -> Mat:
     return Mat(rows, nrows, sum(m.ncols for m in mats))
 
 
-def vstack(field, mats: Sequence[Mat]) -> Mat:
-    ncols = mats[0].ncols
-    if any(m.ncols != ncols for m in mats):
-        raise LinAlgError("vstack col mismatch")
-    rows = tuple(itertools.chain.from_iterable(m.rows for m in mats))
-    return Mat(rows, sum(m.nrows for m in mats), ncols)
-
-
 # ---------------------------------------------------------------------------
 # Echelon forms, kernels, solving
 
@@ -306,6 +298,23 @@ def reduce_against(field, sub: Subspace, vec: Sequence) -> tuple:
             v = tuple((x - c * y) % p for x, y in zip(v, row)) if p \
                 else tuple(x - c * y for x, y in zip(v, row))
     return v
+
+
+def quotient_projection(field, sub: Subspace) -> Mat:
+    """Matrix of field^ambient -> field^ambient / sub, the quotient with
+    the basis of standard vectors at the non-pivot coordinates c_k of sub:
+    row k reads v[c_k] - sum_i v[pivot_i] * sub_i[c_k]."""
+    p = field.char
+    out = []
+    for c in range(sub.ambient):
+        if c in sub.pivots:
+            continue
+        row = [0] * sub.ambient
+        row[c] = 1
+        for srow, pc in zip(sub.mat.rows, sub.pivots):
+            row[pc] = -srow[c] % p if p else -srow[c]
+        out.append(tuple(row))
+    return Mat(tuple(out), len(out), sub.ambient)
 
 
 def contains_vector(field, sub: Subspace, vec: Sequence) -> bool:

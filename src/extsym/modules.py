@@ -17,7 +17,8 @@ from . import memo
 from .algebra import AlgebraPresentation, evaluate_relation
 from .fields import GF, QQ
 from .linalg import (Mat, Subspace, coords_in, kernel_basis, mat_from_fractions,
-                     mat_inv, mat_mul, mat_vec, rank, span, zeros)
+                     mat_inv, mat_mul, mat_vec, quotient_projection, rank,
+                     span, zeros)
 
 
 class ModuleError(ValueError):
@@ -99,7 +100,7 @@ def check_module(algebra: AlgebraPresentation, field, dims: Dict[str, int],
         residue = evaluate_relation(field, q, ddict, mdict, rel)
         for i, row in enumerate(residue.rows):
             for j, x in enumerate(row):
-                if not field.is_zero(x):
+                if x:
                     raise ModuleError(
                         f"relation {idx} violated: residue[{i}][{j}] = {x}")
     return RepModule(algebra, field, tuple(dim_list), tuple(mat_list))
@@ -251,7 +252,7 @@ def _hom_system(m: RepModule, n: RepModule) -> Tuple[Mat, List[Tuple[int, int, i
     Returns the system and the unknown layout [(vertex, rows, cols)].
     """
     q = m.algebra.quiver
-    field = m.field
+    p = m.field.char
     layout = []
     offsets = []
     total = 0
@@ -269,16 +270,14 @@ def _hom_system(m: RepModule, n: RepModule) -> Tuple[Mat, List[Tuple[int, int, i
         # equations: (phi_t xm - xn phi_s)[i][j] = 0,  i < n_t, j < m_s
         for i in range(n.dims[t]):
             for j in range(m.dims[s]):
-                row = [field.zero] * total
+                row = [0] * total
                 # phi_t[i,k] * xm[k,j]
                 for k in range(m.dims[t]):
-                    row[offsets[t] + i * m.dims[t] + k] = \
-                        field.add(row[offsets[t] + i * m.dims[t] + k], xm.rows[k][j])
+                    row[offsets[t] + i * m.dims[t] + k] += xm.rows[k][j]
                 # - xn[i,k] * phi_s[k,j]
                 for k in range(n.dims[s]):
-                    pos = offsets[s] + k * m.dims[s] + j
-                    row[pos] = field.sub(row[pos], xn.rows[i][k])
-                rows.append(tuple(row))
+                    row[offsets[s] + k * m.dims[s] + j] -= xn.rows[i][k]
+                rows.append(tuple(v % p for v in row) if p else tuple(row))
     mat = Mat(tuple(rows), len(rows), total)
     return mat, layout
 
@@ -376,7 +375,7 @@ def search_hom_space(hb: HomBasis, predicate, degree: int):
         (tuple(values[i] for i in tup) for tup in _lcg_tuples(nv, h, 400)))
     seen = set()
     for coeffs in probes:
-        if coeffs in seen or all(field.is_zero(c) for c in coeffs):
+        if coeffs in seen or not any(coeffs):
             continue
         seen.add(coeffs)
         phis = hom_combination(field, hb.basis, coeffs)
@@ -387,7 +386,7 @@ def search_hom_space(hb: HomBasis, predicate, degree: int):
     if nv ** h > 2_000_000:
         raise UndecidableError("search grid too large to sweep")
     for coeffs in itertools.product(values, repeat=h):
-        if all(field.is_zero(c) for c in coeffs) or coeffs in seen:
+        if not any(coeffs) or coeffs in seen:
             continue
         phis = hom_combination(field, hb.basis, coeffs)
         if predicate(phis):
@@ -427,13 +426,9 @@ def witness_from_rows(m: RepModule, rows_by_vertex) -> Tuple[Subspace, ...]:
                  for i, rows in enumerate(rows_by_vertex))
 
 
-def sub_quotient(m: RepModule, witness: Sequence[Subspace]):
-    """Submodule, quotient and the inclusion/projection module maps.
-
-    Bases: the RREF rows of each witness subspace for the submodule, the
-    standard vectors at non-pivot coordinates for the quotient.
-    Returns (sub, quot, incl per-vertex, proj per-vertex).
-    """
+def submodule(m: RepModule, witness: Sequence[Subspace]) -> RepModule:
+    """The submodule spanned by an arrow-stable witness, one subspace per
+    vertex, in the basis of the RREF rows of each subspace."""
     q = m.algebra.quiver
     field = m.field
     if len(witness) != len(q.vertices):
@@ -454,8 +449,19 @@ def sub_quotient(m: RepModule, witness: Sequence[Subspace]):
         rows = tuple(tuple(col[i] for col in cols) for i in range(wt.dim))
         sub_mats.append(Mat(rows, wt.dim, ws.dim))
     sub_dims = tuple(w.dim for w in witness)
-    sub = RepModule(m.algebra, field, sub_dims, tuple(sub_mats))
+    return RepModule(m.algebra, field, sub_dims, tuple(sub_mats))
 
+
+def sub_quotient(m: RepModule, witness: Sequence[Subspace]):
+    """Submodule, quotient and the inclusion/projection module maps.
+
+    Bases: the RREF rows of each witness subspace for the submodule, the
+    standard vectors at non-pivot coordinates for the quotient.
+    Returns (sub, quot, incl per-vertex, proj per-vertex).
+    """
+    q = m.algebra.quiver
+    field = m.field
+    sub = submodule(m, witness)
     incl = []
     proj = []
     nonpivots = []
@@ -464,18 +470,8 @@ def sub_quotient(m: RepModule, witness: Sequence[Subspace]):
         incl_rows = tuple(tuple(w.mat.rows[k][r] for k in range(w.dim))
                           for r in range(d))
         incl.append(Mat(incl_rows, d, w.dim))
-        np_cols = [c for c in range(d) if c not in set(w.pivots)]
-        nonpivots.append(np_cols)
-        # projection: reduce against the subspace, then read non-pivot coords
-        # proj(v)[k] = v[np_k] - sum_i v[pivot_i] * w[i][np_k]
-        pmat = []
-        for k, c in enumerate(np_cols):
-            row = [field.zero] * d
-            row[c] = field.one
-            for irow, pc in enumerate(w.pivots):
-                row[pc] = field.sub(row[pc], w.mat.rows[irow][c])
-            pmat.append(tuple(row))
-        proj.append(Mat(tuple(pmat), len(np_cols), d))
+        nonpivots.append([c for c in range(d) if c not in w.pivots])
+        proj.append(quotient_projection(field, w))
 
     quot_mats = []
     for ai, arr in enumerate(q.arrows):

@@ -201,6 +201,18 @@ class TestDeltaAndStratify:
                 "--module", files["P1"], "--simples", "nope")
         assert r.exit_code == 1
 
+    def test_zero_simple_refused(self, files, tmp_path):
+        doc = json.loads(open(files["catalog"]).read())
+        doc["modules"]["Z"] = {"dims": {}}
+        cat = tmp_path / "zero.json"
+        cat.write_text(json.dumps(doc))
+        r = run("delta", "--algebra", files["algebra"],
+                "--module", files["P1"], "--catalog", str(cat),
+                "--simples", "vertex:1,vertex:2,Z")
+        assert r.exit_code == 1
+        assert r.output.startswith("error: ")
+        assert "index 2" in r.output
+
     def test_stratify(self, files):
         r = run("stratify", "--algebra", files["algebra"],
                 "--catalog", files["catalog"],

@@ -216,6 +216,12 @@ class TestFlags:
                                           factor_dims, p)
             assert got == want
 
+    def test_requires_prime_field(self, a2):
+        _, mods = a2
+        with pytest.raises(CountError,
+                           match="^flag counting requires a prime field$"):
+            count_flags(mods["P1"], (0, 1), [mods["S1"], mods["S2"]])
+
     def test_dims_must_be_exhausted(self, a2):
         _, mods = a2
         p1 = reduce_module(mods["P1"], 3)
@@ -422,6 +428,12 @@ class TestStrata:
         counts = stratify_ext_classes(s, s, cat)
         assert sum(counts.values()) == p + 1
 
+    def test_requires_prime_field(self, a2):
+        alg, mods = a2
+        with pytest.raises(CountError, match="^stratification of "
+                           "extension classes requires a prime field$"):
+            stratify_ext_classes(mods["S1"], mods["S2"], a2_catalog(alg, 2))
+
     def test_incomplete_catalog_reported(self, a2):
         alg, mods = a2
         p = 3
@@ -532,6 +544,12 @@ class TestCorrectionCount:
         got = {e: count_efg(n, m, e)
                for e in itertools.product(range(2), repeat=2)}
         assert got == {(0, 0): 0, (1, 0): 1, (0, 1): 0, (1, 1): 0}
+
+    def test_requires_prime_field(self, a2):
+        _, mods = a2
+        with pytest.raises(CountError,
+                           match="^correction counting requires a prime"):
+            count_efg(mods["S2"], mods["S1"], (1, 0))
 
     def test_split_decomposition(self, a2):
         _, mods = a2

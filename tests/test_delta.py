@@ -35,6 +35,12 @@ class TestTypeEnumeration:
         _, mods = a2
         assert enumerate_flag_types((0, 0), [mods["S1"], mods["S2"]]) == [()]
 
+    def test_zero_simple_refused(self, a2):
+        alg, mods = a2
+        simples = [mods["S1"], zero_module(alg, RATIONALS), mods["S2"]]
+        with pytest.raises(DeltaError, match="zero module .* index 1$"):
+            enumerate_flag_types((1, 1), simples)
+
     def test_all_dim_vectors(self):
         assert all_dim_vectors((1, 1)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
