@@ -13,15 +13,14 @@ from typing import List, Optional
 import click
 
 from .algebra import AlgebraError, validate_presentation
-from .counting import CountError, count_flags, count_grassmannian
-from .delta import DeltaError, delta_signature, stratify_by_signature
-from .euler import EulerError, euler_of, flag_degree_bound, \
-    grassmannian_degree_bound, select_primes
+from .counting import CountError
+from .delta import DeltaError, delta_signature, slot_value, \
+    stratify_by_signature
+from .euler import EulerError
 from .ext import ext_dim
 from .fields import RATIONALS, FieldError
 from .fileio import FormatError, load_algebra, load_catalog, load_module
-from .modules import ModuleError, UndecidableError, reduce_module, \
-    simple_at_vertex, zero_module
+from .modules import ModuleError, UndecidableError, simple_at_vertex
 from .verify import VerifyError, run_audit_suite, verify_formula1, \
     verify_formula2
 
@@ -157,13 +156,8 @@ def grassmann_chi(algebra_file, module_files, edims, primes_arg, as_json):
         _fail("grassmann chi needs exactly one --module", as_json)
     try:
         _, (m,), _, _ = _load(algebra_file, module_files)
-        e = tuple(_parse_int_list(edims))
-        bound = grassmannian_degree_bound(m.dims, e)
-        ps = select_primes(m, zero_module(m.algebra, m.field), [],
-                           bound + 2, _parse_int_list(primes_arg))
-        ev = euler_of(f"submodules {e}",
-                      lambda p: count_grassmannian(reduce_module(m, p), e),
-                      bound, ps)
+        ev = slot_value(m, "grassmann", _parse_int_list(edims),
+                        primes=_parse_int_list(primes_arg))
     except _ERRORS as exc:
         _fail(str(exc), as_json)
     _emit({"chi": ev.value, **ev.as_dict()}, as_json, f"chi = {ev.value}")
@@ -193,15 +187,8 @@ def flag_chi(algebra_file, module_files, catalog_file, simples_arg,
                                           catalog_file, simples_arg)
         if not simples:
             _fail("flag chi needs --simples", as_json)
-        jseq = tuple(_parse_int_list(type_arg))
-        bound = flag_degree_bound(m.dims)
-        ps = select_primes(m, zero_module(m.algebra, m.field), simples,
-                           bound + 2, _parse_int_list(primes_arg))
-        ev = euler_of(
-            f"chains {jseq}",
-            lambda p: count_flags(reduce_module(m, p), jseq,
-                                  [reduce_module(s, p) for s in simples]),
-            bound, ps)
+        ev = slot_value(m, "flag", _parse_int_list(type_arg), simples,
+                        _parse_int_list(primes_arg))
     except _ERRORS as exc:
         _fail(str(exc), as_json)
     _emit({"chi": ev.value, **ev.as_dict()}, as_json, f"chi = {ev.value}")

@@ -17,7 +17,7 @@ from . import memo
 from .ext import (beta_map, connecting_tensor, ext1_equations, ext1_space,
                   ext_dim, image_first_block_dim, middle_term)
 from .fields import QQ, FieldError
-from .linalg import (Mat, contains_vector, enumerate_subspaces,
+from .linalg import (Mat, Subspace, contains_vector, enumerate_subspaces,
                      gaussian_binomial, identity, integer_rank_minor,
                      kernel_basis, mat_vec, rank, span)
 # unused here; perfbench/tests/test_tracing.py checks the tracer wraps it
@@ -182,36 +182,35 @@ def count_grassmannian(m: RepModule, edims: Sequence[int]) -> int:
 
 def _quotient_kernels(m: RepModule, simple: RepModule):
     """Canonical submodule witnesses K <= M with M/K isomorphic to a given
-    simple, via kernels of nonzero maps M -> S.
+    simple, via kernels of the maps M -> S that are onto at every vertex.
 
-    Distinct surjections with equal kernels are deduplicated by the
-    canonical echelon form of the kernel rows.
+    The kernel rows are already RREF, so each is a witness subspace as it
+    stands; vertices where S vanishes keep all of M.  Distinct
+    surjections with equal kernels are deduplicated by those rows.
     """
     field = m.field
     basis = hom_basis(m, simple).basis
+    whole = [Subspace(field, d, identity(field, d), tuple(range(d)))
+             for d in m.dims]
     seen = set()
     # nonzero maps up to scalar: one per line of the Hom space
     for line in enumerate_subspaces(len(basis), 1, field.p):
         phi = hom_combination(field, basis, line.mat.rows[0])
-        kern_rows = []
-        ok = True
-        for i in range(len(m.dims)):
-            blk = phi[i]
-            if simple.dims[i] and blk.nrows:
-                kb = kernel_basis(field, blk)
-                if kb.nrows == m.dims[i]:  # not surjective at vertex
-                    ok = False
-                    break
-                kern_rows.append(tuple(kb.rows))
-            else:
-                kern_rows.append(tuple(identity(field, m.dims[i]).rows))
-        if not ok:
-            continue
-        key = tuple(kern_rows)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield kern_rows
+        witness = []
+        for i, d in enumerate(m.dims):
+            if not simple.dims[i]:
+                witness.append(whole[i])
+                continue
+            kb = kernel_basis(field, phi[i])
+            if kb.nrows != d - simple.dims[i]:  # not onto at vertex i
+                break
+            witness.append(Subspace(field, d, kb,
+                                    tuple(r.index(1) for r in kb.rows)))
+        else:
+            key = tuple(w.mat.rows for w in witness)
+            if key not in seen:
+                seen.add(key)
+                yield tuple(witness)
 
 
 # Isomorphism classes of GF(p) modules, the submodules with one simple
@@ -250,9 +249,8 @@ def _class_children_of(cid, rep: RepModule, simple: RepModule):
     """Classes of the submodules K <= rep with rep/K isomorphic to the
     simple, as (class id, representative, number of such K)."""
     mult: Dict[int, list] = {}
-    for kern_rows in _quotient_kernels(rep, simple):
-        ccid, crep = _module_class(
-            submodule(rep, witness_from_rows(rep, kern_rows)))
+    for witness in _quotient_kernels(rep, simple):
+        ccid, crep = _module_class(submodule(rep, witness))
         mult.setdefault(ccid, [ccid, crep, 0])[2] += 1
     return tuple(tuple(v) for v in mult.values())
 

@@ -102,46 +102,54 @@ def delta_signature(m_rat: RepModule, mode: str,
     tuple(s.key() for s in simples) if mode == "flag" else None,
     tuple(primes) if primes is not None else None))
 def _signature(m_rat, mode, simples, label, primes):
+    # one screen for every slot: each takes the first bound + 2 primes
+    slots = enumerate_flag_types(m_rat.dims, simples) if mode == "flag" \
+        else all_dim_vectors(m_rat.dims)
+    bounds = [_slot_bound(m_rat, mode, slot) for slot in slots]
+    ps = _screen(m_rat, mode, simples, max(bounds, default=0), primes)
+    return DeltaSignature(label, mode, tuple(
+        (slot, _evaluate(m_rat, mode, slot, simples, label, bound, ps))
+        for slot, bound in zip(slots, bounds)))
+
+
+def slot_value(m_rat: RepModule, mode: str, slot: Sequence[int],
+               simples: Sequence[RepModule] = (),
+               primes: Optional[Sequence[int]] = None) -> EulerValue:
+    """Euler characteristic of one slot of the evaluation form of a
+    rational module: its chains of one flag type (flag mode) or its
+    submodules of one dimension vector (grassmann mode), counted at
+    primes screened for this slot's degree bound alone."""
+    slot = tuple(slot)
+    bound = _slot_bound(m_rat, mode, slot)
+    ps = _screen(m_rat, mode, simples, bound, primes)
+    return _evaluate(m_rat, mode, slot, simples, "", bound, ps)
+
+
+def _slot_bound(m_rat, mode, slot) -> int:
     if mode == "flag":
-        return _flag_signature(m_rat, simples, label, primes)
+        return flag_degree_bound(m_rat.dims)
     if mode == "grassmann":
-        return _grassmann_signature(m_rat, label, primes)
+        return grassmannian_degree_bound(m_rat.dims, slot)
     raise DeltaError(f"unknown signature mode {mode!r}")
 
 
-def _flag_signature(m_rat, simples, label, primes):
-    jseqs = enumerate_flag_types(m_rat.dims, simples)
-    bound = flag_degree_bound(m_rat.dims)
-    ps = select_primes(m_rat, zero_module(m_rat.algebra, m_rat.field),
-                       simples, bound + 2, primes)
-    table = []
-    for jseq in jseqs:
-        def counter(p, jseq=jseq):
-            mp = reduce_module(m_rat, p)
-            sp = [reduce_module(s, p) for s in simples]
-            return count_flags(mp, jseq, sp)
-
-        ev = euler_of(f"{label or 'module'} chains {jseq}", counter,
-                      bound, ps)
-        table.append((jseq, ev))
-    return DeltaSignature(label, "flag", tuple(table))
+def _screen(m_rat, mode, simples, bound, primes):
+    """The first bound + 2 primes good for the module, with the simples as
+    auxiliary modules in flag mode."""
+    return select_primes(m_rat, zero_module(m_rat.algebra, m_rat.field),
+                         simples if mode == "flag" else (), bound + 2,
+                         primes)
 
 
-def _grassmann_signature(m_rat, label, primes):
-    # one screen for every e: each takes the first bound + 2 of the primes
-    es = all_dim_vectors(m_rat.dims)
-    bounds = [grassmannian_degree_bound(m_rat.dims, e) for e in es]
-    ps = select_primes(m_rat, zero_module(m_rat.algebra, m_rat.field),
-                       (), max(bounds) + 2, primes)
-    table = []
-    for e, bound in zip(es, bounds):
-        def counter(p, e=e):
-            return count_grassmannian(reduce_module(m_rat, p), e)
-
-        ev = euler_of(f"{label or 'module'} submodules {e}", counter,
-                      bound, ps)
-        table.append((e, ev))
-    return DeltaSignature(label, "grassmann", tuple(table))
+def _evaluate(m_rat, mode, slot, simples, label, bound, primes):
+    def counter(p):
+        if mode == "grassmann":
+            return count_grassmannian(reduce_module(m_rat, p), slot)
+        return count_flags(reduce_module(m_rat, p), slot,
+                           [reduce_module(s, p) for s in simples])
+    what = "chains" if mode == "flag" else "submodules"
+    return euler_of(f"{label or 'module'} {what} {slot}", counter, bound,
+                    primes)
 
 
 def stratify_by_signature(catalog: Dict[str, RepModule],

@@ -2,8 +2,8 @@
 
 The counted sets have point counts over GF(p) agreeing with an integer
 polynomial in q of known degree bound.  We sample at degree bound + 2
-primes, Lagrange-interpolate exactly over the rationals on all but the
-last sample, cross-check the last one, and evaluate at q = 1.
+primes, fit the polynomial exactly over the rationals to all but the last
+sample, cross-check the last one against it, and evaluate at q = 1.
 """
 
 from __future__ import annotations
@@ -33,17 +33,6 @@ def primes_from(start: int = 2) -> Iterator[int]:
         if _is_prime(n):
             yield n
         n += 1
-
-
-def _lagrange_eval(samples: Sequence[Tuple[int, int]], x: int) -> Fraction:
-    total = Fraction(0)
-    for i, (xi, yi) in enumerate(samples):
-        term = Fraction(yi)
-        for j, (xj, _) in enumerate(samples):
-            if i != j:
-                term *= Fraction(x - xj, xi - xj)
-        total += term
-    return total
 
 
 def polynomial_coeffs(samples: Sequence[Tuple[int, int]]) -> Tuple[Fraction, ...]:
@@ -83,30 +72,32 @@ class EulerValue:
 
 
 def interpolate_euler(series: CountSeries) -> EulerValue:
-    """Interpolate the count polynomial of a series and evaluate at q = 1.
+    """Fit the count polynomial of a series once and evaluate at q = 1.
 
-    Needs degree_bound + 2 samples; the surplus ones are consistency
-    checks.  Raises EulerError when a check fails or the value at 1 is not
-    an integer.
+    Needs degree_bound + 2 samples: the first degree_bound + 1 fix the
+    coefficients, the surplus ones are checked against them, and the
+    value at 1 is their sum.  Raises EulerError when a check fails or the
+    value at 1 is not an integer.
     """
     need = series.degree_bound + 2
     if len(series.samples) < need:
         raise EulerError(
             f"{series.label}: need {need} samples for degree bound "
             f"{series.degree_bound}, got {len(series.samples)}")
-    fit = list(series.samples[:series.degree_bound + 1])
+    coeffs = polynomial_coeffs(series.samples[:series.degree_bound + 1])
     for q, cnt in series.samples[series.degree_bound + 1:]:
-        predicted = _lagrange_eval(fit, q)
+        predicted = Fraction(0)
+        for c in reversed(coeffs):
+            predicted = predicted * q + c
         if predicted != cnt:
             raise EulerError(
                 f"{series.label}: count at q={q} is {cnt}, interpolation "
                 f"predicts {predicted}; degree bound {series.degree_bound} "
                 f"violated or a bad prime slipped through")
-    val = _lagrange_eval(fit, 1)
+    val = sum(coeffs)
     if val.denominator != 1:
         raise EulerError(
             f"{series.label}: value at q=1 is non-integral: {val}")
-    coeffs = polynomial_coeffs(fit)
     return EulerValue(int(val), coeffs, series.samples,
                       series.degree_bound, "verified")
 
@@ -125,21 +116,15 @@ def projectivize_series(series: CountSeries) -> CountSeries:
                        max(series.degree_bound - 1, 0))
 
 
-def collect_series(label: str, counter: Callable[[int], int],
-                   degree_bound: int, primes: Sequence[int]) -> CountSeries:
+def euler_of(label: str, counter: Callable[[int], int], degree_bound: int,
+             primes: Sequence[int]) -> EulerValue:
+    """Count at the first degree bound + 2 primes and interpolate."""
     need = degree_bound + 2
     if len(primes) < need:
         raise EulerError(
             f"{label}: need {need} primes, got {len(primes)}")
-    return CountSeries(label,
-                       tuple((p, counter(p)) for p in primes[:need]),
-                       degree_bound)
-
-
-def euler_of(label: str, counter: Callable[[int], int], degree_bound: int,
-             primes: Sequence[int]) -> EulerValue:
-    return interpolate_euler(collect_series(label, counter, degree_bound,
-                                            primes))
+    return interpolate_euler(CountSeries(
+        label, tuple((p, counter(p)) for p in primes[:need]), degree_bound))
 
 
 # Standard degree bounds ----------------------------------------------------

@@ -26,8 +26,10 @@ Module file::
       "matrices": {"a": [["1"]], "a*": [["0"]]}
     }
 
-Matrix entries are rational strings; omitted arrows get zero matrices.
-Rows are indexed by the target vertex, columns by the source.
+Dimensions are JSON integers.  A matrix is a list of rows, each a list;
+its entries are rational strings or JSON integers, and omitted arrows get
+zero matrices.  Rows are indexed by the target vertex, columns by the
+source.
 
 Catalog file::
 
@@ -69,7 +71,7 @@ def _require_keys(obj: dict, required: Sequence[str], optional: Sequence[str],
 
 
 def _parse_fraction(s, what: str) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise FormatError(f"{what}: rational must be a string, got {s!r}")
@@ -125,17 +127,27 @@ def parse_module(data: dict, algebra: AlgebraPresentation) -> RepModule:
     dims = data["dims"]
     if not isinstance(dims, dict):
         raise FormatError("module: dims must be an object")
-    for v in dims:
+    for v, d in dims.items():
         if v not in algebra.quiver.vertices:
             raise FormatError(f"module: unknown vertex {v!r} in dims")
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise FormatError(f"module: dimension at vertex {v!r} must be "
+                              f"an integer, got {d!r}")
+    matrices = data.get("matrices", {})
+    if not isinstance(matrices, dict):
+        raise FormatError("module: matrices must be an object")
     known = {a.name for a in algebra.quiver.arrows}
     mats = {}
-    for name, rows in data.get("matrices", {}).items():
+    for name, rows in matrices.items():
         if name not in known:
             raise FormatError(f"module: unknown arrow {name!r} in matrices")
+        if not isinstance(rows, list) or \
+                not all(isinstance(row, list) for row in rows):
+            raise FormatError(f"module: matrix {name!r} must be a list of "
+                              f"rows, each a list")
         mats[name] = [[_parse_fraction(x, f"matrix {name!r}") for x in row]
                       for row in rows]
-    full_dims = {v: int(dims.get(v, 0)) for v in algebra.quiver.vertices}
+    full_dims = {v: dims.get(v, 0) for v in algebra.quiver.vertices}
     return module_from_fractions(algebra, RATIONALS, full_dims, mats)
 
 

@@ -49,12 +49,6 @@ class Mat:
             raise LinAlgError("empty matrix needs explicit ncols")
         return Mat(rows, len(rows), ncols)
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
-    def __iter__(self):
-        return iter(self.rows)
-
 
 def transpose(m: Mat) -> Mat:
     if m.nrows == 0:
@@ -270,9 +264,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.mat.nrows
-
-    def key(self):
-        return (self.ambient, self.mat.rows)
 
 
 def span(field, vectors: Sequence[Sequence], ambient: int) -> Subspace:

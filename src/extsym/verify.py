@@ -17,8 +17,7 @@ from .counting import CountSeries, count_efg, stratify_ext_classes
 from .delta import (all_dim_vectors, delta_signature, enumerate_flag_types,
                     stratify_by_signature)
 from .euler import (efg_degree_bound, euler_of, interpolate_euler,
-                    projective_space_degree_bound, projectivize_series,
-                    select_primes)
+                    projective_space_degree_bound, select_primes)
 from .ext import ext_dim, ext_symmetry_audit
 from .modules import (RepModule, composition_series, direct_sum,
                       named_indecomposables, reduce_catalog, reduce_module)
@@ -104,15 +103,12 @@ def _strata_chi(m, n, catalog, primes, direction_label) -> Dict[str, int]:
                                       reduce_module(n, p),
                                       reduce_catalog(catalog, p))
         for lab, cnt in counts.items():
-            # line counts scale back to cone counts for the divisibility
-            # check in the projectivization step
-            per_label.setdefault(lab, []).append((p, cnt * (p - 1)))
+            per_label.setdefault(lab, []).append((p, cnt))
     out = {}
     for lab, samples in per_label.items():
         series = CountSeries(f"{direction_label} stratum {lab}",
-                             tuple(samples), bound + 1)
-        ev = interpolate_euler(projectivize_series(series))
-        out[lab] = ev.value
+                             tuple(samples), bound)
+        out[lab] = interpolate_euler(series).value
     return out
 
 

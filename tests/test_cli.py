@@ -64,6 +64,15 @@ class TestAlgebraCheck:
 
 
 class TestExtDim:
+    def test_dimension_that_is_not_an_integer(self, files, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dims": {"1": 1.7}}))
+        r = run("ext", "dim", "--algebra", files["algebra"],
+                "--module", str(bad), "--module", files["S2"])
+        assert r.exit_code == 1
+        assert r.output == "error: module: dimension at vertex '1' must " \
+                           "be an integer, got 1.7\n"
+
     def test_base_pair(self, files):
         r = run("ext", "dim", "--algebra", files["algebra"],
                 "--module", files["S1"], "--module", files["S2"], "--json")
@@ -178,6 +187,55 @@ class TestChi:
         assert r.exit_code == 1
         assert r.output == ("error: supplied values exceed 10000: "
                             "2305843009213693951\n")
+
+
+class TestOneEvaluationPath:
+    """``grassmann chi`` and ``flag chi`` read one slot of the table that
+    ``delta`` prints: same value, polynomial, samples and degree bound."""
+
+    @staticmethod
+    def sum_file(tmp_path, a, b):
+        from extsym.instances import a2_modules, a2_preprojective
+        from extsym.modules import direct_sum
+        mods = a2_modules(a2_preprojective())
+        path = tmp_path / f"{a}+{b}.json"
+        path.write_text(json.dumps(module_to_dict(
+            direct_sum(mods[a], mods[b]))))
+        return str(path)
+
+    @staticmethod
+    def slot_fields(payload):
+        return {k: payload[k] for k in
+                ("value", "polynomial", "samples", "degree_bound")}
+
+    def test_grassmann_chi_is_a_row_of_delta(self, files, tmp_path):
+        module = self.sum_file(tmp_path, "S1", "P1")
+        base = ["--algebra", files["algebra"], "--module", module, "--json"]
+        r = run("delta", "--mode", "grassmann", *base)
+        assert r.exit_code == 0
+        rows = json.loads(r.output)["table"]
+        assert len(rows) == 6
+        for row in rows:
+            r = run("grassmann", "chi", *base,
+                    "--dims", ",".join(map(str, row["type"])))
+            assert r.exit_code == 0
+            assert self.slot_fields(json.loads(r.output)) == \
+                self.slot_fields(row)
+
+    def test_flag_chi_is_a_row_of_delta(self, files, tmp_path):
+        module = self.sum_file(tmp_path, "S1", "P2")
+        base = ["--algebra", files["algebra"], "--module", module,
+                "--simples", "vertex:1,vertex:2", "--json"]
+        r = run("delta", *base)
+        assert r.exit_code == 0
+        rows = json.loads(r.output)["table"]
+        assert len(rows) == 3
+        for row in rows:
+            r = run("flag", "chi", *base,
+                    "--type", ",".join(map(str, row["type"])))
+            assert r.exit_code == 0
+            assert self.slot_fields(json.loads(r.output)) == \
+                self.slot_fields(row)
 
 
 class TestDeltaAndStratify:

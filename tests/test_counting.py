@@ -246,6 +246,18 @@ class TestFlags:
         # full flags of a 2-dim space over GF(3): p + 1 lines
         assert count_flags(s, (0, 0), simples) == p + 1
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_quotient_onto_a_two_dimensional_vertex(self, two_loop, p):
+        """A map into a factor of dimension 2 at a vertex must be onto
+        there: with S+S as its own factor, rank-1 maps do not count and
+        the only chain is M > 0."""
+        _, mods = two_loop
+        m = reduce_module(mods["S+S"], p)
+        got = count_flags(m, (0,), [m])
+        want = count_flags_bruteforce(list(m.dims), _arrow_data(m),
+                                      [list(m.dims)], p)
+        assert got == want == 1
+
 
 _ORACLE: dict = {}
 

@@ -64,6 +64,11 @@ class TestSignatures:
                               label="S1+S2", primes=PRIMES)
         assert sig.values() == {(0, 1): 1, (1, 0): 1}
 
+    def test_factor_of_dimension_two_at_a_vertex(self, two_loop):
+        _, mods = two_loop
+        ss = mods["S+S"]
+        assert delta_signature(ss, "flag", [ss]).values() == {(0,): 1}
+
     def test_grassmann_mode(self, a2):
         _, mods = a2
         sig = delta_signature(mods["P1"], "grassmann", [], label="P1",
@@ -258,9 +263,10 @@ class TestMultiplicativity:
             assert len(rep.per_type) == 1
 
 
-def test_only_evaluation_forms_and_the_cli_count_points():
+def test_only_evaluation_forms_count_points():
     """Euler characteristics of a module come from its evaluation form:
-    no other module of the package calls the point counters."""
+    no other module of the package, the command layer included, calls the
+    point counters."""
     counters = {"count_flags", "count_grassmannian"}
     callers = set()
     for info in pkgutil.iter_modules(extsym.__path__):
@@ -274,4 +280,4 @@ def test_only_evaluation_forms_and_the_cli_count_points():
                     getattr(f, "attr", None)
                 if name in counters:
                     callers.add(info.name)
-    assert callers == {"delta", "cli"}
+    assert callers == {"delta"}

@@ -70,6 +70,30 @@ class TestStrictness:
             parse_module({"dims": {"1": 1, "2": 1},
                           "matrices": {"a": [[1.5]]}}, alg)
 
+    @pytest.mark.parametrize("dim", [1.7, -0.5, "1", "x", True])
+    def test_dimension_must_be_an_integer(self, a2, dim):
+        alg, _ = a2
+        with pytest.raises(FormatError,
+                           match="dimension at vertex '2' must be an "
+                                 "integer"):
+            parse_module({"dims": {"1": 1, "2": dim}}, alg)
+
+    @pytest.mark.parametrize("matrices, match", [
+        ({"a": "1"}, "matrix 'a' must be a list of rows"),
+        ({"a": ["1"]}, "matrix 'a' must be a list of rows"),
+        ([["1"]], "matrices must be an object")])
+    def test_matrices_must_be_lists_of_rows(self, a2, matrices, match):
+        alg, _ = a2
+        with pytest.raises(FormatError, match=match):
+            parse_module({"dims": {"1": 1, "2": 1},
+                          "matrices": matrices}, alg)
+
+    def test_boolean_is_not_a_rational(self, a2):
+        alg, _ = a2
+        with pytest.raises(FormatError, match="matrix 'a\\*': rational"):
+            parse_module({"dims": {"1": 1, "2": 1},
+                          "matrices": {"a*": [[True]]}}, alg)
+
     def test_unknown_vertex(self, a2):
         alg, _ = a2
         with pytest.raises(FormatError, match="unknown vertex"):
