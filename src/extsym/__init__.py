@@ -16,8 +16,7 @@ from .counting import (CountError, CountSeries, count_efg, count_flags,
 from .delta import (DeltaSignature, check_delta_multiplicativity,
                     delta_signature, enumerate_flag_types,
                     stratify_by_signature)
-from .euler import (EulerError, EulerValue, good_primes, interpolate_euler,
-                    projectivize_series)
+from .euler import EulerError, EulerValue, good_primes, interpolate_euler
 from .ext import (BetaPair, BetaPrimePair, ExtError, ExtSpace, Flag,
                   beta_flag_maps, beta_map, beta_prime_map, ext1_space,
                   ext_dim, ext_symmetry_audit, middle_term, transport_class)

@@ -45,7 +45,7 @@ def _parse_int_list(s: Optional[str]) -> Optional[List[int]]:
     if s is None:
         return None
     try:
-        return [int(x) for x in s.split(",") if x.strip()]
+        return [int(x) for x in s.split(",")]
     except ValueError:
         raise click.BadParameter(f"not a comma-separated integer list: {s}")
 

@@ -25,7 +25,7 @@ from .linalg import rref  # noqa: F401
 from .modules import (Catalog, ModuleError, RepModule, UndecidableError,
                       _hom_system, hom_basis, hom_combination, hom_dim,
                       is_isomorphic, named_indecomposables, reduce_module,
-                      sub_quotient, submodule, witness_from_rows)
+                      sub_quotient, submodule)
 
 
 class CountError(ValueError):
@@ -466,58 +466,41 @@ def _match_catalog(mid: RepModule, catalog: Dict[str, RepModule]) -> str:
 # Correction term: pairs (submodule, quotient data) weighted by extensions
 
 
-def count_efg_split(n: RepModule, m: RepModule,
-                    edims_m: Sequence[int], edims_n: Sequence[int]) -> int:
-    """Correction-set point count for one split e = e1 + e2.
+def count_efg(n: RepModule, m: RepModule) -> Dict[Tuple[int, ...], int]:
+    """Point counts of the correction set at every dimension vector e
+    between 0 and dims(M) + dims(N), zeros included.
 
     Tuples (M1, N1, class up to scalar, compatible subspace of the middle
-    term) where M1 <= M has dimension vector edims_m, N1 <= N has edims_n,
-    and the nonzero class of Ext^1(N, M) lies in the first-summand slice of
-    the image of the paired transport map.  The compatible subspaces of a
-    fixed representative form an affine space of dimension hom(M1, N/N1),
-    so the total is
+    term) where M1 <= M and N1 <= N have dimension vectors summing to e,
+    and the nonzero class of Ext^1(N, M) lies in the first-summand slice
+    of the image of the paired transport map.  The compatible subspaces
+    of a fixed representative form an affine space of dimension
+    hom(M1, N/N1), so the count at e is
 
         sum over (M1, N1) of (q^w - 1)/(q - 1) * q^h,
 
-    with w the dimension of that first-summand slice.
+    with w the dimension of that first-summand slice.  Each pair lies in
+    one row, so the table is filled in one pass: every submodule M1 is
+    enumerated once and kept, every N1 once and streamed past them.
     """
     field = m.field
     q = _prime(field, "correction counting")
-    total = 0
-    if any(e < 0 or e > d for e, d in zip(edims_m, m.dims)):
-        return 0
-    if any(e < 0 or e > d for e, d in zip(edims_n, n.dims)):
-        return 0
-    n1_list = list(iter_submodules(n, edims_n))
-    m1_list = list(iter_submodules(m, edims_m))
-    if not n1_list or not m1_list:
-        return 0
-    m1_subs = [sub_quotient(m, witness_from_rows(m, rows))
-               for rows in m1_list]
-    for n1_rows in n1_list:
-        n1_wit = witness_from_rows(n, n1_rows)
-        n1, n_quot, n1_incl, _ = sub_quotient(n, n1_wit)
-        for m1, _, m1_incl, _ in m1_subs:
-            bp = beta_map(n, m, n1, n1_incl, m1, m1_incl)
-            w = image_first_block_dim(field, bp.matrix, bp.dst_nm.dim)
-            if w == 0:
-                continue
-            h = hom_dim(m1, n_quot)
-            total += ((q ** w - 1) // (q - 1)) * (q ** h)
-    return total
-
-
-def count_efg(n: RepModule, m: RepModule, edims: Sequence[int]) -> int:
-    """Point count of the full correction set at one dimension vector,
-    summed over all splits e = e1 + e2 with e1 inside M and e2 inside N."""
-    total = 0
-    ranges = [range(0, min(e, dm) + 1) for e, dm in zip(edims, m.dims)]
-    for e1 in itertools.product(*ranges):
-        e2 = tuple(e - a for e, a in zip(edims, e1))
-        if any(b < 0 or b > dn for b, dn in zip(e2, n.dims)):
-            continue
-        total += count_efg_split(n, m, e1, e2)
-    return total
+    top = tuple(a + b for a, b in zip(m.dims, n.dims))
+    table = {e: 0 for e in itertools.product(*[range(d + 1) for d in top])}
+    m1_subs = [(e1, sub_quotient(m, spaces))
+               for e1 in itertools.product(*[range(d + 1) for d in m.dims])
+               for spaces, _ in _vertex_walk(m, e1, False)]
+    for e2 in itertools.product(*[range(d + 1) for d in n.dims]):
+        for spaces, _ in _vertex_walk(n, e2, False):
+            n1, n_quot, n1_incl, _ = sub_quotient(n, spaces)
+            for e1, (m1, _, m1_incl, _) in m1_subs:
+                bp = beta_map(n, m, n1, n1_incl, m1, m1_incl)
+                w = image_first_block_dim(field, bp.matrix, bp.dst_nm.dim)
+                if w:
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    h = hom_dim(m1, n_quot)
+                    table[e] += ((q ** w - 1) // (q - 1)) * q ** h
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ sample, cross-check the last one against it, and evaluate at q = 1.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,20 +101,6 @@ def interpolate_euler(series: CountSeries) -> EulerValue:
                       series.degree_bound, "verified")
 
 
-def projectivize_series(series: CountSeries) -> CountSeries:
-    """Quotient a scalar-stable cone-minus-origin count by the scalar group:
-    divide every sample by q - 1 and drop one from the degree bound."""
-    out = []
-    for q, cnt in series.samples:
-        if cnt % (q - 1) != 0:
-            raise EulerError(
-                f"{series.label}: cone count {cnt} at q={q} not divisible "
-                f"by q-1={q - 1}")
-        out.append((q, cnt // (q - 1)))
-    return CountSeries(series.label + "/scalars", tuple(out),
-                       max(series.degree_bound - 1, 0))
-
-
 def euler_of(label: str, counter: Callable[[int], int], degree_bound: int,
              primes: Sequence[int]) -> EulerValue:
     """Count at the first degree bound + 2 primes and interpolate."""
@@ -155,30 +140,26 @@ def projective_space_degree_bound(ext_dim: int) -> int:
 
 
 def efg_degree_bound(m_dims: Sequence[int], n_dims: Sequence[int],
-                     ext_nm_dim: int, edims: Sequence[int]) -> int:
-    """Degree bound for the correction count at dimension vector e.
+                     ext_nm_dim: int) -> int:
+    """Degree bound for the whole correction table.
 
-    The count is a sum over the splits e = e1 + e2 (e1 inside M, e2
-    inside N) and over pairs M1 <= M, N1 <= N of (q^w - 1)/(q - 1) * q^h.
-    The M1 and the N1 lie in products of vertex Grassmannians, w is at
-    most dim Ext^1(N, M), and h = dim Hom(M1, N/N1) is at most the
-    dimension of the vertex-wise linear maps.  So the bound is the
-    maximum over the splits of
+    The count at e is a sum over pairs M1 <= M, N1 <= N with dimension
+    vectors e1 + e2 = e of (q^w - 1)/(q - 1) * q^h.  The M1 and the N1
+    lie in products of vertex Grassmannians, w is at most
+    dim Ext^1(N, M), and h = dim Hom(M1, N/N1) is at most the dimension
+    of the vertex-wise linear maps.  So every row is bounded by the
+    maximum over all e1 inside M and e2 inside N of
 
         sum e1_i (m_i - e1_i) + sum e2_i (n_i - e2_i)
           + sum e1_i (n_i - e2_i) + dim Ext^1(N, M) - 1,
 
-    and 0 when no split exists or the sum is negative.
+    whose vertex terms are maximised one vertex at a time; 0 when that
+    maximum is negative.
     """
-    best = 0
-    ranges = [range(max(0, e - n), min(e, m) + 1)
-              for e, m, n in zip(edims, m_dims, n_dims)]
-    for e1 in itertools.product(*ranges):
-        e2 = [e - a for e, a in zip(edims, e1)]
-        best = max(best, sum(a * (m - a) + b * (n - b) + a * (n - b)
-                             for a, b, m, n in zip(e1, e2, m_dims, n_dims))
-                   + ext_nm_dim - 1)
-    return best
+    best = sum(max(a * (m - a) + b * (n - b) + a * (n - b)
+                   for a in range(m + 1) for b in range(n + 1))
+               for m, n in zip(m_dims, n_dims))
+    return max(best + ext_nm_dim - 1, 0)
 
 
 def good_primes(pred: Callable[[int], bool], count: int,

@@ -16,7 +16,7 @@ from . import memo
 from .counting import CountSeries, count_efg, stratify_ext_classes
 from .delta import (all_dim_vectors, delta_signature, enumerate_flag_types,
                     stratify_by_signature)
-from .euler import (efg_degree_bound, euler_of, interpolate_euler,
+from .euler import (efg_degree_bound, interpolate_euler,
                     projective_space_degree_bound, select_primes)
 from .ext import ext_dim, ext_symmetry_audit
 from .modules import (RepModule, composition_series, direct_sum,
@@ -91,25 +91,28 @@ def _advisory_symmetry(m, n, simples, allow_asymmetric: bool) -> bool:
     return report.passed
 
 
+def _fit_tables(label, counter, bound, primes) -> Dict:
+    """Euler characteristic of every key of a table of point counts,
+    counted once per prime (``counter(p)``, the same keys at each) at the
+    first bound + 2 primes and fitted key by key at one degree bound."""
+    use = primes[:bound + 2]
+    tables = [counter(p) for p in use]
+    out = {}
+    for key in tables[0]:
+        samples = tuple((p, t[key]) for p, t in zip(use, tables))
+        out[key] = interpolate_euler(
+            CountSeries(f"{label} {key}", samples, bound)).value
+    return out
+
+
 def _strata_chi(m, n, catalog, primes, direction_label) -> Dict[str, int]:
     """chi of each middle-term stratum of the projectivized extension
     space, per catalog label (zero rows included)."""
-    d = ext_dim(m, n)
-    bound = projective_space_degree_bound(d)
-    use = primes[:bound + 2]
-    per_label: Dict[str, List[Tuple[int, int]]] = {}
-    for p in use:
-        counts = stratify_ext_classes(reduce_module(m, p),
-                                      reduce_module(n, p),
-                                      reduce_catalog(catalog, p))
-        for lab, cnt in counts.items():
-            per_label.setdefault(lab, []).append((p, cnt))
-    out = {}
-    for lab, samples in per_label.items():
-        series = CountSeries(f"{direction_label} stratum {lab}",
-                             tuple(samples), bound)
-        out[lab] = interpolate_euler(series).value
-    return out
+    def counter(p):
+        return stratify_ext_classes(reduce_module(m, p), reduce_module(n, p),
+                                    reduce_catalog(catalog, p))
+    return _fit_tables(f"{direction_label} stratum", counter,
+                       projective_space_degree_bound(ext_dim(m, n)), primes)
 
 
 def _details(catalog) -> Dict[str, object]:
@@ -196,13 +199,10 @@ def verify_formula1(m: RepModule, n: RepModule,
     sym_ok = _advisory_symmetry(m, n, simples, allow_asymmetric)
     d = tuple(a + b for a, b in zip(m.dims, n.dims))
     dim_e, dim_nm = ext_dim(m, n), ext_dim(n, m)
-    # the correction is counted only when Ext(N, M) is nonzero, each row
-    # at its own degree bound
-    dvecs = all_dim_vectors(d)
-    efg_bounds = {e: efg_degree_bound(m.dims, n.dims, dim_nm, e)
-                  for e in dvecs} if dim_nm else {}
-    nprimes = max([projective_space_degree_bound(dim_e)]
-                  + list(efg_bounds.values())) + 2
+    # the correction is counted only when Ext(N, M) is nonzero, as one
+    # table per prime at one degree bound
+    efg_bound = efg_degree_bound(m.dims, n.dims, dim_nm) if dim_nm else 0
+    nprimes = max(projective_space_degree_bound(dim_e), efg_bound) + 2
     ps = select_primes(m, n, list(catalog.values()) + list(simples), nprimes,
                        primes)
 
@@ -225,23 +225,18 @@ def verify_formula1(m: RepModule, n: RepModule,
     # Ext(M, N), a stratum with c1 = 0 adds nothing, and the correction
     # vanishes with Ext(N, M), whose classes it counts
     gr_m, gr_n = (submodules(m), submodules(n)) if dim_e else ({}, {})
+    efg = _fit_tables(
+        "correction",
+        lambda p: count_efg(reduce_module(n, p), reduce_module(m, p)),
+        efg_bound, ps) if dim_nm else {}
     rows = []
     efg_table: Dict[str, int] = {}
-    for e in dvecs:
+    for e in all_dim_vectors(d):
         lhs = dim_e * sum(
             v * gr_n.get(tuple(x - y for x, y in zip(e, e1)), 0)
             for e1, v in gr_m.items())
-        rhs = sum(c1 * gr[e] for c1, gr in class_chi)
-
-        efg_val = 0
-        if dim_nm:
-            def efg_counter(p, e=e):
-                return count_efg(reduce_module(n, p), reduce_module(m, p), e)
-            bound = efg_bounds[e]
-            efg_val = euler_of(f"correction {e}", efg_counter, bound,
-                               ps[:bound + 2]).value
-        efg_table[str(e)] = efg_val
-        rhs += efg_val
+        efg_table[str(e)] = efg.get(e, 0)
+        rhs = sum(c1 * gr[e] for c1, gr in class_chi) + efg_table[str(e)]
         rows.append((e, lhs, rhs))
 
     return VerificationReport(
@@ -270,10 +265,22 @@ class AuditSummary:
                             for k, v in self.entries]}
 
 
-def run_audit_suite(which: Sequence[str] = ("I", "II", "III", "IV")
-                    ) -> AuditSummary:
+AUDIT_INSTANCES = ("I", "II", "III", "IV")
+
+
+def run_audit_suite(which: Sequence[str] = AUDIT_INSTANCES) -> AuditSummary:
     """Dimension-level symmetry audits and identity spot-checks over the
-    built-in instances."""
+    built-in instances.  Names outside I, II, III, IV and an empty
+    selection are refused: either would otherwise run nothing and pass."""
+    known = ", ".join(AUDIT_INSTANCES)
+    unknown = [w for w in which if w not in AUDIT_INSTANCES]
+    if unknown:
+        raise VerifyError("unknown audit instances: "
+                          + ", ".join(repr(w) for w in unknown)
+                          + f"; the built-in ones are {known}")
+    if not which:
+        raise VerifyError(
+            f"no audit instances selected; the built-in ones are {known}")
     from . import instances as inst
     from .delta import check_delta_multiplicativity
     entries: List[Tuple[str, str]] = []

@@ -188,6 +188,18 @@ class TestChi:
         assert r.output == ("error: supplied values exceed 10000: "
                             "2305843009213693951\n")
 
+    @pytest.mark.parametrize("args", [
+        ["grassmann", "chi", "--dims", "1,,1"],
+        ["flag", "chi", "--simples", "vertex:1,vertex:2",
+         "--type", "1,,0,0"],
+        ["grassmann", "chi", "--dims", "0,1", "--primes", "2,3,"]])
+    def test_empty_list_entries_rejected(self, files, args):
+        # refused like a non-integer entry, not dropped from the list
+        r = run(*args, "--algebra", files["algebra"],
+                "--module", files["P1"])
+        assert r.exit_code == 2
+        assert f"not a comma-separated integer list: {args[-1]}" in r.output
+
 
 class TestOneEvaluationPath:
     """``grassmann chi`` and ``flag chi`` read one slot of the table that
@@ -352,3 +364,13 @@ class TestToplevel:
         r = run("audit", "--instances", "II,III", "--json")
         assert r.exit_code == 0
         assert json.loads(r.output)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("instances, named", [
+        ("X", "'X'"), ("II,V", "'V'"), ("", "''")])
+    def test_audit_unknown_instances_refused(self, instances, named):
+        r = run("audit", "--instances", instances, "--json")
+        assert r.exit_code == 1
+        out = json.loads(r.output)
+        assert out["verdict"] == "error"
+        assert out["message"].startswith(
+            f"unknown audit instances: {named};")

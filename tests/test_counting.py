@@ -9,12 +9,12 @@ import pytest
 
 from extsym import counting, memo
 from extsym.algebra import AlgebraPresentation, make_quiver
-from extsym.counting import (CountError, count_efg, count_efg_split,
-                             count_flags, count_grassmannian, good_prime,
+from extsym.counting import (CountError, count_efg, count_flags,
+                             count_grassmannian, good_prime,
                              good_prime_for_pairs, iter_submodules,
                              stratify_ext_classes)
 from extsym.delta import enumerate_flag_types
-from extsym.ext import ext1_space, middle_term
+from extsym.ext import ext1_space, ext_dim, middle_term
 from extsym.fields import RATIONALS, FieldError
 from extsym.instances import (a2_catalog, a2_sums, deformed_a2_module,
                               three_vertex_algebra, three_vertex_simples,
@@ -553,28 +553,33 @@ class TestCorrectionCount:
         _, mods = a2
         m = reduce_module(mods["S1"], p)
         n = reduce_module(mods["S2"], p)
-        got = {e: count_efg(n, m, e)
-               for e in itertools.product(range(2), repeat=2)}
-        assert got == {(0, 0): 0, (1, 0): 1, (0, 1): 0, (1, 1): 0}
+        assert count_efg(n, m) == {(0, 0): 0, (1, 0): 1, (0, 1): 0,
+                                   (1, 1): 0}
 
     def test_requires_prime_field(self, a2):
         _, mods = a2
         with pytest.raises(CountError,
                            match="^correction counting requires a prime"):
-            count_efg(mods["S2"], mods["S1"], (1, 0))
+            count_efg(mods["S2"], mods["S1"])
 
-    def test_split_decomposition(self, a2):
-        _, mods = a2
-        p = 3
-        m = reduce_module(direct_sum(mods["S1"], mods["S2"]), p)
-        n = reduce_module(mods["P1"], p)
-        e = (1, 1)
-        by_split = sum(
-            count_efg_split(n, m, e1, tuple(x - a for x, a in zip(e, e1)))
-            for e1 in itertools.product(range(2), repeat=2)
-            if all(0 <= x - a <= d
-                   for x, a, d in zip(e, e1, n.dims)))
-        assert count_efg(n, m, e) == by_split
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_table_vanishes_at_both_ends(self, a2, p):
+        # at e = 0, M1 = 0 and Ext^1(N, M1) = 0; at the top, M1 = M and
+        # N1 = N, so the paired map is the diagonal and no class lies in
+        # its first-summand slice
+        alg, _ = a2
+        sums = a2_sums(alg, 2)
+        tried = 0
+        for (la, m), (lb, n) in itertools.product(sums.items(), repeat=2):
+            if not ext_dim(n, m):
+                continue
+            table = count_efg(reduce_module(n, p), reduce_module(m, p))
+            top = tuple(a + b for a, b in zip(m.dims, n.dims))
+            assert len(table) == (top[0] + 1) * (top[1] + 1), (la, lb)
+            assert table[(0, 0)] == table[top] == 0, (la, lb)
+            assert any(table.values()), (la, lb)
+            tried += 1
+        assert tried
 
 
 class TestPrimeScreening:

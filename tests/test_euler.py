@@ -13,7 +13,7 @@ from extsym.euler import (EulerError, efg_degree_bound, euler_of,
                           flag_degree_bound, good_primes,
                           grassmannian_degree_bound, interpolate_euler,
                           polynomial_coeffs, primes_from,
-                          projective_space_degree_bound, projectivize_series)
+                          projective_space_degree_bound)
 from extsym.instances import a2_modules, a2_preprojective
 from extsym.modules import direct_sum_many, reduce_module
 from extsym.fields import RATIONALS
@@ -58,18 +58,6 @@ class TestInterpolation:
         assert ev.value == poly(1)
         got = list(ev.coeffs) + [Fraction(0)] * (len(coeffs) - len(ev.coeffs))
         assert got == [Fraction(c) for c in coeffs]
-
-
-class TestProjectivize:
-    def test_projective_line(self):
-        s = CountSeries("cone", tuple((p, p * p - 1) for p in PRIMES[:4]), 2)
-        ev = interpolate_euler(projectivize_series(s))
-        assert ev.value == 2  # points of the projective line at q = 1
-
-    def test_divisibility_enforced(self):
-        s = CountSeries("odd", ((3, 5), (5, 7), (7, 11)), 1)
-        with pytest.raises(EulerError, match="not divisible"):
-            projectivize_series(s)
 
 
 class TestGeometricValues:
@@ -133,17 +121,15 @@ class TestGeometricValues:
 
 class TestCorrectionBound:
     def test_maximum_over_splits(self):
-        # M = S1, N = 4 S2, dim Ext^1(N, M) = 4: the only split of (1, 2)
-        # is e1 = (1, 0), e2 = (0, 2), giving 0 + 2*2 + 1*0 + 4 - 1
-        assert efg_degree_bound((1, 0), (0, 4), 4, (1, 2)) == 7
-        assert efg_degree_bound((1, 0), (0, 4), 4, (1, 1)) == 6
-        assert efg_degree_bound((1, 0), (0, 4), 4, (0, 0)) == 3
-        # two splits of (1, 0) inside M = N = S1: e1 = (1, 0) adds
-        # e1 (n - e2) = 1, e1 = (0, 0) adds nothing
-        assert efg_degree_bound((1, 0), (1, 0), 1, (1, 0)) == 1
+        # M = S1, N = 4 S2, dim Ext^1(N, M) = 4: the largest row term is
+        # e1 = (1, 0), e2 = (0, 2), giving 0 + 2*2 + 1*0 + 4 - 1
+        assert efg_degree_bound((1, 0), (0, 4), 4) == 7
+        # M = N = S1: e1 = (1, 0), e2 = (0, 0) adds e1 (n - e2) = 1
+        assert efg_degree_bound((1, 0), (1, 0), 1) == 1
 
     def test_never_negative(self):
-        assert efg_degree_bound((1, 0), (0, 1), 0, (0, 0)) == 0
+        # every vertex term is 0 and Ext^1(N, M) = 0: the maximum is -1
+        assert efg_degree_bound((1, 0), (0, 1), 0) == 0
 
 
 class TestPrimeStream:
