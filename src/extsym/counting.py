@@ -23,9 +23,10 @@ from .linalg import (Mat, Subspace, contains_vector, enumerate_subspaces,
 # unused here; perfbench/tests/test_tracing.py checks the tracer wraps it
 from .linalg import rref  # noqa: F401
 from .modules import (Catalog, ModuleError, RepModule, UndecidableError,
-                      _hom_system, hom_basis, hom_combination, hom_dim,
-                      is_isomorphic, named_indecomposables, reduce_module,
-                      sub_quotient, submodule)
+                      _hom_system, direct_sum_many, hom_basis,
+                      hom_combination, hom_dim, is_isomorphic,
+                      named_indecomposables, reduce_module, sub_quotient,
+                      submodule)
 
 
 class CountError(ValueError):
@@ -417,22 +418,7 @@ def _hom_vector_table(named, entries) -> Dict[tuple, str]:
         table[vec] = lab
     if not entries:
         return table
-    sums = set()
-    summand_vecs = [tuple(hom_dim(x, y) for x in mods) for y in mods]
-
-    def rec(i, rest, acc):
-        # direct sums of named modules i, i+1, ... of dimension vector rest
-        if not any(rest):
-            sums.add(acc)
-            return
-        if i == len(mods):
-            return
-        rec(i + 1, rest, acc)
-        left = tuple(a - b for a, b in zip(rest, mods[i].dims))
-        if min(left) >= 0:
-            rec(i, left, tuple(a + b for a, b in zip(acc, summand_vecs[i])))
-
-    rec(0, entries[0][1].dims, tuple(0 for _ in mods))
+    sums = _direct_sum_vectors(named, entries[0][1].dims)
     unmatched = [lab for vec, lab in table.items() if vec not in sums]
     if unmatched:
         raise CountError(
@@ -440,6 +426,71 @@ def _hom_vector_table(named, entries) -> Dict[tuple, str]:
             f"direct sum of the named indecomposables {names}: the catalog "
             f"does not name all of its indecomposables")
     return table
+
+
+@memo.cached(lambda named, dims: (tuple(x.key() for _, x in named), dims))
+def _direct_sum_vectors(named, dims) -> Dict[tuple, Tuple[int, ...]]:
+    """Hom vector over the named modules -> multiplicities of the named
+    modules, for every direct sum of them with the given dimension vector
+    (the first multiplicities found, should two sums share a vector)."""
+    mods = [x for _, x in named]
+    summand_vecs = [tuple(hom_dim(x, y) for x in mods) for y in mods]
+    sums: Dict[tuple, Tuple[int, ...]] = {}
+    mult = [0] * len(mods)
+
+    def rec(i, rest, acc):
+        # direct sums of named modules i, i+1, ... of dimension vector rest
+        if not any(rest):
+            sums.setdefault(acc, tuple(mult))
+            return
+        if i == len(mods):
+            return
+        rec(i + 1, rest, acc)
+        left = tuple(a - b for a, b in zip(rest, mods[i].dims))
+        if min(left) >= 0:
+            mult[i] += 1
+            rec(i, left, tuple(a + b for a, b in zip(acc, summand_vecs[i])))
+            mult[i] -= 1
+
+    rec(0, tuple(dims), tuple(0 for _ in mods))
+    return sums
+
+
+@memo.cached(lambda m, catalog, label: (
+    m.key(),
+    tuple((lab, catalog[lab].key()) for lab in catalog.indecomposables)))
+def named_summands(m: RepModule, catalog: Catalog,
+                   label: str = "module") -> Tuple[str, ...]:
+    """The labels of the named indecomposables of a catalog whose direct
+    sum is M, repeated by multiplicity, in naming order.
+
+    The summands are read from M's Hom vector over the named modules
+    (``_direct_sum_vectors``), and M is confirmed isomorphic to their
+    direct sum once.  A module with no such decomposition is a
+    ``CountError`` that names it by ``label``.
+    """
+    named = tuple((lab, catalog[lab]) for lab in catalog.indecomposables)
+    names = ", ".join(lab for lab, _ in named)
+    vec = tuple(hom_dim(x, m) for _, x in named)
+    mult = _direct_sum_vectors(named, m.dims).get(vec)
+    if mult is None:
+        raise CountError(
+            f"{label} has Hom vector {vec} over the named indecomposables "
+            f"{names}, that of no direct sum of them: the catalog does not "
+            f"name all of its indecomposables")
+    parts = tuple(lab for (lab, _), k in zip(named, mult) for _ in range(k))
+    total = direct_sum_many(m.algebra, m.field,
+                            [catalog[lab] for lab in parts])
+    try:
+        iso = is_isomorphic(m, total)[0]
+    except UndecidableError:
+        iso = False
+    if not iso:
+        raise CountError(
+            f"{label} has the Hom vector of {'+'.join(parts)} over the "
+            f"named indecomposables {names} but is not confirmed isomorphic "
+            f"to it: the catalog does not name all of its indecomposables")
+    return parts
 
 
 @memo.cached(lambda m: m.key())

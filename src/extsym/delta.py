@@ -6,6 +6,11 @@ with matching total dimension vector; in grassmann mode, the Euler
 characteristic of its submodule variety for every dimension vector below
 its own.  Equal signatures define the strata used by the multiplication
 identities.
+
+Both forms are multiplicative on direct sums (``convolve``).  Under a
+catalog that names its indecomposables, ``evaluation_form`` reads the form
+of a module as the convolution of its named summands' counted forms;
+``delta_signature`` and ``slot_value`` always count points.
 """
 
 from __future__ import annotations
@@ -15,10 +20,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import memo
-from .counting import count_flags, count_grassmannian
+from .counting import count_flags, count_grassmannian, named_summands
 from .euler import (EulerValue, euler_of, flag_degree_bound,
                     grassmannian_degree_bound, select_primes)
-from .modules import RepModule, reduce_module, zero_module
+from .modules import (RepModule, named_indecomposables, reduce_module,
+                      zero_module)
 
 
 class DeltaError(ValueError):
@@ -152,25 +158,94 @@ def _evaluate(m_rat, mode, slot, simples, label, bound, primes):
                     primes)
 
 
+def convolve(mode: str, a: Dict[tuple, int],
+             b: Dict[tuple, int]) -> Dict[tuple, int]:
+    """The evaluation form of A + B from the forms of A and B, at the
+    slots it reaches (every other slot is 0).
+
+    In grassmann mode chi(Gr_e(A + B)) is the sum over e1 + e2 = e of
+    chi(Gr_e1(A)) chi(Gr_e2(B)); in flag mode delta_{A+B}(j) is the sum
+    over 0/1 vectors c of delta_A(j|c) delta_B(j|1-c), where j|c keeps the
+    steps with c = 1, so each pair of types adds to every interleaving of
+    the two.  The torus scaling B fixes exactly the split submodules and
+    split chains.
+    """
+    if mode not in ("flag", "grassmann"):
+        raise DeltaError(f"unknown signature mode {mode!r}")
+    out: Dict[tuple, int] = {}
+    for sa, x in a.items():
+        for sb, y in b.items():
+            if not (x and y):
+                continue
+            if mode == "grassmann":
+                slots = [tuple(u + v for u, v in zip(sa, sb))]
+            else:
+                n = len(sa) + len(sb)
+                slots = []
+                for pos in itertools.combinations(range(n), len(sa)):
+                    ia, ib, at = iter(sa), iter(sb), set(pos)
+                    slots.append(tuple(next(ia) if k in at else next(ib)
+                                       for k in range(n)))
+            for slot in slots:
+                out[slot] = out.get(slot, 0) + x * y
+    return out
+
+
+def evaluation_form(m_rat: RepModule, mode: str,
+                    simples: Sequence[RepModule],
+                    catalog: Dict[str, RepModule],
+                    primes: Optional[Sequence[int]] = None,
+                    label: str = "module") -> Dict[tuple, int]:
+    """Value of every slot of the evaluation form of a rational module.
+
+    Under a catalog that names its indecomposables, the convolution of
+    the counted forms of the named summands of M (``named_summands``,
+    which refuses a module it cannot decompose, naming it by ``label``);
+    under any other catalog, the counted form.  The returned table is
+    shared: do not change it.
+    """
+    return _form(m_rat, mode, simples, catalog, primes, label)
+
+
+@memo.cached(lambda m_rat, mode, simples, catalog, primes, label: (
+    m_rat.key(), mode,
+    tuple(s.key() for s in simples) if mode == "flag" else None,
+    tuple(catalog[lab].key() for lab in named_indecomposables(catalog)),
+    tuple(primes) if primes is not None else None))
+def _form(m_rat, mode, simples, catalog, primes, label):
+    if not named_indecomposables(catalog):
+        return delta_signature(m_rat, mode, simples, primes=primes).values()
+    # the form of the zero module: one empty chain, one zero submodule
+    conv = {(): 1} if mode == "flag" else {(0,) * len(m_rat.dims): 1}
+    for lab in named_summands(m_rat, catalog, label):
+        conv = convolve(mode, conv, delta_signature(
+            catalog[lab], mode, simples, primes=primes).values())
+    slots = enumerate_flag_types(m_rat.dims, simples) if mode == "flag" \
+        else all_dim_vectors(m_rat.dims)
+    return {slot: conv.get(slot, 0) for slot in slots}
+
+
 def stratify_by_signature(catalog: Dict[str, RepModule],
                           simples: Sequence[RepModule],
                           mode: str = "flag",
-                          primes: Optional[Sequence[int]] = None
+                          primes: Optional[Sequence[int]] = None,
+                          labels: Optional[Sequence[str]] = None
                           ) -> List[List[str]]:
-    """Partition equal-dimension catalog entries into classes of equal
-    signature.  Returns label groups; first label of each group is the
-    representative."""
-    groups: List[Tuple[DeltaSignature, tuple, List[str]]] = []
-    for lab in catalog:
+    """Partition equal-dimension catalog entries (those of ``labels``, in
+    its order, or every entry) into classes of equal evaluation form, read
+    by ``evaluation_form`` under this catalog.  Returns label groups;
+    first label of each group is the representative."""
+    groups: List[Tuple[Dict[tuple, int], tuple, List[str]]] = []
+    for lab in catalog if labels is None else labels:
         m = catalog[lab]
-        sig = delta_signature(m, mode, simples, label=lab, primes=primes)
-        for gsig, gdims, labels in groups:
-            if gdims == m.dims and gsig == sig:
-                labels.append(lab)
+        form = evaluation_form(m, mode, simples, catalog, primes, lab)
+        for gform, gdims, members in groups:
+            if gdims == m.dims and gform == form:
+                members.append(lab)
                 break
         else:
-            groups.append((sig, m.dims, [lab]))
-    return [labels for _, _, labels in groups]
+            groups.append((form, m.dims, [lab]))
+    return [members for _, _, members in groups]
 
 
 @dataclass(frozen=True)
@@ -187,21 +262,14 @@ def check_delta_multiplicativity(m_rat: RepModule, n_rat: RepModule,
                                  primes: Optional[Sequence[int]] = None
                                  ) -> MultiplicativityReport:
     """Evaluation forms multiply on direct sums: for every flag type j of
-    M + N, delta_{M+N}(j) is the sum over 0/1 vectors c of
-    delta_M(j|c) * delta_N(j|1-c), where j|c keeps the steps with c = 1.
-    A split counts only when both subsequences are types of their module.
+    M + N, the counted delta_{M+N}(j) against the sum over 0/1 vectors c of
+    delta_M(j|c) * delta_N(j|1-c) (``convolve``), where j|c keeps the steps
+    with c = 1.
     """
     from .modules import direct_sum
     full, left, right = (
         delta_signature(x, "flag", simples, primes=primes).values()
         for x in (direct_sum(m_rat, n_rat), m_rat, n_rat))
-    rows = []
-    for jseq, lhs in full.items():
-        rhs = 0
-        for c in itertools.product((0, 1), repeat=len(jseq)):
-            jm = tuple(j for j, ck in zip(jseq, c) if ck)
-            jn = tuple(j for j, ck in zip(jseq, c) if not ck)
-            if jm in left and jn in right:
-                rhs += left[jm] * right[jn]
-        rows.append((jseq, lhs, rhs))
-    return MultiplicativityReport(tuple(rows))
+    product = convolve("flag", left, right)
+    return MultiplicativityReport(tuple(
+        (jseq, lhs, product.get(jseq, 0)) for jseq, lhs in full.items()))

@@ -14,13 +14,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import memo
 from .counting import CountSeries, count_efg, stratify_ext_classes
-from .delta import (all_dim_vectors, delta_signature, enumerate_flag_types,
-                    stratify_by_signature)
+from .delta import (all_dim_vectors, convolve, enumerate_flag_types,
+                    evaluation_form, stratify_by_signature)
 from .euler import (efg_degree_bound, interpolate_euler,
                     projective_space_degree_bound, select_primes)
 from .ext import ext_dim, ext_symmetry_audit
-from .modules import (RepModule, composition_series, direct_sum,
-                      named_indecomposables, reduce_catalog, reduce_module)
+from .modules import (RepModule, composition_series, named_indecomposables,
+                      reduce_catalog, reduce_module)
 
 
 class VerifyError(ValueError):
@@ -117,9 +117,11 @@ def _strata_chi(m, n, catalog, primes, direction_label) -> Dict[str, int]:
 
 def _details(catalog) -> Dict[str, object]:
     """What a report says about its own run: the path that stratified the
-    extension lines with this catalog."""
-    return {"strata_method": "hom-ranks" if named_indecomposables(catalog)
-            else "isomorphism"}
+    extension lines with this catalog, and the path that read the
+    evaluation forms (``delta.evaluation_form``)."""
+    named = bool(named_indecomposables(catalog))
+    return {"strata_method": "hom-ranks" if named else "isomorphism",
+            "chi_method": "convolution" if named else "counted"}
 
 
 def verify_formula2(m: RepModule, n: RepModule,
@@ -136,19 +138,20 @@ def verify_formula2(m: RepModule, n: RepModule,
     where chi1, chi2 are the stratum Euler characteristics of the
     projectivized extension spaces in the two directions and strata are
     classes of equal flag signature in the catalog.  Chain Euler
-    characteristics are read from flag signatures.
+    characteristics are read from flag evaluation forms
+    (``delta.evaluation_form``), those of M + N as the convolution of
+    the forms of M and N.
     """
     _require_members(m, n, simples)
     sym_ok = _advisory_symmetry(m, n, simples, allow_asymmetric)
-    combined = direct_sum(m, n)
-    d = combined.dims
+    d = tuple(a + b for a, b in zip(m.dims, n.dims))
     dim_e, dim_nm = ext_dim(m, n), ext_dim(n, m)
     nprimes = projective_space_degree_bound(max(dim_e, dim_nm)) + 2
     ps = select_primes(m, n, list(catalog.values()) + list(simples), nprimes,
                        primes)
 
-    def chains(mod):
-        return delta_signature(mod, "flag", simples, primes=primes).values()
+    def chains(mod, label):
+        return evaluation_form(mod, "flag", simples, catalog, primes, label)
 
     chi_mn = _strata_chi(m, n, catalog, ps, "forward") if dim_e else {}
     chi_nm = _strata_chi(n, m, catalog, ps, "backward") if dim_nm else {}
@@ -156,19 +159,21 @@ def verify_formula2(m: RepModule, n: RepModule,
 
     strata_table: Dict[str, Dict[str, int]] = {}
     class_chains = []
-    for members in stratify_by_signature(
-            {lab: catalog[lab] for lab in touched}, simples, "flag", primes):
+    for members in stratify_by_signature(catalog, simples, "flag", primes,
+                                         touched):
         c1 = sum(chi_mn.get(lab, 0) for lab in members)
         c2 = sum(chi_nm.get(lab, 0) for lab in members)
-        class_chains.append((c1 + c2, chains(catalog[members[0]])))
+        class_chains.append((c1 + c2, chains(catalog[members[0]],
+                                             members[0])))
         strata_table[members[0]] = {"forward": c1, "backward": c2,
                                     "members": members}  # type: ignore[dict-item]
 
-    # the left side vanishes with Ext(M, N): skip counting its chains
-    lhs_chains = chains(combined) if dim_e else {}
+    # the left side vanishes with Ext(M, N): skip reading its chains
+    lhs_chains = convolve("flag", chains(m, "first module"),
+                          chains(n, "second module")) if dim_e else {}
     rows = []
     for jseq in enumerate_flag_types(d, simples):
-        lhs = dim_e * lhs_chains[jseq] if dim_e else 0
+        lhs = dim_e * lhs_chains.get(jseq, 0)
         rhs = sum(c * ch[jseq] for c, ch in class_chains)
         rows.append((jseq, lhs, rhs))
 
@@ -193,7 +198,8 @@ def verify_formula1(m: RepModule, n: RepModule,
 
     with strata grouped by submodule-count signatures and the correction
     counted by the paired-transport fibration.  Submodule Euler
-    characteristics are read from grassmann signatures.
+    characteristics are read from grassmann evaluation forms
+    (``delta.evaluation_form``).
     """
     _require_members(m, n, simples)
     sym_ok = _advisory_symmetry(m, n, simples, allow_asymmetric)
@@ -206,25 +212,26 @@ def verify_formula1(m: RepModule, n: RepModule,
     ps = select_primes(m, n, list(catalog.values()) + list(simples), nprimes,
                        primes)
 
-    def submodules(mod):
-        return delta_signature(mod, "grassmann", simples,
-                               primes=primes).values()
+    def submodules(mod, label):
+        return evaluation_form(mod, "grassmann", simples, catalog, primes,
+                               label)
 
     chi_mn = _strata_chi(m, n, catalog, ps, "forward") if dim_e else {}
     class_chi = []
     strata_table: Dict[str, Dict[str, int]] = {}
-    for members in stratify_by_signature(
-            {lab: catalog[lab] for lab in sorted(chi_mn)}, simples,
-            "grassmann", primes):
+    for members in stratify_by_signature(catalog, simples, "grassmann",
+                                         primes, sorted(chi_mn)):
         c1 = sum(chi_mn.get(lab, 0) for lab in members)
         if c1:
-            class_chi.append((c1, submodules(catalog[members[0]])))
+            class_chi.append((c1, submodules(catalog[members[0]],
+                                             members[0])))
         strata_table[members[0]] = {"forward": c1, "members": members}  # type: ignore[dict-item]
 
     # terms weighted by zero are not counted: the left side vanishes with
     # Ext(M, N), a stratum with c1 = 0 adds nothing, and the correction
     # vanishes with Ext(N, M), whose classes it counts
-    gr_m, gr_n = (submodules(m), submodules(n)) if dim_e else ({}, {})
+    lhs_gr = convolve("grassmann", submodules(m, "first module"),
+                      submodules(n, "second module")) if dim_e else {}
     efg = _fit_tables(
         "correction",
         lambda p: count_efg(reduce_module(n, p), reduce_module(m, p)),
@@ -232,9 +239,7 @@ def verify_formula1(m: RepModule, n: RepModule,
     rows = []
     efg_table: Dict[str, int] = {}
     for e in all_dim_vectors(d):
-        lhs = dim_e * sum(
-            v * gr_n.get(tuple(x - y for x, y in zip(e, e1)), 0)
-            for e1, v in gr_m.items())
+        lhs = dim_e * lhs_gr.get(e, 0)
         efg_table[str(e)] = efg.get(e, 0)
         rhs = sum(c1 * gr[e] for c1, gr in class_chi) + efg_table[str(e)]
         rows.append((e, lhs, rhs))

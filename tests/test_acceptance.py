@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from extsym import memo
 from extsym.counting import (count_efg, count_flags, count_grassmannian,
                              iter_submodules, stratify_ext_classes)
 from extsym.delta import check_delta_multiplicativity
@@ -377,6 +378,50 @@ def test_11_correction_row_degree_bound(a2):
         with pytest.raises(EulerError, match="count at q=13 is 435540, "
                                              "interpolation predicts 424980"):
             interpolate_euler(CountSeries("old bound", ev.samples[:6], 4))
+
+
+def test_13_dimension_six_symmetric_identity_within_budget(a2):
+    """The symmetric identity on the pair of test 10, caches cold.  The
+    catalog names its indecomposables, so the chain forms of M + N and of
+    the ten dimension-(3, 3) entries are convolutions of the four counted
+    indecomposable forms.  Budget: 10 s."""
+    memo.clear_all()
+    with Budget(10):
+        alg, mods = a2
+        sums = a2_sums(alg, 3)
+        rep = verify_formula2(sums["S2+P1"], sums["S1+P2"],
+                              [mods["S1"], mods["S2"]], a2_catalog(alg, 6))
+        assert rep.passed
+        assert rep.details["chi_method"] == "convolution"
+        assert len(rep.rows) == 20 and len(rep.strata) == 10
+        lhs = {tuple(s): v for s, v, _ in rep.rows}
+        assert lhs[(0, 0, 0, 1, 1, 1)] == 0
+        assert lhs[(0, 1, 0, 1, 0, 1)] == 10
+        assert lhs[(1, 1, 0, 0, 0, 1)] == 12
+        assert {k: (v["forward"], v["backward"])
+                for k, v in rep.strata.items() if v["forward"]
+                or v["backward"]} == {"P1+P2+P2": (1, 0),
+                                      "P1+P1+P2": (0, 1)}
+
+
+def test_14_dimension_eight_symmetric_identity_within_budget(a2):
+    """The symmetric identity on (S1+S2+P1, S1+S2+P2), combined dimension
+    vector (4, 4), caches cold: 70 chain types, read by convolution.
+    Budget: 15 s."""
+    memo.clear_all()
+    with Budget(15):
+        alg, mods = a2
+        sums = a2_sums(alg, 4)
+        m, n = sums["S1+S2+P1"], sums["S1+S2+P2"]
+        rep = verify_formula2(m, n, [mods["S1"], mods["S2"]],
+                              a2_catalog(alg, 8))
+        assert rep.passed
+        assert len(rep.rows) == 70
+        assert sum(v["forward"] for v in rep.strata.values()) == \
+            ext_dim(m, n)
+        assert sum(v["backward"] for v in rep.strata.values()) == \
+            ext_dim(n, m)
+        assert any(lhs for _, lhs, _ in rep.rows)
 
 
 @pytest.mark.parametrize("which, message", [

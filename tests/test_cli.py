@@ -335,6 +335,37 @@ class TestVerify:
         assert out["details"]["strata_method"] == method
         assert out["strata"]["P1"]["forward"] == 1
 
+    @pytest.mark.parametrize("which", ["f1", "f2"])
+    @pytest.mark.parametrize("catalog, method", [
+        ("catalog", "convolution"), ("plain_catalog", "counted")])
+    def test_reports_chi_method(self, files, which, catalog, method):
+        r = run("verify", which, "--algebra", files["algebra"],
+                "--module", files["S1"], "--module", files["S2"],
+                "--catalog", files[catalog],
+                "--simples", "vertex:1,vertex:2", "--json")
+        assert r.exit_code == 0
+        assert json.loads(r.output)["details"]["chi_method"] == method
+
+    @pytest.mark.parametrize("which", ["f1", "f2"])
+    def test_partly_named_catalog_refused(self, files, tmp_path, which):
+        # names S1 and S2 only, yet holds P1 and its sums
+        from extsym.instances import a2_preprojective, a2_sums
+        from extsym.modules import Catalog
+        alg = a2_preprojective()
+        cat = tmp_path / "short.json"
+        cat.write_text(json.dumps(catalog_to_dict(
+            Catalog(a2_catalog(alg, 4), ("S1", "S2")))))
+        mod = tmp_path / "S1+P1.json"
+        mod.write_text(json.dumps(module_to_dict(a2_sums(alg, 3)["S1+P1"])))
+        r = run("verify", which, "--algebra", files["algebra"],
+                "--module", str(mod), "--module", files["S2"],
+                "--catalog", str(cat), "--simples", "vertex:1,vertex:2",
+                "--json")
+        assert r.exit_code == 1
+        out = json.loads(r.output)
+        assert out["verdict"] == "error"
+        assert "does not name all of its indecomposables" in out["message"]
+
     def test_module_outside_the_subcategory_refused(self, files):
         # the membership check is memoised: the second run refuses too
         for _ in range(2):

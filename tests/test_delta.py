@@ -1,18 +1,22 @@
 """Evaluation signatures of modules and the strata they induce."""
 
 import ast
+import itertools
 import pkgutil
 
 import pytest
 
 import extsym
 from extsym import delta, memo
+from extsym.counting import CountError, named_summands
 from extsym.delta import (DeltaError, all_dim_vectors,
-                          check_delta_multiplicativity, delta_signature,
-                          enumerate_flag_types, stratify_by_signature)
+                          check_delta_multiplicativity, convolve,
+                          delta_signature, enumerate_flag_types,
+                          evaluation_form, stratify_by_signature)
 from extsym.euler import PRIME_LIMIT, EulerError, select_primes
-from extsym.instances import a2_catalog
-from extsym.modules import module_from_fractions, zero_module
+from extsym.instances import a2_catalog, a2_sums
+from extsym.modules import (Catalog, direct_sum, module_from_fractions,
+                            zero_module)
 from extsym.fields import RATIONALS
 from extsym.verify import verify_formula1, verify_formula2
 
@@ -261,6 +265,147 @@ class TestMultiplicativity:
             rep = check_delta_multiplicativity(mods[a], mods[b], [mods["S"]])
             assert rep.passed, (a, b)
             assert len(rep.per_type) == 1
+
+
+def split_loop(full, left, right):
+    """The sum over 0/1 vectors c of left(j|c) * right(j|1-c), for every
+    type j of ``full``, as a loop over the vectors."""
+    out = {}
+    for jseq in full:
+        out[jseq] = 0
+        for c in itertools.product((0, 1), repeat=len(jseq)):
+            jm = tuple(j for j, ck in zip(jseq, c) if ck)
+            jn = tuple(j for j, ck in zip(jseq, c) if not ck)
+            if jm in left and jn in right:
+                out[jseq] += left[jm] * right[jn]
+    return out
+
+
+class TestConvolution:
+    """Evaluation forms of direct sums read from their summands' forms."""
+
+    @pytest.mark.parametrize("mode", ["flag", "grassmann"])
+    def test_convolved_forms_equal_counted_on_catalog(self, a2, mode):
+        """Every entry of the dimension-5 catalog with at most 3 dimensions
+        at each vertex (39 of 49).  Counting a form with 4 or 5 at one
+        vertex, as of 4 S1 or 3 S1 + P1, walks the planes of F_p^4 at a
+        dozen primes and takes seconds to minutes per entry."""
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        cat = a2_catalog(alg, 5)
+        assert cat.indecomposables
+        entries = [(lab, c) for lab, c in cat.items() if max(c.dims) <= 3]
+        assert len(entries) == 39
+        for lab, entry in entries:
+            assert evaluation_form(entry, mode, simples, cat, None, lab) \
+                == delta_signature(entry, mode, simples).values(), lab
+
+    def test_flag_helper_against_split_loop(self, a2):
+        _, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+
+        def form(m):
+            return delta_signature(m, "flag", simples,
+                                   primes=PRIMES).values()
+
+        m = mods["S1"]
+        n = direct_sum(mods["S1"], mods["P2"])
+        full = form(direct_sum(m, n))
+        # the type (S1, S2, S1, S1) repeats the index of S1
+        assert (0, 1, 0, 0) in full
+        want = split_loop(full, form(m), form(n))
+        got = convolve("flag", form(m), form(n))
+        assert want[(0, 1, 0, 0)] > 0
+        assert {t: got.get(t, 0) for t in full} == want == full
+
+    def test_grassmann_helper_sums_over_dimension_vectors(self, a2):
+        _, mods = a2
+        gr = {lab: delta_signature(mods[lab], "grassmann", []).values()
+              for lab in ("P1", "S1")}
+        got = convolve("grassmann", gr["P1"], gr["S1"])
+        assert got == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 2,
+                       (2, 1): 1}
+        counted = delta_signature(direct_sum(mods["P1"], mods["S1"]),
+                                  "grassmann", []).values()
+        assert {e: got.get(e, 0) for e in counted} == counted
+
+    def test_unit_and_unknown_mode(self):
+        assert convolve("flag", {(): 1}, {(0, 1): 3}) == {(0, 1): 3}
+        with pytest.raises(DeltaError, match="unknown signature mode"):
+            convolve("bogus", {}, {})
+
+    def test_named_catalog_counts_only_its_indecomposables(self, a2,
+                                                           monkeypatch):
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        cat = a2_catalog(alg, 4)
+        named = {cat[lab].key() for lab in cat.indecomposables}
+        counted = []
+        signature = delta.delta_signature
+
+        def recording(m, *args, **kw):
+            counted.append(m.key())
+            return signature(m, *args, **kw)
+
+        memo.clear_all()
+        monkeypatch.setattr(delta, "delta_signature", recording)
+        sums = a2_sums(alg, 3)
+        for verify in (verify_formula2, verify_formula1):
+            rep = verify(mods["S1"], sums["S2+P1"], simples, cat)
+            assert rep.passed
+            assert rep.details["chi_method"] == "convolution"
+        assert counted and set(counted) <= named
+        # the multiplicativity check still counts the direct sum itself
+        m, n = mods["S1"], sums["S1+P1"]
+        assert check_delta_multiplicativity(m, n, simples).passed
+        assert direct_sum(m, n).key() in counted
+        counted.clear()
+        # an unnamed catalog counts the forms of its entries
+        rep = verify_formula2(mods["S1"], sums["S2+P1"], simples, dict(cat))
+        assert rep.passed and rep.details["chi_method"] == "counted"
+        assert set(counted) - named
+
+    def test_forms_are_memoised(self, a2):
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        cat = a2_catalog(alg, 4)
+        m = cat["S1+S2+P1"]
+        once = evaluation_form(m, "flag", simples, cat)
+        assert evaluation_form(m, "flag", simples, cat) is once
+
+
+class TestNamingRefused:
+    """A catalog that names S1 and S2 only, yet holds P1 and its sums."""
+
+    @staticmethod
+    def short(alg):
+        return Catalog(a2_catalog(alg, 4), ("S1", "S2"))
+
+    def test_lookup_names_the_module(self, a2):
+        alg, _ = a2
+        cat = self.short(alg)
+        with pytest.raises(CountError, match="S1\\+P1 has Hom vector"):
+            named_summands(cat["S1+P1"], cat, "S1+P1")
+        assert named_summands(cat["S1+S1+S2"], cat, "S1+S1+S2") == \
+            ("S1", "S1", "S2")
+
+    @pytest.mark.parametrize("verify", [verify_formula2, verify_formula1])
+    def test_both_identities_refused(self, a2, verify):
+        alg, mods = a2
+        cat = self.short(alg)
+        with pytest.raises(CountError, match="does not name all"):
+            verify(cat["S1+P1"], mods["S2"], [mods["S1"], mods["S2"]], cat)
+
+    def test_unconfirmed_isomorphism_refused(self, a2, monkeypatch):
+        alg, _ = a2
+        cat = a2_catalog(alg, 2)
+        memo.clear_all()
+        monkeypatch.setattr(extsym.counting, "is_isomorphic",
+                            lambda x, y: (False, None))
+        with pytest.raises(CountError,
+                           match="S1\\+S2 has the Hom vector of S1\\+S2 "
+                                 ".* not confirmed isomorphic"):
+            named_summands(cat["S1+S2"], cat, "S1+S2")
 
 
 def test_only_evaluation_forms_count_points():
