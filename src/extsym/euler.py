@@ -35,18 +35,23 @@ def primes_from(start: int = 2) -> Iterator[int]:
 
 
 def polynomial_coeffs(samples: Sequence[Tuple[int, int]]) -> Tuple[Fraction, ...]:
-    """Ascending coefficients of the interpolating polynomial (exact
-    Vandermonde solve)."""
-    n = len(samples)
-    from .fields import RATIONALS
-    from .linalg import Mat, solve
-    rows = tuple(tuple(Fraction(x) ** k for k in range(n))
-                 for x, _ in samples)
-    sol = solve(RATIONALS, Mat(rows, n, n),
-                tuple(Fraction(y) for _, y in samples))
-    assert sol is not None
+    """Ascending coefficients of the interpolating polynomial, exact:
+    Newton's divided differences, expanded in the monomial basis."""
+    xs = [x for x, _ in samples]
+    diffs = [Fraction(y) for _, y in samples]
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
+    # Horner in the Newton basis: c_k + (x - x_k) * (...)
+    coeffs = [diffs[-1]]
+    for k in range(n - 2, -1, -1):
+        shifted = [Fraction(0)] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= xs[k] * c
+        shifted[0] += diffs[k]
+        coeffs = shifted
     # strip trailing zeros so the reported degree is honest
-    coeffs = list(sol)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)

@@ -341,6 +341,15 @@ def _lcg_tuples(nvals: int, h: int, count: int):
         yield tuple(out)
 
 
+def _basis_probes(field, h: int):
+    """The first probes of ``search_hom_space``: each basis element, then
+    the sum of all of them."""
+    one, zero = field.one, field.zero
+    yield from (tuple(one if i == k else zero for i in range(h))
+                for k in range(h))
+    yield tuple(one for _ in range(h))
+
+
 def search_hom_space(hb: HomBasis, predicate, degree: int):
     """Deterministic search for a basis combination satisfying ``predicate``.
 
@@ -367,11 +376,9 @@ def search_hom_space(hb: HomBasis, predicate, degree: int):
             exhaustive_ok = False
     # fast probes: basis elements, all-ones, scrambled tuples (lazily,
     # so an early hit never pays for the later probes)
-    one, zero = field.one, field.zero
     nv = len(values)
     probes = itertools.chain(
-        (tuple(one if i == k else zero for i in range(h)) for k in range(h)),
-        (tuple(one for _ in range(h)),),
+        _basis_probes(field, h),
         (tuple(values[i] for i in tup) for tup in _lcg_tuples(nv, h, 400)))
     seen = set()
     for coeffs in probes:
@@ -395,22 +402,35 @@ def search_hom_space(hb: HomBasis, predicate, degree: int):
 
 
 def is_isomorphic(m: RepModule, n: RepModule):
-    """(True, per-vertex witness) or (False, None)."""
+    """(True, per-vertex witness) or (False, None).
+
+    Isomorphic modules have hom(M, N) = hom(N, M) = hom(M, M) = hom(N, N).
+    Hom(M, N) is first compared with End(N), which is already known when
+    N is a class representative; then the first probes of the search are
+    tried, since a hit proves isomorphism, and only then are Hom(N, M) and
+    End(M) built and compared before the full search.  The answer and the
+    witness are those of the full search after all four dimensions.
+    """
     if m.dims != n.dims:
         return False, None
     if m.is_zero():
         return True, tuple(zeros(m.field, 0, 0) for _ in m.dims)
     hb = hom_basis(m, n)
-    if hb.dim != hom_dim(n, m) or hom_dim(m, m) != hom_dim(n, n):
+    if hb.dim != hom_dim(n, n):
         return False, None
     field = m.field
-    degree = sum(m.dims)
 
     def invertible(phis):
         return all(phi.nrows == phi.ncols and rank(field, phi) == phi.nrows
                    for phi in phis)
 
-    hit = search_hom_space(hb, invertible, degree)
+    for coeffs in dict.fromkeys(_basis_probes(field, hb.dim)):
+        phis = hom_combination(field, hb.basis, coeffs)
+        if invertible(phis):
+            return True, phis
+    if hb.dim != hom_dim(n, m) or hom_dim(m, m) != hom_dim(n, n):
+        return False, None
+    hit = search_hom_space(hb, invertible, sum(m.dims))
     if hit is None:
         return False, None
     return True, hit

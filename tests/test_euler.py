@@ -17,6 +17,7 @@ from extsym.euler import (EulerError, efg_degree_bound, euler_of,
 from extsym.instances import a2_modules, a2_preprojective
 from extsym.modules import direct_sum_many, reduce_module
 from extsym.fields import RATIONALS
+from extsym.linalg import Mat, solve
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -58,6 +59,29 @@ class TestInterpolation:
         assert ev.value == poly(1)
         got = list(ev.coeffs) + [Fraction(0)] * (len(coeffs) - len(ev.coeffs))
         assert got == [Fraction(c) for c in coeffs]
+
+
+def vandermonde_coeffs(samples):
+    """Ascending coefficients by an exact Vandermonde solve, trailing zeros
+    stripped."""
+    n = len(samples)
+    rows = tuple(tuple(Fraction(x) ** k for k in range(n))
+                 for x, _ in samples)
+    coeffs = list(solve(RATIONALS, Mat(rows, n, n),
+                        tuple(Fraction(y) for _, y in samples)))
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1,
+                max_size=10))
+@settings(max_examples=60, deadline=None)
+def test_polynomial_coeffs_equal_the_vandermonde_solve(counts):
+    samples = tuple(zip(PRIMES, counts))
+    got = polynomial_coeffs(samples)
+    assert got == vandermonde_coeffs(samples)
+    assert all(isinstance(c, Fraction) for c in got)
 
 
 class TestGeometricValues:

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from extsym.fields import GF, RATIONALS, FieldError
 from extsym.instances import a2_catalog
+from extsym.linalg import rank
 from extsym.modules import (Catalog, ModuleError, composition_series,
-                            direct_sum, direct_sum_many, hom_dim,
+                            direct_sum, direct_sum_many, hom_basis, hom_dim,
                             is_isomorphic, module_from_fractions,
                             named_indecomposables, reduce_catalog,
-                            reduce_module, simple_at_vertex, sub_quotient,
+                            reduce_module, search_hom_space,
+                            simple_at_vertex, sub_quotient,
                             witness_from_rows, zero_module)
 
 from oracle import modules_isomorphic_bruteforce
@@ -86,6 +88,49 @@ class TestIsomorphism:
             want = ma.dims == mb.dims and modules_isomorphic_bruteforce(
                 ma.dims, raw(ma), raw(mb), p)
             assert got == want
+
+
+def isomorphic_after_all_dimensions(m, n):
+    """The isomorphism test with every Hom dimension compared before the
+    search."""
+    if m.dims != n.dims:
+        return False, None
+    hb = hom_basis(m, n)
+    if hb.dim != hom_dim(n, m) or hom_dim(m, m) != hom_dim(n, n):
+        return False, None
+
+    def invertible(phis):
+        return all(phi.nrows == phi.ncols
+                   and rank(m.field, phi) == phi.nrows for phi in phis)
+
+    hit = search_hom_space(hb, invertible, sum(m.dims))
+    return (False, None) if hit is None else (True, hit)
+
+
+class TestIsomorphismAgainstFullSearch:
+    """``is_isomorphic`` tries the first probes before building Hom(N, M)
+    and End(M); its answer and witness stay those of the search after all
+    four dimensions."""
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_doubled_arrow_catalog(self, a2, p):
+        alg, _ = a2
+        cat = a2_catalog(alg, 3)
+        mods = [c if not p else reduce_module(c, p) for c in cat.values()]
+        pairs = [(a, b) for a in mods for b in mods
+                 if a.dims == b.dims and not a.is_zero()]
+        assert sum(is_isomorphic(a, b)[0] for a, b in pairs) == len(mods)
+        for a, b in pairs:
+            assert is_isomorphic(a, b) == isomorphic_after_all_dimensions(
+                a, b)
+
+    def test_two_loop_modules(self, two_loop):
+        _, mods = two_loop
+        ms = [reduce_module(m, 5) for m in mods.values()]
+        for a in ms:
+            for b in ms:
+                assert is_isomorphic(a, b) == \
+                    isomorphic_after_all_dimensions(a, b)
 
 
 class TestSubQuotient:
