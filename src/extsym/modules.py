@@ -408,8 +408,9 @@ def is_isomorphic(m: RepModule, n: RepModule):
     Hom(M, N) is first compared with End(N), which is already known when
     N is a class representative; then the first probes of the search are
     tried, since a hit proves isomorphism, and only then are Hom(N, M) and
-    End(M) built and compared before the full search.  The answer and the
-    witness are those of the full search after all four dimensions.
+    End(M) built and compared before the full search.  A hit is the
+    witness the full search would return first; a pair whose Hom
+    dimensions differ is refused without any search.
     """
     if m.dims != n.dims:
         return False, None
