@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
 from . import memo
-from .ext import (beta_map, connecting_tensor, ext1_equations, ext1_space,
-                  ext_dim, image_first_block_dim, middle_term)
+from .ext import (beta_map, ext1_equations, ext1_space, ext_dim,
+                  image_first_block_dim, middle_term)
 from .fields import QQ, FieldError
 from .linalg import (Mat, Subspace, contains_vector, enumerate_subspaces,
                      gaussian_binomial, identity, integer_rank_minor,
@@ -25,8 +25,7 @@ from .linalg import rref  # noqa: F401
 from .modules import (Catalog, ModuleError, RepModule, UndecidableError,
                       _hom_system, direct_sum_many, hom_basis,
                       hom_combination, hom_dim, is_isomorphic,
-                      named_indecomposables, reduce_module, sub_quotient,
-                      submodule)
+                      reduce_module, sub_quotient, submodule)
 
 
 class CountError(ValueError):
@@ -308,124 +307,25 @@ def stratify_ext_classes(m: RepModule, n: RepModule,
     """Partition the nonzero classes of Ext^1(M, N), up to scalar, by the
     isomorphism type of the middle term.
 
-    Counts are numbers of lines; every middle term must match a catalog
-    entry, otherwise the catalog is reported incomplete.  A catalog that
-    names its indecomposables is matched by Hom vectors read from ranks
-    of connecting maps (``_count_by_hom_ranks``); any other catalog by an
-    isomorphism search per line.
+    Counts are numbers of lines, per catalog entry of the middle term's
+    dimension vector; every middle term must match a catalog entry,
+    otherwise the catalog is reported incomplete.
     """
     q = _prime(m.field, "stratification of extension classes")
     space = ext1_space(m, n)
     mid_dims = tuple(a + b for a, b in zip(m.dims, n.dims))
     counts: Dict[str, int] = {lab: 0 for lab, c in catalog.items()
                               if c.dims == mid_dims}
-    lines = (line.mat.rows[0]
-             for line in enumerate_subspaces(space.dim, 1, q))
-    if named_indecomposables(catalog):
-        _count_by_hom_ranks(space, catalog, lines, counts)
-    else:
-        # distinct lines give distinct middle-term presentations (the
-        # complement rows are independent), so each is matched once
-        for coords in lines:
-            label = _match_catalog(middle_term(space, coords)[0], catalog)
-            counts[label] = counts.get(label, 0) + 1
+    # distinct lines give distinct middle-term presentations (the
+    # complement rows are independent), so each is matched once
+    for line in enumerate_subspaces(space.dim, 1, q):
+        label = _match_catalog(middle_term(space, line.mat.rows[0])[0],
+                               catalog)
+        counts[label] += 1
     expected = (q ** space.dim - 1) // (q - 1) if space.dim else 0
     if sum(counts.values()) != expected:
         raise CountError("stratification total mismatch")
     return counts
-
-
-def _count_by_hom_ranks(space, catalog: Catalog, lines,
-                        counts: Dict[str, int]) -> None:
-    """Add each line of Ext^1(M, N) to the count of its middle term's
-    catalog entry, found by the Hom vector (hom(X, E) over the named X).
-
-    hom(X, E) = hom(X, M) + hom(X, N) - rank delta_X(xi), with delta_X(xi)
-    the combination of ``connecting_tensor`` with the line's coordinates,
-    so a line costs one small rank per named X and builds no middle term.
-    Over all indecomposables X the vector determines E up to isomorphism
-    (Auslander); ``_hom_vector_table`` refuses a catalog whose entries the
-    named X do not tell apart.  The first line of each stratum is still
-    checked against its entry with ``is_isomorphic``.
-    """
-    m, n = space.x, space.y
-    field = m.field
-    named = tuple((lab, catalog[lab]) for lab in catalog.indecomposables)
-    mid_dims = tuple(a + b for a, b in zip(m.dims, n.dims))
-    table = _hom_vector_table(
-        named,
-        tuple((lab, c) for lab, c in catalog.items() if c.dims == mid_dims))
-    base = tuple(hom_dim(x, m) + hom_dim(x, n) for _, x in named)
-    # per named X with a nonzero connecting map: its position in the
-    # vector, the shape of delta_X and the matrix whose column k is
-    # delta_X at basis class k, flattened row by row.  Without maps
-    # X -> M the map is zero, and Ext^1(X, N) is not built.
-    deltas = []
-    for i, (_, x) in enumerate(named):
-        if not hom_dim(x, m):
-            continue
-        tensor = connecting_tensor(m, n, x)
-        flat = [sum(t.rows, ()) for t in tensor]
-        if any(any(f) for f in flat):
-            nrows, ncols = tensor[0].nrows, tensor[0].ncols
-            deltas.append((i, nrows, ncols,
-                           Mat(tuple(zip(*flat)), nrows * ncols, len(flat))))
-    confirmed = set()
-    for coords in lines:
-        vec = list(base)
-        for i, nrows, ncols, stacked in deltas:
-            entries = mat_vec(field, stacked, coords)
-            delta = tuple(entries[r * ncols:(r + 1) * ncols]
-                          for r in range(nrows))
-            vec[i] -= rank(field, Mat(delta, nrows, ncols))
-        label = table.get(tuple(vec))
-        if label is None:
-            raise CountError(
-                f"catalog incomplete: no entry matches a middle term with "
-                f"dimension vector {mid_dims}")
-        if label not in confirmed:
-            mid = middle_term(space, coords)[0]
-            if not is_isomorphic(mid, catalog[label])[0]:
-                raise CountError(
-                    f"a middle term has the Hom vector of catalog entry "
-                    f"{label} over the named indecomposables but is not "
-                    f"isomorphic to it: the catalog does not name all of "
-                    f"its indecomposables")
-            confirmed.add(label)
-        counts[label] += 1
-
-
-@memo.cached(lambda named, entries: (
-    tuple((lab, x.key()) for lab, x in named),
-    tuple((lab, c.key()) for lab, c in entries)))
-def _hom_vector_table(named, entries) -> Dict[tuple, str]:
-    """Hom vector (hom(X, C) over the named X) -> label, for catalog
-    entries C of one dimension vector.
-
-    Refused with a ``CountError``: two entries with equal vectors, and an
-    entry whose vector is that of no direct sum of named modules with its
-    dimension vector, as when only some indecomposables are named.
-    """
-    names = ", ".join(lab for lab, _ in named)
-    mods = [x for _, x in named]
-    table: Dict[tuple, str] = {}
-    for lab, c in entries:
-        vec = tuple(hom_dim(x, c) for x in mods)
-        if vec in table:
-            raise CountError(
-                f"catalog entries {table[vec]} and {lab} have equal Hom "
-                f"vectors {vec} over the named indecomposables {names}")
-        table[vec] = lab
-    if not entries:
-        return table
-    sums = _direct_sum_vectors(named, entries[0][1].dims)
-    unmatched = [lab for vec, lab in table.items() if vec not in sums]
-    if unmatched:
-        raise CountError(
-            f"the Hom vectors of {', '.join(unmatched)} are those of no "
-            f"direct sum of the named indecomposables {names}: the catalog "
-            f"does not name all of its indecomposables")
-    return table
 
 
 @memo.cached(lambda named, dims: (tuple(x.key() for _, x in named), dims))

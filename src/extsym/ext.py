@@ -23,7 +23,7 @@ from . import memo
 from .linalg import (Mat, Subspace, coords_in, identity, kernel_basis,
                      mat_mul, mat_scale, mat_vec, quotient_projection, rref,
                      span, transpose)
-from .modules import RepModule, _hom_system, check_module, hom_basis
+from .modules import RepModule, _hom_system, check_module
 
 
 class ExtError(ValueError):
@@ -268,30 +268,6 @@ def transport_class(coords: Sequence, src: ExtSpace, dst: ExtSpace,
                     maps: Sequence[Mat], side: str) -> Tuple:
     """Transport a class along a module map (see ``transport_matrix``)."""
     return mat_vec(src.field, transport_matrix(src, dst, maps, side), coords)
-
-
-@memo.cached(lambda x, y, z: (x.key(), y.key(), z.key()))
-def connecting_tensor(x: RepModule, y: RepModule,
-                      z: RepModule) -> Tuple[Mat, ...]:
-    """The connecting map of Hom(Z, -) at each basis class of Ext^1(X, Y).
-
-    For a class xi with sequence 0 -> Y -> E -> X -> 0, the map
-    delta_Z(xi): Hom(Z, X) -> Ext^1(Z, Y) pulls xi back along each map,
-    and the long exact sequence of Hom(Z, -) gives
-
-        hom(Z, E) = hom(Z, X) + hom(Z, Y) - rank delta_Z(xi).
-
-    Entry k is the matrix of delta_Z at the k-th complement basis class:
-    rows are Ext^1(Z, Y) coordinates, columns the Hom(Z, X) basis.  The
-    matrix is linear in xi, so the matrix of any class is the combination
-    of these with its coordinates.
-    """
-    src, dst = ext1_space(x, y), ext1_space(z, y)
-    pulls = [transport_matrix(src, dst, g, "pullback")
-             for g in hom_basis(z, x).basis]
-    return tuple(Mat(tuple(tuple(pm.rows[i][k] for pm in pulls)
-                           for i in range(dst.dim)), dst.dim, len(pulls))
-                 for k in range(src.dim))
 
 
 # ---------------------------------------------------------------------------

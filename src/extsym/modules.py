@@ -125,7 +125,12 @@ def zero_module(algebra: AlgebraPresentation, field) -> RepModule:
 
 
 def simple_at_vertex(algebra: AlgebraPresentation, field, v: str) -> RepModule:
-    """One-dimensional module supported at a single vertex (when it exists)."""
+    """One-dimensional module supported at a single vertex; a vertex the
+    quiver lacks is a ``ModuleError``."""
+    if v not in algebra.quiver.vertices:
+        raise ModuleError(
+            f"no simple at vertex {v!r}: the quiver has vertices "
+            + ", ".join(repr(u) for u in algebra.quiver.vertices))
     dims = {u: (1 if u == v else 0) for u in algebra.quiver.vertices}
     return check_module(algebra, field, dims, {})
 

@@ -13,14 +13,15 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import memo
-from .counting import CountSeries, count_efg, stratify_ext_classes
+from .counting import (CountError, CountSeries, _direct_sum_vectors,
+                       count_efg, named_summands, stratify_ext_classes)
 from .delta import (all_dim_vectors, convolve, enumerate_flag_types,
                     evaluation_form, stratify_by_signature)
 from .euler import (efg_degree_bound, interpolate_euler,
                     projective_space_degree_bound, select_primes)
 from .ext import ext_dim, ext_symmetry_audit
-from .modules import (RepModule, composition_series, named_indecomposables,
-                      reduce_catalog, reduce_module)
+from .modules import (RepModule, composition_series, direct_sum_many,
+                      named_indecomposables, reduce_catalog, reduce_module)
 
 
 class VerifyError(ValueError):
@@ -35,7 +36,7 @@ class VerificationReport:
     strata: Dict[str, Dict[str, int]]
     efg: Optional[Dict[str, int]]
     symmetry_ok: bool
-    primes: Tuple[int, ...]           # of the strata and correction counts
+    primes: Tuple[int, ...]           # screened by the report for its counts
     details: Dict[str, object] = dc_field(default_factory=dict)
 
     @property
@@ -105,14 +106,104 @@ def _fit_tables(label, counter, bound, primes) -> Dict:
     return out
 
 
-def _strata_chi(m, n, catalog, primes, direction_label) -> Dict[str, int]:
+def _entries_of(catalog, dims) -> Dict[str, RepModule]:
+    """The catalog entries of one dimension vector: those that the strata
+    match the middle terms against."""
+    return {lab: c for lab, c in catalog.items() if c.dims == dims}
+
+
+def _strata_chi(m, n, catalog, ps, primes,
+                direction_label) -> Dict[str, int]:
     """chi of each middle-term stratum of the projectivized extension
-    space, per catalog label (zero rows included)."""
+    space, per catalog entry of the middle term's dimension vector (zero
+    rows included).
+
+    Under a catalog that names its indecomposables, by localisation: the
+    torus that scales the named summands M_i of M and N_j of N fixes
+    exactly the lines of the blocks P Ext^1(M_i, N_j), and every stratum
+    is stable under it, so (Bialynicki-Birula) chi(stratum L) is the sum
+    over (i, j) of chi of the lines xi of the block with
+    E_xi + (the other summands) isomorphic to L.  Each such module is
+    matched to the catalog entry with the same ``named_summands``; the
+    block tables (``_block_strata``) screen their own primes from the
+    supplied ``primes``.  Under any other catalog, the lines of the whole
+    space are counted at the report's primes ``ps``.
+    """
+    d = tuple(a + b for a, b in zip(m.dims, n.dims))
+    entries = _entries_of(catalog, d)
+    if not named_indecomposables(catalog):
+        def counter(p):
+            return stratify_ext_classes(reduce_module(m, p),
+                                        reduce_module(n, p),
+                                        reduce_catalog(entries, p))
+        return _fit_tables(f"{direction_label} stratum", counter,
+                           projective_space_degree_bound(ext_dim(m, n)), ps)
+    by_parts: Dict[Tuple[str, ...], str] = {}
+    for lab, c in entries.items():
+        parts = named_summands(c, catalog, f"catalog entry {lab}")
+        if parts in by_parts:
+            raise CountError(
+                f"catalog entries {by_parts[parts]} and {lab} are both the "
+                f"direct sum {'+'.join(parts)} of named indecomposables")
+        by_parts[parts] = lab
+    named = tuple((lab, catalog[lab]) for lab in catalog.indecomposables)
+    order = {lab: k for k, (lab, _) in enumerate(named)}
+    first, second = "first module", "second module"
+    if direction_label == "backward":
+        first, second = second, first
+    ms, ns = named_summands(m, catalog, first), named_summands(n, catalog,
+                                                               second)
+    chi = dict.fromkeys(entries, 0)
+    for i, x in enumerate(ms):
+        for j, y in enumerate(ns):
+            rest = ms[:i] + ms[i + 1:] + ns[:j] + ns[j + 1:]
+            for parts, value in _block_strata(x, y, named, primes).items():
+                lab = by_parts.get(tuple(sorted(parts + rest, key=order.get)))
+                if lab is None:
+                    raise CountError(
+                        f"catalog incomplete: no entry matches a middle "
+                        f"term with dimension vector {d}")
+                chi[lab] += value
+    return chi
+
+
+@memo.cached(lambda x, y, named, primes: (
+    x, y, tuple((lab, c.key()) for lab, c in named),
+    tuple(primes) if primes is not None else None))
+def _block_strata(x: str, y: str, named,
+                  primes) -> Dict[Tuple[str, ...], int]:
+    """chi of each stratum with points of P Ext^1(X, Y), for the named
+    indecomposables labelled x and y, keyed by the named summands of its
+    middle terms.
+
+    The lines are matched by ``stratify_ext_classes`` against every direct
+    sum of named modules of dimension vector dims X + dims Y
+    (``_direct_sum_vectors``), at primes screened for (X, Y) and those
+    sums.  A stratum without points at any of the primes is left out."""
+    mods = dict(named)
+    xm, ym = mods[x], mods[y]
+    dim = ext_dim(xm, ym)
+    if not dim:
+        return {}
+    dims = tuple(a + b for a, b in zip(xm.dims, ym.dims))
+    sums = {}
+    for mult in _direct_sum_vectors(named, dims).values():
+        parts = tuple(lab for (lab, _), k in zip(named, mult)
+                      for _ in range(k))
+        sums[parts] = direct_sum_many(xm.algebra, xm.field,
+                                      [mods[lab] for lab in parts])
+    bound = projective_space_degree_bound(dim)
+    ps = select_primes(xm, ym, list(sums.values()), bound + 2, primes)
+    seen = set()
+
     def counter(p):
-        return stratify_ext_classes(reduce_module(m, p), reduce_module(n, p),
-                                    reduce_catalog(catalog, p))
-    return _fit_tables(f"{direction_label} stratum", counter,
-                       projective_space_degree_bound(ext_dim(m, n)), primes)
+        counts = stratify_ext_classes(reduce_module(xm, p),
+                                      reduce_module(ym, p),
+                                      reduce_catalog(sums, p))
+        seen.update(k for k, v in counts.items() if v)
+        return counts
+    chi = _fit_tables(f"stratum of Ext^1({x}, {y})", counter, bound, ps)
+    return {parts: v for parts, v in chi.items() if parts in seen}
 
 
 def _details(catalog) -> Dict[str, object]:
@@ -120,7 +211,7 @@ def _details(catalog) -> Dict[str, object]:
     extension lines with this catalog, and the path that read the
     evaluation forms (``delta.evaluation_form``)."""
     named = bool(named_indecomposables(catalog))
-    return {"strata_method": "hom-ranks" if named else "isomorphism",
+    return {"strata_method": "localised" if named else "isomorphism",
             "chi_method": "convolution" if named else "counted"}
 
 
@@ -146,15 +237,18 @@ def verify_formula2(m: RepModule, n: RepModule,
     sym_ok = _advisory_symmetry(m, n, simples, allow_asymmetric)
     d = tuple(a + b for a, b in zip(m.dims, n.dims))
     dim_e, dim_nm = ext_dim(m, n), ext_dim(n, m)
-    nprimes = projective_space_degree_bound(max(dim_e, dim_nm)) + 2
-    ps = select_primes(m, n, list(catalog.values()) + list(simples), nprimes,
-                       primes)
+    # only a plain catalog counts the strata at the report's primes
+    ps = [] if named_indecomposables(catalog) else select_primes(
+        m, n, list(_entries_of(catalog, d).values()),
+        projective_space_degree_bound(max(dim_e, dim_nm)) + 2, primes)
 
     def chains(mod, label):
         return evaluation_form(mod, "flag", simples, catalog, primes, label)
 
-    chi_mn = _strata_chi(m, n, catalog, ps, "forward") if dim_e else {}
-    chi_nm = _strata_chi(n, m, catalog, ps, "backward") if dim_nm else {}
+    chi_mn = _strata_chi(m, n, catalog, ps, primes, "forward") \
+        if dim_e else {}
+    chi_nm = _strata_chi(n, m, catalog, ps, primes, "backward") \
+        if dim_nm else {}
     touched = sorted(set(chi_mn) | set(chi_nm))
 
     strata_table: Dict[str, Dict[str, int]] = {}
@@ -206,17 +300,22 @@ def verify_formula1(m: RepModule, n: RepModule,
     d = tuple(a + b for a, b in zip(m.dims, n.dims))
     dim_e, dim_nm = ext_dim(m, n), ext_dim(n, m)
     # the correction is counted only when Ext(N, M) is nonzero, as one
-    # table per prime at one degree bound
+    # table per prime at one degree bound; only a plain catalog counts the
+    # strata at the same primes
     efg_bound = efg_degree_bound(m.dims, n.dims, dim_nm) if dim_nm else 0
-    nprimes = max(projective_space_degree_bound(dim_e), efg_bound) + 2
-    ps = select_primes(m, n, list(catalog.values()) + list(simples), nprimes,
-                       primes)
+    if not named_indecomposables(catalog):
+        ps = select_primes(
+            m, n, list(_entries_of(catalog, d).values()),
+            max(projective_space_degree_bound(dim_e), efg_bound) + 2, primes)
+    else:
+        ps = select_primes(m, n, [], efg_bound + 2, primes) if dim_nm else []
 
     def submodules(mod, label):
         return evaluation_form(mod, "grassmann", simples, catalog, primes,
                                label)
 
-    chi_mn = _strata_chi(m, n, catalog, ps, "forward") if dim_e else {}
+    chi_mn = _strata_chi(m, n, catalog, ps, primes, "forward") \
+        if dim_e else {}
     class_chi = []
     strata_table: Dict[str, Dict[str, int]] = {}
     for members in stratify_by_signature(catalog, simples, "grassmann",

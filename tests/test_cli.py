@@ -312,19 +312,27 @@ class TestVerify:
         assert json.loads(r.output)["verdict"] == "pass"
 
     def test_f2_with_supplied_primes(self, files):
-        r = run("verify", "f2", "--algebra", files["algebra"],
+        """The catalog names its indecomposables, so f2 screens no primes
+        of its own; the strata of each pair of named modules take theirs
+        from the supplied list, which must hold enough."""
+        args = ("verify", "f2", "--algebra", files["algebra"],
                 "--module", files["S1"], "--module", files["S2"],
                 "--catalog", files["catalog"],
-                "--simples", "vertex:1,vertex:2",
-                "--primes", "3,2,5,7,11,13", "--json")
+                "--simples", "vertex:1,vertex:2", "--json")
+        r = run(*args, "--primes", "3,2,5,7,11,13")
         assert r.exit_code == 0
         out = json.loads(r.output)
         assert out["verdict"] == "pass"
-        assert out["primes"] == [3, 2]
+        assert out["primes"] == []
+        r = run(*args, "--primes", "3")
+        assert r.exit_code == 1
+        assert json.loads(r.output)["message"] == (
+            "only 1 of the supplied primes pass the good-prime screen, "
+            "2 needed")
 
     @pytest.mark.parametrize("which", ["f1", "f2"])
     @pytest.mark.parametrize("catalog, method", [
-        ("catalog", "hom-ranks"), ("plain_catalog", "isomorphism")])
+        ("catalog", "localised"), ("plain_catalog", "isomorphism")])
     def test_reports_strata_method(self, files, which, catalog, method):
         r = run("verify", which, "--algebra", files["algebra"],
                 "--module", files["S1"], "--module", files["S2"],
@@ -365,6 +373,47 @@ class TestVerify:
         out = json.loads(r.output)
         assert out["verdict"] == "error"
         assert "does not name all of its indecomposables" in out["message"]
+
+    @pytest.mark.parametrize("which", ["f1", "f2"])
+    @pytest.mark.parametrize("change, message", [
+        ("no P1", "catalog incomplete: no entry matches a middle term with "
+                  "dimension vector (1, 1)"),
+        ("twin", "catalog entries S1+S2 and S2+S1 are both the direct sum "
+                 "S1+S2 of named indecomposables")])
+    def test_named_catalog_refused(self, files, tmp_path, which, change,
+                                   message):
+        from extsym.instances import a2_modules, a2_preprojective
+        from extsym.modules import Catalog, direct_sum
+        alg = a2_preprojective()
+        full = a2_catalog(alg, 2)
+        if change == "no P1":
+            cat = Catalog({k: c for k, c in full.items() if k != "P1"},
+                          ("S1", "S2", "P2"))
+        else:
+            mods = a2_modules(alg)
+            cat = Catalog({**full, "S2+S1": direct_sum(mods["S2"],
+                                                       mods["S1"])},
+                          full.indecomposables)
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(catalog_to_dict(cat)))
+        r = run("verify", which, "--algebra", files["algebra"],
+                "--module", files["S1"], "--module", files["S2"],
+                "--catalog", str(path), "--simples", "vertex:1,vertex:2",
+                "--json")
+        assert r.exit_code == 1
+        assert json.loads(r.output) == {"verdict": "error",
+                                        "message": message}
+
+    def test_simple_at_a_missing_vertex_refused(self, files):
+        r = run("verify", "f2", "--algebra", files["algebra"],
+                "--module", files["S1"], "--module", files["S2"],
+                "--catalog", files["catalog"],
+                "--simples", "vertex:1,vertex:9", "--json")
+        assert r.exit_code == 1
+        assert json.loads(r.output) == {
+            "verdict": "error",
+            "message": "no simple at vertex '9': the quiver has vertices "
+                       "'1', '2'"}
 
     def test_module_outside_the_subcategory_refused(self, files):
         # the membership check is memoised: the second run refuses too

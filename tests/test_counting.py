@@ -14,6 +14,7 @@ from extsym.counting import (CountError, count_efg, count_flags,
                              good_prime_for_pairs, iter_submodules,
                              stratify_ext_classes)
 from extsym.delta import enumerate_flag_types
+from extsym.euler import select_primes
 from extsym.ext import ext1_space, ext_dim, middle_term
 from extsym.fields import RATIONALS, FieldError
 from extsym.instances import (a2_catalog, a2_sums, deformed_a2_module,
@@ -22,8 +23,9 @@ from extsym.instances import (a2_catalog, a2_sums, deformed_a2_module,
 from extsym.linalg import mat_from_fractions
 from extsym.modules import (Catalog, UndecidableError, conjugate, direct_sum,
                             direct_sum_many, module_from_fractions,
-                            named_indecomposables, reduce_catalog,
-                            reduce_module)
+                            reduce_catalog, reduce_module)
+
+from extsym.verify import _strata_chi, verify_formula1, verify_formula2
 
 from oracle import (count_flags_bruteforce, count_submodules_bruteforce,
                     gaussian_binomial_int, mat_apply, span_set)
@@ -457,30 +459,45 @@ class TestStrata:
 
 
 class TestHomRankStrata:
-    """Strata read from connecting-map ranks, for catalogs that name their
-    indecomposables, against the isomorphism search of unnamed ones."""
+    """Strata under catalogs that name their indecomposables, read by
+    localisation onto pairs of named modules: each middle term is told
+    apart by its Hom vector over the named modules (``named_summands``),
+    confirmed by one isomorphism, against the isomorphism search that
+    counts every line under a plain catalog."""
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_equals_isomorphism_search_on_every_small_pair(
-            self, a2_all_sums, a2_cat, p):
-        sums = a2_all_sums
-        pairs = [(a, b) for a in sums for b in sums
-                 if sums[a].total_dim + sums[b].total_dim <= 4]
-        assert len(pairs) == 81
-        # the pairs come in both directions, so each ordered pair once
-        # covers both directions of every pair
-        assert {(b, a) for a, b in pairs} == set(pairs)
-        named = reduce_catalog(a2_cat, p)
-        plain = dict(named)
-        assert named.indecomposables and not named_indecomposables(plain)
-        for a, b in pairs:
-            m, n = reduce_module(sums[a], p), reduce_module(sums[b], p)
-            got = stratify_ext_classes(m, n, named)
-            want = stratify_ext_classes(m, n, plain)
-            assert list(got.items()) == list(want.items()), (a, b)
+    def test_localised_strata_equal_counted_ones(self, a2):
+        """Every pair of combined dimension <= 4, every pair of combined
+        dimension vector (3, 2) or (2, 3) with dim Ext^1(M, N) <= 3, and
+        (S2+P1, S1+P2), in both directions."""
+        alg, _ = a2
+        sums = a2_sums(alg, 4)
+        cat = a2_catalog(alg, 6)
+        small = [(a, b) for a in sums for b in sums
+                 if sums[a].total_dim + sums[b].total_dim <= 4
+                 and sums[a].total_dim <= 3 and sums[b].total_dim <= 3]
+        five = [(a, b) for a in sums for b in sums
+                if tuple(x + y for x, y in zip(sums[a].dims, sums[b].dims))
+                in ((3, 2), (2, 3)) and ext_dim(sums[a], sums[b]) <= 3]
+        assert (len(small), len(five)) == (81, 80)
+        pairs = small + five + [("S2+P1", "S1+P2")]
+        ordered = {(a, b) for a, b in pairs} | {(b, a) for a, b in pairs}
+        reached = 0
+        for a, b in sorted(ordered):
+            m, n = sums[a], sums[b]
+            d = tuple(x + y for x, y in zip(m.dims, n.dims))
+            entries = [c for c in cat.values() if c.dims == d]
+            ps = select_primes(m, n, entries, max(ext_dim(m, n), 1) + 1,
+                               None)
+            got = _strata_chi(m, n, cat, [], None, "forward")
+            assert got == _strata_chi(m, n, dict(cat), ps, None,
+                                      "forward"), (a, b)
+            reached += any(got.values())
+        assert (len(ordered), reached) == (163, 83)
 
     def test_unnamed_catalogs_search_for_isomorphisms(self, a2, two_loop,
                                                       monkeypatch):
+        """One stratification for every catalog: a named one is searched
+        line by line like its plain copy."""
         alg, mods = a2
         calls = []
         match = counting._match_catalog
@@ -494,57 +511,72 @@ class TestHomRankStrata:
         m, n = reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)
         named = reduce_catalog(a2_catalog(alg, 2), p)
         assert stratify_ext_classes(m, n, named)["P1"] == 1
-        assert calls == []
-        assert stratify_ext_classes(m, n, dict(named))["P1"] == 1
         assert calls == [1]
+        assert stratify_ext_classes(m, n, dict(named))["P1"] == 1
+        assert calls == [1, 1]
         _, loops = two_loop
         s = reduce_module(loops["S"], p)
         cat = {lab: reduce_module(c, p) for lab, c in loops.items()}
         assert sum(stratify_ext_classes(s, s, cat).values()) == p + 1
-        assert len(calls) == 1 + p + 1
+        assert len(calls) == 2 + p + 1
 
     @pytest.mark.parametrize("names", [
         sub for r in range(1, 4)
         for sub in itertools.combinations(("S1", "S2", "P1", "P2"), r)])
     def test_proper_namings_refused(self, a2, a2_cat, names):
         _, mods = a2
-        p = 3
-        m, n = reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)
-        cat = reduce_catalog(Catalog(a2_cat, names), p)
-        with pytest.raises(CountError, match="equal Hom vectors|does not "
-                           "name all of its indecomposables"):
-            stratify_ext_classes(m, n, cat)
+        cat = Catalog(a2_cat, names)
+        for verify in (verify_formula2, verify_formula1):
+            with pytest.raises(CountError, match="does not name all of its "
+                               "indecomposables"):
+                verify(mods["S1"], mods["S2"], [mods["S1"], mods["S2"]],
+                       cat)
 
     def test_isomorphic_entries_refused(self, a2):
         alg, mods = a2
-        p = 3
         cat = a2_catalog(alg, 2)
         twin = Catalog({**cat, "S2+S1": direct_sum(mods["S2"], mods["S1"])},
                        cat.indecomposables)
-        m, n = reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)
-        with pytest.raises(CountError,
-                           match="entries S1\\+S2 and S2\\+S1 have equal"):
-            stratify_ext_classes(m, n, reduce_catalog(twin, p))
+        for verify in (verify_formula2, verify_formula1):
+            with pytest.raises(CountError, match="entries S1\\+S2 and "
+                               "S2\\+S1 are both the direct sum S1\\+S2"):
+                verify(mods["S1"], mods["S2"], [mods["S1"], mods["S2"]],
+                       twin)
 
     def test_first_line_of_a_stratum_confirmed(self, a2, monkeypatch):
+        """The lines of a block are matched by isomorphism, the first of
+        each stratum included, even when every decomposition is already
+        confirmed: the decompositions are memoised, the block tables are
+        recounted at other primes."""
         alg, mods = a2
-        p = 3
-        m, n = reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)
-        cat = reduce_catalog(a2_catalog(alg, 2), p)
+        args = (mods["S1"], mods["S2"], [mods["S1"], mods["S2"]],
+                a2_catalog(alg, 2))
+        memo.clear_all()
+        assert verify_formula2(*args).strata["P1"]["forward"] == 1
         monkeypatch.setattr(counting, "is_isomorphic",
                             lambda x, y: (False, None))
-        with pytest.raises(CountError, match="not isomorphic to it"):
-            stratify_ext_classes(m, n, cat)
+        with pytest.raises(CountError, match="catalog incomplete"):
+            verify_formula2(*args, primes=[5, 7])
+
+    def test_unconfirmed_decomposition_refused(self, a2, monkeypatch):
+        alg, mods = a2
+        memo.clear_all()
+        monkeypatch.setattr(counting, "is_isomorphic",
+                            lambda x, y: (False, None))
+        for verify in (verify_formula2, verify_formula1):
+            with pytest.raises(CountError, match="not confirmed isomorphic"):
+                verify(mods["S1"], mods["S2"], [mods["S1"], mods["S2"]],
+                       a2_catalog(alg, 2))
 
     def test_incomplete_catalog_reported(self, a2):
         alg, mods = a2
-        p = 3
         cat = a2_catalog(alg, 2)
         short = Catalog({lab: c for lab, c in cat.items() if lab != "P1"},
                         ("S1", "S2", "P2"))
-        m, n = reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)
-        with pytest.raises(CountError, match="incomplete"):
-            stratify_ext_classes(m, n, reduce_catalog(short, p))
+        for verify in (verify_formula2, verify_formula1):
+            with pytest.raises(CountError, match="incomplete"):
+                verify(mods["S1"], mods["S2"], [mods["S1"], mods["S2"]],
+                       short)
 
 
 class TestCorrectionCount:

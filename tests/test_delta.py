@@ -219,6 +219,20 @@ class TestSuppliedPrimesAreScreened:
             given.clear()
 
 
+    def test_entries_of_other_dimension_vectors_not_screened(self, a2):
+        """A plain catalog screens M, N and its entries of the middle
+        term's dimension vector only, the ones a line is matched against:
+        a bad entry of another dimension vector keeps 3 in."""
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        cat = dict(a2_catalog(alg, 3))
+        cat["P1'+S2"] = direct_sum(self.p1_scaled(alg), mods["S2"])
+        for verify in (verify_formula2, verify_formula1):
+            rep = verify(mods["S1"], mods["S2"], simples, cat)
+            assert rep.passed
+            assert rep.primes[:2] == (2, 3)
+
+
 class TestMultiplicativity:
     def test_base_pair(self, a2):
         _, mods = a2

@@ -10,7 +10,7 @@ from extsym import memo
 from extsym.algebra import validate_presentation
 from extsym.counting import iter_submodules
 from extsym.ext import (ExtError, beta_map, beta_prime_map, beta_flag_maps,
-                        connecting_tensor, ext1_space, ext_dim, ext_symmetry_audit, Flag,
+                        ext1_space, ext_dim, ext_symmetry_audit, Flag,
                         flag_symmetry_identity, image_first_block_dim,
                         kernel_projection_dim, middle_term, transport_class)
 from extsym.fields import GF, RATIONALS
@@ -168,32 +168,6 @@ class TestMiddleTerm:
         assert space.reduce(space.class_tuple(coords)) == coords
         assert space.reduce(space.class_tuple(space.zero_class())) == \
             space.zero_class()
-
-
-class TestConnectingMaps:
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_hom_into_the_middle_term(self, a2, p):
-        """hom(X, E) = hom(X, M) + hom(X, N) - rank delta_X(xi) on every
-        line of Ext^1(M, N), M, N and X among the small direct sums."""
-        alg, _ = a2
-        sums = {lab: reduce_module(m, p)
-                for lab, m in a2_sums(alg, 2).items()}
-        field = GF(p)
-        for (la, m), (lb, n) in itertools.product(sums.items(), repeat=2):
-            space = ext1_space(m, n)
-            for x in sums.values():
-                tensor = connecting_tensor(m, n, x)
-                assert len(tensor) == space.dim
-                for coords in itertools.product(range(p), repeat=space.dim):
-                    delta = [[sum(c * t.rows[i][j]
-                                  for c, t in zip(coords, tensor)) % p
-                              for j in range(hom_dim(x, m))]
-                             for i in range(ext_dim(x, n))]
-                    e = middle_term(space, coords)[0]
-                    assert hom_dim(x, e) == (
-                        hom_dim(x, m) + hom_dim(x, n)
-                        - rank(field, Mat.from_rows(delta, hom_dim(x, m)))
-                    ), (la, lb, coords)
 
 
 class TestPushouts:

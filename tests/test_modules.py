@@ -35,6 +35,13 @@ class TestValidation:
             module_from_fractions(alg, RATIONALS, {"1": 1, "2": 1},
                                   {"a": [[1, 0]]})
 
+    def test_simple_at_a_missing_vertex_rejected(self, a2):
+        alg, mods = a2
+        assert simple_at_vertex(alg, RATIONALS, "2") == mods["S2"]
+        with pytest.raises(ModuleError, match="^no simple at vertex '9': "
+                           "the quiver has vertices '1', '2'$"):
+            simple_at_vertex(alg, RATIONALS, "9")
+
 
 class TestHom:
     def test_dims_on_indecomposables(self, a2):
