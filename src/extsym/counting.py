@@ -3,7 +3,7 @@
 Everything here counts finite sets attached to modules over GF(p):
 submodules with a fixed dimension vector, chains of submodules with simple
 quotients in a prescribed order, orbit strata of extension classes, and the
-correction-term count pairing submodule pairs with extension data.
+correction-term count pairing block submodule pairs with extension data.
 """
 
 from __future__ import annotations
@@ -367,7 +367,9 @@ def named_summands(m: RepModule, catalog: Catalog,
     The summands are read from M's Hom vector over the named modules
     (``_direct_sum_vectors``), and M is confirmed isomorphic to their
     direct sum once.  A module with no such decomposition is a
-    ``CountError`` that names it by ``label``.
+    ``CountError`` that names it by ``label``.  A module presented
+    exactly as that direct sum is isomorphic to it through the identity,
+    so its decomposition needs no search.
     """
     named = tuple((lab, catalog[lab]) for lab in catalog.indecomposables)
     names = ", ".join(lab for lab, _ in named)
@@ -382,7 +384,7 @@ def named_summands(m: RepModule, catalog: Catalog,
     total = direct_sum_many(m.algebra, m.field,
                             [catalog[lab] for lab in parts])
     try:
-        iso = is_isomorphic(m, total)[0]
+        iso = m.key() == total.key() or is_isomorphic(m, total)[0]
     except UndecidableError:
         iso = False
     if not iso:
@@ -414,43 +416,52 @@ def _match_catalog(mid: RepModule, catalog: Dict[str, RepModule]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Correction term: pairs (submodule, quotient data) weighted by extensions
+# Correction term: block submodule pairs weighted by extension classes
 
 
-def count_efg(n: RepModule, m: RepModule) -> Dict[Tuple[int, ...], int]:
-    """Point counts of the correction set at every dimension vector e
-    between 0 and dims(M) + dims(N), zeros included.
+def _block_submodules(total: RepModule, parts: Sequence[RepModule]):
+    """Block sums of one submodule of each part, as submodules of their
+    direct sum ``total`` given by ``sub_quotient``."""
+    per_part = [[spaces for e in itertools.product(
+                     *[range(d + 1) for d in x.dims])
+                 for spaces, _ in _vertex_walk(x, e, False)] for x in parts]
+    offsets = [[sum(y.dims[v] for y in parts[:i]) for v in range(len(x.dims))]
+               for i, x in enumerate(parts)]
+    for choice in itertools.product(*per_part):
+        witness = [span(total.field, [
+            (0,) * off[v] + r + (0,) * (d - off[v] - len(r))
+            for off, spaces in zip(offsets, choice)
+            for r in spaces[v].mat.rows], d) for v, d in enumerate(total.dims)]
+        yield sub_quotient(total, witness)
 
-    Tuples (M1, N1, class up to scalar, compatible subspace of the middle
-    term) where M1 <= M and N1 <= N have dimension vectors summing to e,
-    and the nonzero class of Ext^1(N, M) lies in the first-summand slice
-    of the image of the paired transport map.  The compatible subspaces
-    of a fixed representative form an affine space of dimension
-    hom(M1, N/N1), so the count at e is
 
-        sum over (M1, N1) of (q^w - 1)/(q - 1) * q^h,
+def count_efg(n_parts: Sequence[RepModule],
+              m_parts: Sequence[RepModule]) -> Dict[Tuple[int, ...], int]:
+    """Point counts with the Euler characteristics of the correction set
+    at every dimension vector e between 0 and dims(M) + dims(N), zeros
+    included, for M and N the direct sums of the GF(p) parts.
 
-    with w the dimension of that first-summand slice.  Each pair lies in
-    one row, so the table is filled in one pass: every submodule M1 is
-    enumerated once and kept, every N1 once and streamed past them.
+    The correction set holds (M1 <= M, N1 <= N, class up to scalar,
+    compatible subspace) with dims M1 + dims N1 = e; over (M1, N1) the
+    classes form P^(w-1), w the dimension of the first-summand slice of
+    the image of the paired transport map, and the subspaces an affine
+    space.  The block sums of submodules of the parts hold every point
+    fixed by the torus scaling each part, so (Bialynicki-Birula) the
+    count at e is the sum over block pairs of (q^w - 1)/(q - 1); the
+    parts [N] and [M] give every pair.
     """
-    field = m.field
+    alg, field = n_parts[0].algebra, n_parts[0].field
     q = _prime(field, "correction counting")
-    top = tuple(a + b for a, b in zip(m.dims, n.dims))
-    table = {e: 0 for e in itertools.product(*[range(d + 1) for d in top])}
-    m1_subs = [(e1, sub_quotient(m, spaces))
-               for e1 in itertools.product(*[range(d + 1) for d in m.dims])
-               for spaces, _ in _vertex_walk(m, e1, False)]
-    for e2 in itertools.product(*[range(d + 1) for d in n.dims]):
-        for spaces, _ in _vertex_walk(n, e2, False):
-            n1, n_quot, n1_incl, _ = sub_quotient(n, spaces)
-            for e1, (m1, _, m1_incl, _) in m1_subs:
-                bp = beta_map(n, m, n1, n1_incl, m1, m1_incl)
-                w = image_first_block_dim(field, bp.matrix, bp.dst_nm.dim)
-                if w:
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    h = hom_dim(m1, n_quot)
-                    table[e] += ((q ** w - 1) // (q - 1)) * q ** h
+    n, m = (direct_sum_many(alg, field, ps) for ps in (n_parts, m_parts))
+    table = {e: 0 for e in itertools.product(
+        *[range(a + b + 1) for a, b in zip(m.dims, n.dims)])}
+    m1_subs = list(_block_submodules(m, m_parts))
+    for n1, _, n1_incl, _ in _block_submodules(n, n_parts):
+        for m1, _, m1_incl, _ in m1_subs:
+            bp = beta_map(n, m, n1, n1_incl, m1, m1_incl)
+            w = image_first_block_dim(field, bp.matrix, bp.dst_nm.dim)
+            e = tuple(a + b for a, b in zip(m1.dims, n1.dims))
+            table[e] += (q ** w - 1) // (q - 1)
     return table
 
 

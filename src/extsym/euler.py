@@ -144,29 +144,6 @@ def projective_space_degree_bound(ext_dim: int) -> int:
     return max(ext_dim - 1, 0)
 
 
-def efg_degree_bound(m_dims: Sequence[int], n_dims: Sequence[int],
-                     ext_nm_dim: int) -> int:
-    """Degree bound for the whole correction table.
-
-    The count at e is a sum over pairs M1 <= M, N1 <= N with dimension
-    vectors e1 + e2 = e of (q^w - 1)/(q - 1) * q^h.  The M1 and the N1
-    lie in products of vertex Grassmannians, w is at most
-    dim Ext^1(N, M), and h = dim Hom(M1, N/N1) is at most the dimension
-    of the vertex-wise linear maps.  So every row is bounded by the
-    maximum over all e1 inside M and e2 inside N of
-
-        sum e1_i (m_i - e1_i) + sum e2_i (n_i - e2_i)
-          + sum e1_i (n_i - e2_i) + dim Ext^1(N, M) - 1,
-
-    whose vertex terms are maximised one vertex at a time; 0 when that
-    maximum is negative.
-    """
-    best = sum(max(a * (m - a) + b * (n - b) + a * (n - b)
-                   for a in range(m + 1) for b in range(n + 1))
-               for m, n in zip(m_dims, n_dims))
-    return max(best + ext_nm_dim - 1, 0)
-
-
 def good_primes(pred: Callable[[int], bool], count: int,
                 start: int = 2, limit: int = PRIME_LIMIT) -> List[int]:
     """First ``count`` primes satisfying a screening predicate."""

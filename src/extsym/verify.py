@@ -17,8 +17,8 @@ from .counting import (CountError, CountSeries, _direct_sum_vectors,
                        count_efg, named_summands, stratify_ext_classes)
 from .delta import (all_dim_vectors, convolve, enumerate_flag_types,
                     evaluation_form, stratify_by_signature)
-from .euler import (efg_degree_bound, interpolate_euler,
-                    projective_space_degree_bound, select_primes)
+from .euler import (interpolate_euler, projective_space_degree_bound,
+                    select_primes)
 from .ext import ext_dim, ext_symmetry_audit
 from .modules import (RepModule, composition_series, direct_sum_many,
                       named_indecomposables, reduce_catalog, reduce_module)
@@ -291,7 +291,8 @@ def verify_formula1(m: RepModule, n: RepModule,
           = sum over strata <L> of chi_L * chi(Gr_e(L)) + correction(e),
 
     with strata grouped by submodule-count signatures and the correction
-    counted by the paired-transport fibration.  Submodule Euler
+    counted by the paired-transport fibration, on the named summands of
+    M and N under a named catalog (``count_efg``).  Submodule Euler
     characteristics are read from grassmann evaluation forms
     (``delta.evaluation_form``).
     """
@@ -299,16 +300,25 @@ def verify_formula1(m: RepModule, n: RepModule,
     sym_ok = _advisory_symmetry(m, n, simples, allow_asymmetric)
     d = tuple(a + b for a, b in zip(m.dims, n.dims))
     dim_e, dim_nm = ext_dim(m, n), ext_dim(n, m)
-    # the correction is counted only when Ext(N, M) is nonzero, as one
-    # table per prime at one degree bound; only a plain catalog counts the
-    # strata at the same primes
-    efg_bound = efg_degree_bound(m.dims, n.dims, dim_nm) if dim_nm else 0
-    if not named_indecomposables(catalog):
+    # the correction is counted only when Ext(N, M) is nonzero (the named
+    # summands are read only then), at the degree bound of the parts'
+    # submodule varieties and P Ext^1(N, M); only a plain catalog counts
+    # the strata at the same primes
+    named = named_indecomposables(catalog)
+    n_parts, m_parts = [n], [m]
+    if dim_nm and named:
+        n_parts, m_parts = ([catalog[lab] for lab in named_summands(
+            x, catalog, label)] for x, label in ((n, "second module"),
+                                                 (m, "first module")))
+    efg_bound = sum(k * k // 4 for x in n_parts + m_parts
+                    for k in x.dims) + dim_nm - 1 if dim_nm else 0
+    if not named:
         ps = select_primes(
             m, n, list(_entries_of(catalog, d).values()),
             max(projective_space_degree_bound(dim_e), efg_bound) + 2, primes)
     else:
-        ps = select_primes(m, n, [], efg_bound + 2, primes) if dim_nm else []
+        ps = select_primes(m, n, n_parts + m_parts, efg_bound + 2,
+                           primes) if dim_nm else []
 
     def submodules(mod, label):
         return evaluation_form(mod, "grassmann", simples, catalog, primes,
@@ -333,7 +343,8 @@ def verify_formula1(m: RepModule, n: RepModule,
                       submodules(n, "second module")) if dim_e else {}
     efg = _fit_tables(
         "correction",
-        lambda p: count_efg(reduce_module(n, p), reduce_module(m, p)),
+        lambda p: count_efg([reduce_module(x, p) for x in n_parts],
+                            [reduce_module(x, p) for x in m_parts]),
         efg_bound, ps) if dim_nm else {}
     rows = []
     efg_table: Dict[str, int] = {}
@@ -348,7 +359,8 @@ def verify_formula1(m: RepModule, n: RepModule,
         {"algebra": m.algebra.label or "unnamed",
          "dims": str(d), "extension dim": str(dim_e)},
         tuple(rows), strata_table, efg_table, sym_ok, tuple(ps),
-        _details(catalog))
+        {**_details(catalog),
+         "correction_method": "localised" if named else "counted"})
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Independent brute-force reference implementations.
 
-Everything here is written from scratch on plain lists and Fractions (or
-ints mod p), without importing the package's linear algebra, so the test
-suite can cross-check the library against a second, slower computation of
-the same quantities.
+Everything here but the last section is written from scratch on plain
+lists and Fractions (or ints mod p), without importing the package's
+linear algebra, so the test suite can cross-check the library against a
+second, slower computation of the same quantities.  The last section
+keeps the correction count that enumerates every submodule pair, the
+reference for the library's count on block pairs.
 """
 
 from __future__ import annotations
@@ -277,3 +279,60 @@ def count_extension_tuples(xdims, ydims, arrows, relations, p):
     return sum(1 for vals in itertools.product(range(p), repeat=ncoords)
                if extension_tuple_satisfies(xdims, ydims, arrows, relations,
                                             vals, p))
+
+
+# ---------------------------------------------------------------------------
+# The correction term by every submodule pair.  Unlike the rest of this
+# file it runs on the package's Ext machinery: it is the reference for the
+# localised ``counting.count_efg``, which counts block pairs only.
+
+
+def count_efg_pairs(n, m):
+    """Point counts of the correction set of (M, N) over GF(p) at every
+    dimension vector e between 0 and dims(M) + dims(N), zeros included:
+
+        sum over M1 <= M, N1 <= N with dims e1 + e2 = e
+            of (q^w - 1)/(q - 1) * q^h,
+
+    with w the dimension of the first-summand slice of the image of the
+    paired transport map and h = dim Hom(M1, N/N1), the dimension of the
+    affine space of compatible subspaces."""
+    from extsym.counting import _vertex_walk
+    from extsym.ext import beta_map, image_first_block_dim
+    from extsym.modules import hom_dim, sub_quotient
+    q = m.field.char
+    top = tuple(a + b for a, b in zip(m.dims, n.dims))
+    table = {e: 0 for e in itertools.product(*[range(d + 1) for d in top])}
+
+    def subs(x):
+        return [(e, sub_quotient(x, spaces))
+                for e in itertools.product(*[range(d + 1) for d in x.dims])
+                for spaces, _ in _vertex_walk(x, e, False)]
+
+    m1_subs = subs(m)
+    for e2, (n1, n_quot, n1_incl, _) in subs(n):
+        for e1, (m1, _, m1_incl, _) in m1_subs:
+            bp = beta_map(n, m, n1, n1_incl, m1, m1_incl)
+            w = image_first_block_dim(m.field, bp.matrix, bp.dst_nm.dim)
+            if w:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                table[e] += (q ** w - 1) // (q - 1) * q ** hom_dim(m1,
+                                                                   n_quot)
+    return table
+
+
+def efg_degree_bound(m_dims, n_dims, ext_nm_dim):
+    """Degree bound of every row of ``count_efg_pairs``.  The M1 and N1
+    lie in products of vertex Grassmannians, w is at most
+    dim Ext^1(N, M) and h at most the dimension of the vertex-wise linear
+    maps M1 -> N/N1, so each row is bounded by the maximum over e1 inside
+    M and e2 inside N of
+
+        sum e1_i (m_i - e1_i) + sum e2_i (n_i - e2_i)
+          + sum e1_i (n_i - e2_i) + dim Ext^1(N, M) - 1,
+
+    maximised one vertex at a time; 0 when that maximum is negative."""
+    best = sum(max(a * (m - a) + b * (n - b) + a * (n - b)
+                   for a in range(m + 1) for b in range(n + 1))
+               for m, n in zip(m_dims, n_dims))
+    return max(best + ext_nm_dim - 1, 0)

@@ -12,14 +12,14 @@ import time
 import pytest
 
 from extsym import memo
-from extsym.counting import (count_efg, count_flags, count_grassmannian,
+from extsym.counting import (count_flags, count_grassmannian,
                              iter_submodules, stratify_ext_classes)
 from extsym.delta import check_delta_multiplicativity
 from extsym.ext import (beta_map, beta_prime_map, ext1_space, ext_dim,
                         ext_symmetry_audit, image_first_block_dim,
                         kernel_projection_dim, middle_term)
-from extsym.euler import (EulerError, efg_degree_bound, euler_of,
-                          interpolate_euler, projective_space_degree_bound)
+from extsym.euler import (EulerError, euler_of, interpolate_euler,
+                          projective_space_degree_bound)
 from extsym.counting import CountSeries
 from extsym.fields import RATIONALS
 from extsym.instances import (a2_catalog, a2_modules, a2_preprojective,
@@ -30,6 +30,8 @@ from extsym.modules import (conjugate, direct_sum, direct_sum_many, hom_dim,
                             reduce_module, sub_quotient, witness_from_rows)
 from extsym.verify import (VerifyError, run_audit_suite, verify_formula1,
                            verify_formula2)
+
+from oracle import count_efg_pairs, efg_degree_bound
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "worked_instance.json")
@@ -157,7 +159,7 @@ def test_4_worked_instance_against_committed_oracle(a2):
                 for e_str, cnt in node["submodules"][lab].items():
                     e = tuple(int(x) for x in e_str.split(","))
                     assert count_grassmannian(cat_q[lab], e) == cnt
-            efg = count_efg(nq, mq)
+            efg = count_efg_pairs(nq, mq)
             for e_str, cnt in node["correction"].items():
                 e = tuple(int(x) for x in e_str.split(","))
                 assert efg[e] == cnt
@@ -345,12 +347,13 @@ def test_10_dimension_six_pair_within_budget(a2):
 
 
 def test_11_correction_row_degree_bound(a2):
-    """Row e = (1, 1) of the correction term for (S2, 4 S1).  Its pairs are
-    M1 = M with the lines N1 of F_q^4 (degree 3), each weighted by a class
-    factor of degree up to 3, so the old bound 4 fails its surplus check;
-    the row fits at bound 6 with a polynomial of degree 5, below the table
-    bound 7.  The whole table takes minutes, so the row's pairs are counted
-    here.  Budget: 30 s."""
+    """Row e = (1, 1) of the correction term for (S2, 4 S1), counted over
+    every submodule pair as the oracle does.  Its pairs are M1 = M with
+    the lines N1 of F_q^4 (degree 3), each weighted by a class factor of
+    degree up to 3, so the old bound 4 fails its surplus check; the row
+    fits at bound 6 with a polynomial of degree 5, below the oracle's
+    table bound 7.  The oracle's whole table takes minutes, so the row's
+    pairs are counted here.  Budget: 30 s."""
     with Budget(30):
         alg, mods = a2
         m = mods["S2"]
@@ -370,8 +373,8 @@ def test_11_correction_row_degree_bound(a2):
                 total += (q ** w - 1) // (q - 1) * q ** hom_dim(m1, n_quot)
             return total
 
-        assert row(2) == count_efg(reduce_module(n, 2),
-                                   reduce_module(m, 2))[(1, 1)]
+        assert row(2) == count_efg_pairs(reduce_module(n, 2),
+                                         reduce_module(m, 2))[(1, 1)]
         ev = euler_of("correction (1, 1)", row, 6, PRIMES)
         assert ev.value == 12
         assert len(ev.coeffs) - 1 == 5
@@ -422,6 +425,41 @@ def test_14_dimension_eight_symmetric_identity_within_budget(a2):
         assert sum(v["backward"] for v in rep.strata.values()) == \
             ext_dim(n, m)
         assert any(lhs for _, lhs, _ in rep.rows)
+
+
+def test_15_correction_by_localisation_within_budget(a2):
+    """The Grassmannian identity, caches cold, on (S1+S2+P1, S1+S2+P2),
+    combined dimension vector (4, 4), and on (S1, 4 S2) both ways, whose
+    correction classes form P^3.  The correction counts only the block
+    pairs of submodules of the named summands, and each indecomposable
+    here has finitely many submodules, so every table fits at the degree
+    of P Ext^1(N, M).  Budget: 10 s."""
+    memo.clear_all()
+    with Budget(10):
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        sums = a2_sums(alg, 4)
+        rep = verify_formula1(sums["S1+S2+P1"], sums["S1+S2+P2"], simples,
+                              a2_catalog(alg, 8))
+        assert rep.passed
+        assert rep.details["correction_method"] == "localised"
+        nonzero = {(0, 1): 1, (0, 2): 2, (0, 3): 1, (1, 0): 1, (1, 1): 4,
+                   (1, 2): 7, (1, 3): 5, (1, 4): 1, (2, 0): 2, (2, 1): 7,
+                   (2, 2): 10, (2, 3): 7, (2, 4): 2, (3, 0): 1, (3, 1): 5,
+                   (3, 2): 7, (3, 3): 4, (3, 4): 1, (4, 1): 1, (4, 2): 2,
+                   (4, 3): 1}
+        assert rep.efg == {str(e): nonzero.get(e, 0)
+                           for e in itertools.product(range(5), repeat=2)}
+        s2s = direct_sum_many(alg, RATIONALS, [mods["S2"]] * 4)
+        cat = a2_catalog(alg, 5)
+        for m, n, rows in ((mods["S1"], s2s, ((1, 0), (1, 1), (1, 2),
+                                              (1, 3))),
+                           (s2s, mods["S1"], ((0, 1), (0, 2), (0, 3),
+                                              (0, 4)))):
+            rep = verify_formula1(m, n, simples, cat)
+            assert rep.passed
+            assert {k: v for k, v in rep.efg.items() if v} == {
+                str(e): v for e, v in zip(rows, (4, 12, 12, 4))}
 
 
 @pytest.mark.parametrize("which, message", [

@@ -334,6 +334,9 @@ class TestVerify:
     @pytest.mark.parametrize("catalog, method", [
         ("catalog", "localised"), ("plain_catalog", "isomorphism")])
     def test_reports_strata_method(self, files, which, catalog, method):
+        # only the Grassmannian identity has a correction term, localised
+        # onto the named summands under the named catalog
+        correction = "localised" if catalog == "catalog" else "counted"
         r = run("verify", which, "--algebra", files["algebra"],
                 "--module", files["S1"], "--module", files["S2"],
                 "--catalog", files[catalog],
@@ -341,6 +344,8 @@ class TestVerify:
         assert r.exit_code == 0
         out = json.loads(r.output)
         assert out["details"]["strata_method"] == method
+        assert out["details"].get("correction_method") == (
+            correction if which == "f1" else None)
         assert out["strata"]["P1"]["forward"] == 1
 
     @pytest.mark.parametrize("which", ["f1", "f2"])

@@ -9,12 +9,12 @@ import pytest
 
 from extsym import counting, memo
 from extsym.algebra import AlgebraPresentation, make_quiver
-from extsym.counting import (CountError, count_efg, count_flags,
+from extsym.counting import (CountError, CountSeries, count_efg, count_flags,
                              count_grassmannian, good_prime,
                              good_prime_for_pairs, iter_submodules,
                              stratify_ext_classes)
 from extsym.delta import enumerate_flag_types
-from extsym.euler import select_primes
+from extsym.euler import interpolate_euler, select_primes
 from extsym.ext import ext1_space, ext_dim, middle_term
 from extsym.fields import RATIONALS, FieldError
 from extsym.instances import (a2_catalog, a2_sums, deformed_a2_module,
@@ -27,7 +27,8 @@ from extsym.modules import (Catalog, UndecidableError, conjugate, direct_sum,
 
 from extsym.verify import _strata_chi, verify_formula1, verify_formula2
 
-from oracle import (count_flags_bruteforce, count_submodules_bruteforce,
+from oracle import (count_efg_pairs, count_flags_bruteforce,
+                    count_submodules_bruteforce, efg_degree_bound,
                     gaussian_binomial_int, mat_apply, span_set)
 
 
@@ -559,14 +560,16 @@ class TestHomRankStrata:
             verify_formula2(*args, primes=[5, 7])
 
     def test_unconfirmed_decomposition_refused(self, a2, monkeypatch):
+        # P1+S1 is not presented as the direct sum S1+P1 of its named
+        # summands, so only an isomorphism can confirm its decomposition
         alg, mods = a2
         memo.clear_all()
         monkeypatch.setattr(counting, "is_isomorphic",
                             lambda x, y: (False, None))
         for verify in (verify_formula2, verify_formula1):
             with pytest.raises(CountError, match="not confirmed isomorphic"):
-                verify(mods["S1"], mods["S2"], [mods["S1"], mods["S2"]],
-                       a2_catalog(alg, 2))
+                verify(direct_sum(mods["P1"], mods["S1"]), mods["S2"],
+                       [mods["S1"], mods["S2"]], a2_catalog(alg, 4))
 
     def test_incomplete_catalog_reported(self, a2):
         alg, mods = a2
@@ -585,33 +588,71 @@ class TestCorrectionCount:
         _, mods = a2
         m = reduce_module(mods["S1"], p)
         n = reduce_module(mods["S2"], p)
-        assert count_efg(n, m) == {(0, 0): 0, (1, 0): 1, (0, 1): 0,
-                                   (1, 1): 0}
+        assert count_efg([n], [m]) == {(0, 0): 0, (1, 0): 1, (0, 1): 0,
+                                       (1, 1): 0}
 
     def test_requires_prime_field(self, a2):
         _, mods = a2
         with pytest.raises(CountError,
                            match="^correction counting requires a prime"):
-            count_efg(mods["S2"], mods["S1"])
+            count_efg([mods["S2"]], [mods["S1"]])
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_table_vanishes_at_both_ends(self, a2, p):
         # at e = 0, M1 = 0 and Ext^1(N, M1) = 0; at the top, M1 = M and
         # N1 = N, so the paired map is the diagonal and no class lies in
-        # its first-summand slice
+        # its first-summand slice; both with M and N whole and split into
+        # their named summands
         alg, _ = a2
         sums = a2_sums(alg, 2)
+        cat = a2_catalog(alg, 2)
         tried = 0
         for (la, m), (lb, n) in itertools.product(sums.items(), repeat=2):
             if not ext_dim(n, m):
                 continue
-            table = count_efg(reduce_module(n, p), reduce_module(m, p))
             top = tuple(a + b for a, b in zip(m.dims, n.dims))
-            assert len(table) == (top[0] + 1) * (top[1] + 1), (la, lb)
-            assert table[(0, 0)] == table[top] == 0, (la, lb)
-            assert any(table.values()), (la, lb)
+            for n_parts, m_parts in (([n], [m]), (
+                    [cat[x] for x in lb.split("+")],
+                    [cat[x] for x in la.split("+")])):
+                table = count_efg([reduce_module(x, p) for x in n_parts],
+                                  [reduce_module(x, p) for x in m_parts])
+                assert len(table) == (top[0] + 1) * (top[1] + 1), (la, lb)
+                assert table[(0, 0)] == table[top] == 0, (la, lb)
+                assert any(table.values()), (la, lb)
             tried += 1
         assert tried
+
+    def test_tables_equal_the_oracle(self, a2):
+        """The efg table of f1, under the named catalog (block pairs of the
+        named summands) and under its plain copy (every pair, unweighted
+        by the affine fibres), equals the oracle's table fitted from every
+        submodule pair with its q^h weights.  The pairs: those of
+        combined dimension <= 4, the two benchmark pairs of dimension 5
+        and one mirror, and (S2+P1, S1+P2); 40 of them have
+        Ext^1(N, M) != 0."""
+        alg, _ = a2
+        sums = a2_sums(alg, 4)
+        cat = a2_catalog(alg, 6)
+        small = [(a, b) for a in sums for b in sums
+                 if sums[a].total_dim + sums[b].total_dim <= 4
+                 and sums[a].total_dim <= 3 and sums[b].total_dim <= 3]
+        pairs = [(a, b) for a, b in small + [
+            ("P1", "S2+P2"), ("S1+S2+P1", "S1"), ("S1", "S1+S2+P1"),
+            ("S2+P1", "S1+P2")] if ext_dim(sums[b], sums[a])]
+        assert len(pairs) == 40
+        simples = [cat["S1"], cat["S2"]]
+        for a, b in pairs:
+            m, n = sums[a], sums[b]
+            bound = efg_degree_bound(m.dims, n.dims, ext_dim(n, m))
+            ps = select_primes(m, n, [], bound + 2, None)
+            tables = [count_efg_pairs(reduce_module(n, p),
+                                      reduce_module(m, p)) for p in ps]
+            want = {str(e): interpolate_euler(CountSeries(
+                        f"{a}, {b} at {e}", tuple(
+                            (p, t[e]) for p, t in zip(ps, tables)),
+                        bound)).value for e in tables[0]}
+            for c in (cat, dict(cat)):
+                assert verify_formula1(m, n, simples, c).efg == want, (a, b)
 
 
 class TestPrimeScreening:

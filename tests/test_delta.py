@@ -411,15 +411,19 @@ class TestNamingRefused:
             verify(cat["S1+P1"], mods["S2"], [mods["S1"], mods["S2"]], cat)
 
     def test_unconfirmed_isomorphism_refused(self, a2, monkeypatch):
+        """A module presented as the direct sum of its named summands is
+        confirmed by its presentation.  P1+S1 is presented otherwise (its
+        vertex 1 holds P1 first), so only an isomorphism can confirm it."""
         alg, _ = a2
-        cat = a2_catalog(alg, 2)
+        cat = a2_catalog(alg, 3)
         memo.clear_all()
         monkeypatch.setattr(extsym.counting, "is_isomorphic",
                             lambda x, y: (False, None))
+        assert named_summands(cat["S1+P1"], cat, "S1+P1") == ("S1", "P1")
         with pytest.raises(CountError,
-                           match="S1\\+S2 has the Hom vector of S1\\+S2 "
+                           match="P1\\+S1 has the Hom vector of S1\\+P1 "
                                  ".* not confirmed isomorphic"):
-            named_summands(cat["S1+S2"], cat, "S1+S2")
+            named_summands(direct_sum(cat["P1"], cat["S1"]), cat, "P1+S1")
 
 
 def test_only_evaluation_forms_count_points():

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 
 from extsym.counting import (CountError, CountSeries, count_flags,
                              count_grassmannian)
-from extsym.euler import (EulerError, efg_degree_bound, euler_of,
-                          flag_degree_bound, good_primes,
-                          grassmannian_degree_bound, interpolate_euler,
-                          polynomial_coeffs, primes_from,
+from extsym.euler import (EulerError, euler_of, flag_degree_bound,
+                          good_primes, grassmannian_degree_bound,
+                          interpolate_euler, polynomial_coeffs, primes_from,
                           projective_space_degree_bound)
 from extsym.instances import a2_modules, a2_preprojective
 from extsym.modules import direct_sum_many, reduce_module
 from extsym.fields import RATIONALS
 from extsym.linalg import Mat, solve
+
+from oracle import efg_degree_bound
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -144,6 +145,8 @@ class TestGeometricValues:
 
 
 class TestCorrectionBound:
+    """The bound of the oracle's count over every submodule pair."""
+
     def test_maximum_over_splits(self):
         # M = S1, N = 4 S2, dim Ext^1(N, M) = 4: the largest row term is
         # e1 = (1, 0), e2 = (0, 2), giving 0 + 2*2 + 1*0 + 4 - 1
