@@ -19,13 +19,11 @@ from .ext import (beta_map, ext1_equations, ext1_space, ext_dim,
 from .fields import QQ, FieldError
 from .linalg import (Mat, Subspace, contains_vector, enumerate_subspaces,
                      gaussian_binomial, identity, integer_rank_minor,
-                     kernel_basis, mat_vec, rank, span)
-# unused here; perfbench/tests/test_tracing.py checks the tracer wraps it
-from .linalg import rref  # noqa: F401
+                     kernel_basis, mat_vec, rank, rref, span,
+                     transpose)
 from .modules import (Catalog, ModuleError, RepModule, UndecidableError,
-                      _hom_system, direct_sum_many, hom_basis,
-                      hom_combination, hom_dim, is_isomorphic,
-                      reduce_module, sub_quotient, submodule)
+                      _hom_system, direct_sum_many, hom_basis, hom_dim,
+                      is_isomorphic, reduce_module, submodule)
 
 
 class CountError(ValueError):
@@ -180,37 +178,73 @@ def count_grassmannian(m: RepModule, edims: Sequence[int]) -> int:
 # Flags with prescribed simple quotients
 
 
-def _quotient_kernels(m: RepModule, simple: RepModule):
-    """Canonical submodule witnesses K <= M with M/K isomorphic to a given
-    simple, via kernels of the maps M -> S that are onto at every vertex.
+def _lines(n: int, p: int):
+    """The lines of F_p^n, each as the vector on it whose first nonzero
+    entry is 1."""
+    for lead in range(n):
+        for tail in itertools.product(range(p), repeat=n - lead - 1):
+            yield (0,) * lead + (1,) + tail
 
-    The kernel rows are already RREF, so each is a witness subspace as it
-    stands; vertices where S vanishes keep all of M.  Distinct
-    surjections with equal kernels are deduplicated by those rows.
+
+def _quotient_kernels(m: RepModule, simple: RepModule):
+    """The submodules K <= M with M/K isomorphic to a given simple, as
+    modules: the kernels of the maps M -> S that are onto at every vertex.
+
+    For each line of Hom(M, S) the map is put in reduced echelon form R
+    at the vertices where S is nonzero; it is onto when R has a row per
+    dimension of S there.  The kernel has the basis e_c - sum_r R[r][c]
+    e_pivot(r) over the free (non-pivot) columns c, so a kernel vector's
+    coordinates are its entries at the free columns, and each arrow of K
+    is M's arrow applied to that basis, read at the free columns of its
+    target.  Vertices where S vanishes keep all of M.  A kernel fixes
+    its echelon form, so kernels are deduplicated by those rows.
     """
     field = m.field
+    p = field.char
+    q = m.algebra.quiver
     basis = hom_basis(m, simple).basis
-    whole = [Subspace(field, d, identity(field, d), tuple(range(d)))
-             for d in m.dims]
+    # per vertex of S, the matrix taking coefficients over the Hom basis
+    # to the entries of the map there, row by row
+    support = []
+    for i, (rk, d) in enumerate(zip(simple.dims, m.dims)):
+        if rk:
+            entries = tuple(tuple(x for r in phis[i].rows for x in r)
+                            for phis in basis)
+            support.append((i, rk, d,
+                            transpose(Mat(entries, len(entries), rk * d))))
+    ends = [(q.vertex_index(a.source), q.vertex_index(a.target))
+            for a in q.arrows]
     seen = set()
-    # nonzero maps up to scalar: one per line of the Hom space
-    for line in enumerate_subspaces(len(basis), 1, field.p):
-        phi = hom_combination(field, basis, line.mat.rows[0])
-        witness = []
-        for i, d in enumerate(m.dims):
-            if not simple.dims[i]:
-                witness.append(whole[i])
-                continue
-            kb = kernel_basis(field, phi[i])
-            if kb.nrows != d - simple.dims[i]:  # not onto at vertex i
+    for line in _lines(len(basis), p):
+        echelon = {}
+        for i, rk, d, coeffs in support:
+            flat = mat_vec(field, coeffs, line)
+            red, pivots = rref(field, Mat(
+                tuple(flat[r * d:(r + 1) * d] for r in range(rk)), rk, d))
+            if len(pivots) != rk:  # not onto at vertex i
                 break
-            witness.append(Subspace(field, d, kb,
-                                    tuple(r.index(1) for r in kb.rows)))
+            echelon[i] = red.rows, pivots
         else:
-            key = tuple(w.mat.rows for w in witness)
-            if key not in seen:
-                seen.add(key)
-                yield tuple(witness)
+            key = tuple(rows for rows, _ in echelon.values())
+            if key in seen:
+                continue
+            seen.add(key)
+            free = [range(d) if i not in echelon else
+                    [c for c in range(d) if c not in echelon[i][1]]
+                    for i, d in enumerate(m.dims)]
+            mats = []
+            for (s, t), x in zip(ends, m.matrices):
+                rows = x.rows if t not in echelon else \
+                    tuple(x.rows[f] for f in free[t])
+                if s in echelon:
+                    red, pivots = echelon[s]
+                    rows = tuple(tuple(
+                        (xr[c] - sum(r[c] * xr[pc] for r, pc in
+                                     zip(red, pivots))) % p
+                        for c in free[s]) for xr in rows)
+                mats.append(Mat(rows, len(free[t]), len(free[s])))
+            yield RepModule(m.algebra, field, tuple(map(len, free)),
+                            tuple(mats))
 
 
 # Isomorphism classes of GF(p) modules, the submodules with one simple
@@ -249,8 +283,8 @@ def _class_children_of(cid, rep: RepModule, simple: RepModule):
     """Classes of the submodules K <= rep with rep/K isomorphic to the
     simple, as (class id, representative, number of such K)."""
     mult: Dict[int, list] = {}
-    for witness in _quotient_kernels(rep, simple):
-        ccid, crep = _module_class(submodule(rep, witness))
+    for kernel in _quotient_kernels(rep, simple):
+        ccid, crep = _module_class(kernel)
         mult.setdefault(ccid, [ccid, crep, 0])[2] += 1
     return tuple(tuple(v) for v in mult.values())
 
@@ -270,6 +304,13 @@ def count_flags(m: RepModule, jseq: Sequence[int],
     counts are cached by (class, remaining type, simples).
     """
     _prime(m.field, "flag counting")
+    for i, s in enumerate(simples):
+        if s.algebra.key() != m.algebra.key():
+            raise CountError(f"simple {i} is a module over another algebra "
+                             f"than the module's")
+        if s.field != m.field:
+            raise CountError(f"simple {i} is over {s.field}, the module "
+                             f"over {m.field}")
     jseq = tuple(jseq)
     bad = [j for j in jseq if not 0 <= j < len(simples)]
     if bad:
@@ -318,8 +359,8 @@ def stratify_ext_classes(m: RepModule, n: RepModule,
                               if c.dims == mid_dims}
     # distinct lines give distinct middle-term presentations (the
     # complement rows are independent), so each is matched once
-    for line in enumerate_subspaces(space.dim, 1, q):
-        label = _match_catalog(middle_term(space, line.mat.rows[0])[0],
+    for line in _lines(space.dim, q):
+        label = _match_catalog(middle_term(space, line)[0],
                                catalog)
         counts[label] += 1
     expected = (q ** space.dim - 1) // (q - 1) if space.dim else 0
@@ -420,19 +461,36 @@ def _match_catalog(mid: RepModule, catalog: Dict[str, RepModule]) -> str:
 
 
 def _block_submodules(total: RepModule, parts: Sequence[RepModule]):
-    """Block sums of one submodule of each part, as submodules of their
-    direct sum ``total`` given by ``sub_quotient``."""
-    per_part = [[spaces for e in itertools.product(
-                     *[range(d + 1) for d in x.dims])
-                 for spaces, _ in _vertex_walk(x, e, False)] for x in parts]
+    """Block sums of one submodule of each part, as (submodule, inclusion)
+    pairs of their direct sum ``total``.
+
+    Each distinct part is walked once.  The rows of a block sum, each
+    part's echelon rows shifted to its block, are already in echelon
+    form, so they are the witness as they stand and the inclusion is
+    their transpose.
+    """
+    field = total.field
+    walks = {}
+    for x in parts:
+        if x.key() not in walks:
+            walks[x.key()] = [spaces for e in itertools.product(
+                *[range(d + 1) for d in x.dims])
+                for spaces, _ in _vertex_walk(x, e, False)]
     offsets = [[sum(y.dims[v] for y in parts[:i]) for v in range(len(x.dims))]
                for i, x in enumerate(parts)]
-    for choice in itertools.product(*per_part):
-        witness = [span(total.field, [
-            (0,) * off[v] + r + (0,) * (d - off[v] - len(r))
-            for off, spaces in zip(offsets, choice)
-            for r in spaces[v].mat.rows], d) for v, d in enumerate(total.dims)]
-        yield sub_quotient(total, witness)
+    for choice in itertools.product(*[walks[x.key()] for x in parts]):
+        witness = []
+        for v, d in enumerate(total.dims):
+            rows, pivots = [], []
+            for off, spaces in zip(offsets, choice):
+                u = spaces[v]
+                rows += [(0,) * off[v] + r + (0,) * (d - off[v] - len(r))
+                         for r in u.mat.rows]
+                pivots += [off[v] + c for c in u.pivots]
+            witness.append(Subspace(field, d, Mat(tuple(rows), len(rows), d),
+                                    tuple(pivots)))
+        yield (submodule(total, witness),
+               tuple(transpose(u.mat) for u in witness))
 
 
 def count_efg(n_parts: Sequence[RepModule],
@@ -456,8 +514,8 @@ def count_efg(n_parts: Sequence[RepModule],
     table = {e: 0 for e in itertools.product(
         *[range(a + b + 1) for a, b in zip(m.dims, n.dims)])}
     m1_subs = list(_block_submodules(m, m_parts))
-    for n1, _, n1_incl, _ in _block_submodules(n, n_parts):
-        for m1, _, m1_incl, _ in m1_subs:
+    for n1, n1_incl in _block_submodules(n, n_parts):
+        for m1, m1_incl in m1_subs:
             bp = beta_map(n, m, n1, n1_incl, m1, m1_incl)
             w = image_first_block_dim(field, bp.matrix, bp.dst_nm.dim)
             e = tuple(a + b for a, b in zip(m1.dims, n1.dims))

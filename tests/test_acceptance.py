@@ -462,6 +462,23 @@ def test_15_correction_by_localisation_within_budget(a2):
                 str(e): v for e, v in zip(rows, (4, 12, 12, 4))}
 
 
+def test_16_full_flags_of_a_four_space_within_budget(a2):
+    """Multiplicativity of delta on (S1, 3 S1) and on (S2, 3 S2), caches
+    cold.  M + N is semisimple at one vertex, so its one flag type counts
+    the full flags of F_p^4 through about 18,000 lines of maps to the
+    simple over the primes of its degree bound; its Euler value is 4! = 24.
+    Budget: 4 s."""
+    memo.clear_all()
+    with Budget(4):
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        sums = a2_sums(alg, 3)
+        for j, lab in enumerate(("S1", "S2")):
+            rep = check_delta_multiplicativity(
+                mods[lab], sums["+".join([lab] * 3)], simples)
+            assert rep.per_type == (((j,) * 4, 24, 24),)
+
+
 @pytest.mark.parametrize("which, message", [
     (("I", "X", "v"), "unknown audit instances: 'X', 'v'; the built-in ones "
                       "are I, II, III, IV"),

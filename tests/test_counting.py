@@ -20,10 +20,13 @@ from extsym.fields import RATIONALS, FieldError
 from extsym.instances import (a2_catalog, a2_sums, deformed_a2_module,
                               three_vertex_algebra, three_vertex_simples,
                               two_loop_modules)
-from extsym.linalg import mat_from_fractions
-from extsym.modules import (Catalog, UndecidableError, conjugate, direct_sum,
-                            direct_sum_many, module_from_fractions,
-                            reduce_catalog, reduce_module)
+from extsym.linalg import (Mat, Subspace, enumerate_subspaces, identity,
+                           kernel_basis, mat_from_fractions, rref)
+from extsym.modules import (Catalog, ModuleError, UndecidableError, conjugate,
+                            direct_sum, direct_sum_many, hom_basis,
+                            hom_combination, module_from_fractions,
+                            reduce_catalog, reduce_module, simple_at_vertex,
+                            submodule)
 
 from extsym.verify import _strata_chi, verify_formula1, verify_formula2
 
@@ -249,6 +252,25 @@ class TestFlags:
         # full flags of a 2-dim space over GF(3): p + 1 lines
         assert count_flags(s, (0, 0), simples) == p + 1
 
+    def test_simples_over_another_field_refused(self, a2):
+        _, mods = a2
+        p1 = reduce_module(mods["P1"], 3)
+        simples = [reduce_module(mods["S1"], 3), reduce_module(mods["S2"], 5)]
+        with pytest.raises(CountError,
+                           match=r"^simple 1 is over GF\(5\), the module "
+                                 r"over GF\(3\)$"):
+            count_flags(p1, (0, 1), simples)
+
+    def test_simples_of_another_algebra_refused(self, a2, two_loop):
+        _, mods = a2
+        _, loops = two_loop
+        p1 = reduce_module(mods["P1"], 3)
+        simples = [reduce_module(loops["S"], 3), reduce_module(mods["S2"], 3)]
+        with pytest.raises(CountError,
+                           match="^simple 0 is a module over another "
+                                 "algebra than the module's$"):
+            count_flags(p1, (0, 1), simples)
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_quotient_onto_a_two_dimensional_vertex(self, two_loop, p):
         """A map into a factor of dimension 2 at a vertex must be onto
@@ -260,6 +282,76 @@ class TestFlags:
         want = count_flags_bruteforce(list(m.dims), _arrow_data(m),
                                       [list(m.dims)], p)
         assert got == want == 1
+
+
+class TestQuotientKernels:
+    """Each kernel module of a map to a factor, against the same kernel
+    built the long way: ``kernel_basis`` at every vertex and
+    ``submodule`` on its echelon rows.  Both run over the lines of
+    Hom(M, S) in one order, so the two lists match kernel by kernel, and
+    the two bases of a kernel differ by the base change that reads each
+    echelon row at the free columns of the map."""
+
+    @staticmethod
+    def _long_way(m, simple):
+        field = m.field
+        basis = hom_basis(m, simple).basis
+        out, seen = [], set()
+        for line in enumerate_subspaces(len(basis), 1, field.p):
+            phi = hom_combination(field, basis, line.mat.rows[0])
+            witness = []
+            for i, d in enumerate(m.dims):
+                kb = kernel_basis(field, phi[i]) if simple.dims[i] \
+                    else identity(field, d)
+                if kb.nrows != d - simple.dims[i]:
+                    break
+                witness.append(Subspace(field, d, kb, tuple(
+                    r.index(1) for r in kb.rows)))
+            else:
+                rows = tuple(w.mat.rows for w in witness)
+                if rows not in seen:
+                    seen.add(rows)
+                    out.append((submodule(m, witness), rows, phi))
+        return out
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_equal_to_kernels_built_the_long_way(self, a2, two_loop, p):
+        _, loops = two_loop
+        factors = {}
+        checked = 0
+        for m_rat in itertools.chain(_walk_families(a2), [loops["S+S"]]):
+            try:
+                m = reduce_module(m_rat, p)
+            except FieldError:
+                continue
+            alg = m.algebra
+            if alg.key() not in factors:
+                # the deformed algebra has no modules at one vertex
+                try:
+                    factors[alg.key()] = [simple_at_vertex(alg, m.field, v)
+                                          for v in alg.quiver.vertices]
+                except ModuleError:
+                    factors[alg.key()] = []
+                if alg.key() == loops["S"].algebra.key():
+                    factors[alg.key()].append(reduce_module(loops["S+S"], p))
+            for simple in factors[alg.key()]:
+                got = list(counting._quotient_kernels(m, simple))
+                want = self._long_way(m, simple)
+                assert len(got) == len(want)
+                for k, (ref, rows, phi) in zip(got, want):
+                    # coordinates of a kernel row in the basis of k: its
+                    # entries off the pivots of the map's echelon form
+                    g = []
+                    for i, kern in enumerate(rows):
+                        piv = rref(m.field, phi[i])[1] if simple.dims[i] \
+                            else ()
+                        free = [c for c in range(m.dims[i]) if c not in piv]
+                        g.append(Mat(tuple(tuple(r[c] for r in kern)
+                                           for c in free),
+                                     len(free), len(kern)))
+                    assert k == conjugate(ref, g)
+                    checked += 1
+        assert checked > 500
 
 
 _ORACLE: dict = {}
@@ -333,6 +425,29 @@ class TestFlagsByClass:
         _, mods = two_loop
         simples = [mods["S"]]
         for m in mods.values():
+            assert _flag_table(m, simples, p) == \
+                _oracle_table(m, simples, p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_three_vertex(self, three_vertex, p):
+        """Vertex 2 has two arrows in and one out: direct sums of the
+        simples and of the middle terms of extensions between them."""
+        alg, simple_mods = three_vertex
+        simples = list(simple_mods.values())
+        bricks = list(simples)
+        for x, y in itertools.product(simples, repeat=2):
+            space = ext1_space(x, y)
+            for i in range(space.dim):
+                coords = [space.field.zero] * space.dim
+                coords[i] = space.field.one
+                bricks.append(middle_term(space, coords)[0])
+        assert len(bricks) > len(simples)
+        sums = [direct_sum_many(alg, RATIONALS, list(combo))
+                for r in range(1, 5)
+                for combo in itertools.combinations_with_replacement(bricks, r)
+                if sum(b.total_dim for b in combo) <= 4]
+        assert any(m.dims[1] >= 2 for m in sums)
+        for m in sums:
             assert _flag_table(m, simples, p) == \
                 _oracle_table(m, simples, p)
 
