@@ -18,9 +18,9 @@ from .ext import (beta_map, ext1_equations, ext1_space, ext_dim,
                   image_first_block_dim, middle_term)
 from .fields import QQ, FieldError
 from .linalg import (Mat, Subspace, contains_vector, enumerate_subspaces,
-                     gaussian_binomial, identity, integer_rank_minor,
-                     kernel_basis, mat_vec, rank, rref, span,
-                     transpose)
+                     gaussian_binomial, hstack, identity,
+                     integer_rank_minor, kernel_basis, mat_mul, mat_vec,
+                     rank, rref, span, transpose)
 from .modules import (Catalog, ModuleError, RepModule, UndecidableError,
                       _hom_system, direct_sum_many, hom_basis, hom_dim,
                       is_isomorphic, reduce_module, submodule)
@@ -188,34 +188,68 @@ def _lines(n: int, p: int):
 
 def _quotient_kernels(m: RepModule, simple: RepModule):
     """The submodules K <= M with M/K isomorphic to a given simple, as
-    modules: the kernels of the maps M -> S that are onto at every vertex.
+    (kernel module, weight) pairs: the kernels of the maps M -> S that are
+    onto at every vertex, the weights summing to their number.
 
-    For each line of Hom(M, S) the map is put in reduced echelon form R
-    at the vertices where S is nonzero; it is onto when R has a row per
-    dimension of S there.  The kernel has the basis e_c - sum_r R[r][c]
-    e_pivot(r) over the free (non-pivot) columns c, so a kernel vector's
-    coordinates are its entries at the free columns, and each arrow of K
-    is M's arrow applied to that basis, read at the free columns of its
-    target.  Vertices where S vanishes keep all of M.  A kernel fixes
-    its echelon form, so kernels are deduplicated by those rows.
+    Split lines are counted in closed form.  For S one-dimensional, pair
+    the bases of Hom(S, M) and Hom(M, S) by P[i][j] = phi_j o iota_i in
+    End S = F_p, and let Z be the coefficient vectors c with P c = 0; then
+    k = rank P is the multiplicity of S as a direct summand of M and Z has
+    dimension h - k.  A map phi off Z has phi o iota != 0 for some iota,
+    which splits it, M = iota(S) + ker phi, so by Krull-Schmidt
+    cancellation all their kernels are isomorphic.  The (p^h - p^(h-k)) /
+    (p - 1) lines off Z are yielded as one kernel, of a basis map whose
+    column of P is nonzero, with that weight; each line of Z is yielded
+    with weight 1.  For any other factor k = 0 and Z is all of Hom(M, S).
+
+    Each map taken, the split basis map or a line of Z, is put in reduced
+    echelon form R at the vertices where S is nonzero; it is onto when R
+    has a row per dimension of S there.  The kernel has the basis
+    e_c - sum_r R[r][c] e_pivot(r) over the free (non-pivot) columns c, so
+    a kernel vector's coordinates are its entries at the free columns, and
+    each arrow of K is M's arrow applied to that basis, read at the free
+    columns of its target.  Vertices where S vanishes keep all of M.  A
+    kernel fixes its echelon form, so kernels are deduplicated by those
+    rows.
     """
     field = m.field
     p = field.char
     q = m.algebra.quiver
     basis = hom_basis(m, simple).basis
-    # per vertex of S, the matrix taking coefficients over the Hom basis
-    # to the entries of the map there, row by row
+    h = len(basis)
+    units = identity(field, h).rows
+    unsplit, split = units, ()
+    inj = hom_basis(simple, m).basis if simple.total_dim == 1 else ()
+    if inj:
+        v = simple.dims.index(1)
+        # row j: phi_j o iota_i for every i, the column j of P
+        pairs = mat_mul(field,
+                        Mat(tuple(phi[v].rows[0] for phi in basis), h,
+                            m.dims[v]),
+                        hstack(field, [iota[v] for iota in inj]))
+        unsplit = kernel_basis(field, transpose(pairs)).rows
+        split = tuple(e for e, row in zip(units, pairs.rows)
+                      if any(row))[:1]
+    gens = Mat(split + unsplit, len(split) + len(unsplit), h)
+    lines = (((0,) * len(split) + line, 1)
+             for line in _lines(len(unsplit), p))
+    if split:
+        lines = itertools.chain(
+            [((1,) + (0,) * len(unsplit),
+              (p ** h - p ** len(unsplit)) // (p - 1))], lines)
+    # per vertex of S, the matrix taking coefficients over gens to the
+    # entries of the map there, row by row
     support = []
     for i, (rk, d) in enumerate(zip(simple.dims, m.dims)):
         if rk:
-            entries = tuple(tuple(x for r in phis[i].rows for x in r)
-                            for phis in basis)
+            entries = Mat(tuple(tuple(x for r in phis[i].rows for x in r)
+                                for phis in basis), h, rk * d)
             support.append((i, rk, d,
-                            transpose(Mat(entries, len(entries), rk * d))))
+                            transpose(mat_mul(field, gens, entries))))
     ends = [(q.vertex_index(a.source), q.vertex_index(a.target))
             for a in q.arrows]
     seen = set()
-    for line in _lines(len(basis), p):
+    for line, weight in lines:
         echelon = {}
         for i, rk, d, coeffs in support:
             flat = mat_vec(field, coeffs, line)
@@ -244,7 +278,7 @@ def _quotient_kernels(m: RepModule, simple: RepModule):
                         for c in free[s]) for xr in rows)
                 mats.append(Mat(rows, len(free[t]), len(free[s])))
             yield RepModule(m.algebra, field, tuple(map(len, free)),
-                            tuple(mats))
+                            tuple(mats)), weight
 
 
 # Isomorphism classes of GF(p) modules, the submodules with one simple
@@ -281,11 +315,13 @@ def _module_class(m: RepModule):
 @memo.cached(lambda cid, rep, simple: (cid, simple.key()))
 def _class_children_of(cid, rep: RepModule, simple: RepModule):
     """Classes of the submodules K <= rep with rep/K isomorphic to the
-    simple, as (class id, representative, number of such K)."""
+    simple, as (class id, representative, number of such K): the weights
+    of the kernels of ``_quotient_kernels`` summed per class, so the split
+    lines of a one-dimensional simple add their number at once."""
     mult: Dict[int, list] = {}
-    for kernel in _quotient_kernels(rep, simple):
+    for kernel, weight in _quotient_kernels(rep, simple):
         ccid, crep = _module_class(kernel)
-        mult.setdefault(ccid, [ccid, crep, 0])[2] += 1
+        mult.setdefault(ccid, [ccid, crep, 0])[2] += weight
     return tuple(tuple(v) for v in mult.values())
 
 
@@ -301,7 +337,10 @@ def count_flags(m: RepModule, jseq: Sequence[int],
     submodules with the first simple as quotient, of their Hall
     multiplicities times the count of the remaining type.  The children of
     a (class, simple) are enumerated once and shared by every flag type;
-    counts are cached by (class, remaining type, simples).
+    counts are cached by (class, remaining type, simples).  For a
+    one-dimensional simple the maps onto it that split off a copy of it
+    all have isomorphic kernels (Krull-Schmidt), so they add their number
+    of lines to one class at once and only the unsplit lines are built.
     """
     _prime(m.field, "flag counting")
     for i, s in enumerate(simples):

@@ -17,8 +17,7 @@ from . import memo
 from .algebra import AlgebraPresentation, evaluate_relation
 from .fields import GF, QQ
 from .linalg import (Mat, Subspace, coords_in, kernel_basis, mat_from_fractions,
-                     mat_inv, mat_mul, mat_vec, quotient_projection, rank,
-                     span, zeros)
+                     mat_mul, mat_vec, quotient_projection, rank, span, zeros)
 
 
 class ModuleError(ValueError):
@@ -215,24 +214,6 @@ def reduce_catalog(catalog: Dict[str, RepModule], p: int) -> Catalog:
     """Every entry reduced mod p, keeping the named indecomposables."""
     return Catalog({lab: reduce_module(c, p) for lab, c in catalog.items()},
                    named_indecomposables(catalog))
-
-
-def conjugate(m: RepModule, g: Sequence[Mat]) -> RepModule:
-    """Base change by a per-vertex invertible tuple: X_a -> g_t X_a g_s^-1."""
-    q = m.algebra.quiver
-    field = m.field
-    ginv = []
-    for gm in g:
-        inv = mat_inv(field, gm)
-        if inv is None:
-            raise ModuleError("conjugating tuple not invertible")
-        ginv.append(inv)
-    mats = []
-    for arr, x in zip(q.arrows, m.matrices):
-        t = q.vertex_index(arr.target)
-        s = q.vertex_index(arr.source)
-        mats.append(mat_mul(field, mat_mul(field, g[t], x), ginv[s]))
-    return RepModule(m.algebra, field, m.dims, tuple(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +425,6 @@ def is_isomorphic(m: RepModule, n: RepModule):
 
 # ---------------------------------------------------------------------------
 # Submodules and quotients
-
-
-def witness_from_rows(m: RepModule, rows_by_vertex) -> Tuple[Subspace, ...]:
-    field = m.field
-    return tuple(span(field, rows, m.dims[i])
-                 for i, rows in enumerate(rows_by_vertex))
 
 
 def submodule(m: RepModule, witness: Sequence[Subspace]) -> RepModule:

@@ -1,11 +1,12 @@
 """Independent brute-force reference implementations.
 
-Everything here but the last section is written from scratch on plain
-lists and Fractions (or ints mod p), without importing the package's
-linear algebra, so the test suite can cross-check the library against a
-second, slower computation of the same quantities.  The last section
-keeps the correction count that enumerates every submodule pair, the
-reference for the library's count on block pairs.
+Everything here but the last two sections is written from scratch on
+plain lists and Fractions (or ints mod p), without importing the
+package's linear algebra, so the test suite can cross-check the library
+against a second, slower computation of the same quantities.  The last two
+sections keep the base change and submodule witnesses that tests build
+modules with, and the correction count that enumerates every submodule
+pair, the reference for the library's count on block pairs.
 """
 
 from __future__ import annotations
@@ -279,6 +280,38 @@ def count_extension_tuples(xdims, ydims, arrows, relations, p):
     return sum(1 for vals in itertools.product(range(p), repeat=ncoords)
                if extension_tuple_satisfies(xdims, ydims, arrows, relations,
                                             vals, p))
+
+
+# ---------------------------------------------------------------------------
+# Base change and submodule witnesses, on the package's linear algebra.
+
+
+def conjugate(m, g):
+    """Base change by a per-vertex invertible tuple: X_a -> g_t X_a g_s^-1."""
+    from extsym.linalg import mat_inv, mat_mul
+    from extsym.modules import ModuleError, RepModule
+    q = m.algebra.quiver
+    field = m.field
+    ginv = []
+    for gm in g:
+        inv = mat_inv(field, gm)
+        if inv is None:
+            raise ModuleError("conjugating tuple not invertible")
+        ginv.append(inv)
+    mats = []
+    for arr, x in zip(q.arrows, m.matrices):
+        t = q.vertex_index(arr.target)
+        s = q.vertex_index(arr.source)
+        mats.append(mat_mul(field, mat_mul(field, g[t], x), ginv[s]))
+    return RepModule(m.algebra, field, m.dims, tuple(mats))
+
+
+def witness_from_rows(m, rows_by_vertex):
+    """One subspace per vertex, the span of its rows: a witness for
+    ``modules.submodule`` and ``sub_quotient``."""
+    from extsym.linalg import span
+    return tuple(span(m.field, rows, m.dims[i])
+                 for i, rows in enumerate(rows_by_vertex))
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,13 @@ from extsym.instances import (a2_catalog, a2_modules, a2_preprojective,
                               a2_sums, three_vertex_algebra,
                               three_vertex_simples, two_loop_modules)
 from extsym.linalg import Mat, mat_from_fractions, rank
-from extsym.modules import (conjugate, direct_sum, direct_sum_many, hom_dim,
-                            reduce_module, sub_quotient, witness_from_rows)
+from extsym.modules import (direct_sum, direct_sum_many, hom_dim,
+                            reduce_module, sub_quotient)
 from extsym.verify import (VerifyError, run_audit_suite, verify_formula1,
                            verify_formula2)
 
-from oracle import count_efg_pairs, efg_degree_bound
+from oracle import (conjugate, count_efg_pairs, efg_degree_bound,
+                    witness_from_rows)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "worked_instance.json")
@@ -465,8 +466,9 @@ def test_15_correction_by_localisation_within_budget(a2):
 def test_16_full_flags_of_a_four_space_within_budget(a2):
     """Multiplicativity of delta on (S1, 3 S1) and on (S2, 3 S2), caches
     cold.  M + N is semisimple at one vertex, so its one flag type counts
-    the full flags of F_p^4 through about 18,000 lines of maps to the
-    simple over the primes of its degree bound; its Euler value is 4! = 24.
+    the full flags of F_p^4; its Euler value is 4! = 24.  Every line of
+    maps to the simple splits off a copy of it, so each flag step builds
+    one kernel weighted by the number of lines, not one per line.
     Budget: 4 s."""
     memo.clear_all()
     with Budget(4):
@@ -477,6 +479,22 @@ def test_16_full_flags_of_a_four_space_within_budget(a2):
             rep = check_delta_multiplicativity(
                 mods[lab], sums["+".join([lab] * 3)], simples)
             assert rep.per_type == (((j,) * 4, 24, 24),)
+
+
+def test_17_five_copies_of_a_simple_within_budget(a2):
+    """Multiplicativity of delta on (S1, 4 S1) and on (S2, 4 S2), caches
+    cold: the full flags of F_p^5, Euler value 5! = 120.  Every line of
+    maps to the simple splits off a copy of it, so each flag step builds
+    one kernel weighted by the number of lines.  Budget: 2 s."""
+    memo.clear_all()
+    with Budget(2):
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        sums = a2_sums(alg, 4)
+        for j, lab in enumerate(("S1", "S2")):
+            rep = check_delta_multiplicativity(
+                mods[lab], sums["+".join([lab] * 4)], simples)
+            assert rep.per_type == (((j,) * 5, 120, 120),)
 
 
 @pytest.mark.parametrize("which, message", [

@@ -2,6 +2,7 @@
 submodules with simple quotients, middle-term strata, the correction-set
 count, and prime screening."""
 
+import collections
 import itertools
 from fractions import Fraction
 
@@ -22,15 +23,15 @@ from extsym.instances import (a2_catalog, a2_sums, deformed_a2_module,
                               two_loop_modules)
 from extsym.linalg import (Mat, Subspace, enumerate_subspaces, identity,
                            kernel_basis, mat_from_fractions, rref)
-from extsym.modules import (Catalog, ModuleError, UndecidableError, conjugate,
-                            direct_sum, direct_sum_many, hom_basis,
-                            hom_combination, module_from_fractions,
-                            reduce_catalog, reduce_module, simple_at_vertex,
-                            submodule)
+from extsym.modules import (Catalog, ModuleError, UndecidableError,
+                            direct_sum, direct_sum_many, hom_basis, hom_dim,
+                            hom_combination, is_isomorphic,
+                            module_from_fractions, reduce_catalog,
+                            reduce_module, simple_at_vertex, submodule)
 
 from extsym.verify import _strata_chi, verify_formula1, verify_formula2
 
-from oracle import (count_efg_pairs, count_flags_bruteforce,
+from oracle import (conjugate, count_efg_pairs, count_flags_bruteforce,
                     count_submodules_bruteforce, efg_degree_bound,
                     gaussian_binomial_int, mat_apply, span_set)
 
@@ -285,12 +286,13 @@ class TestFlags:
 
 
 class TestQuotientKernels:
-    """Each kernel module of a map to a factor, against the same kernel
-    built the long way: ``kernel_basis`` at every vertex and
-    ``submodule`` on its echelon rows.  Both run over the lines of
-    Hom(M, S) in one order, so the two lists match kernel by kernel, and
-    the two bases of a kernel differ by the base change that reads each
-    echelon row at the free columns of the map."""
+    """Each flag step's (kernel, weight) pairs against the kernels built
+    the long way: one per line of Hom(M, S), ``kernel_basis`` at every
+    vertex and ``submodule`` on its echelon rows, deduplicated by those
+    rows.  The split lines of a one-dimensional factor come as one kernel
+    weighted by their number; every other kernel has weight 1 and equals
+    the long way's kernel of its map under the base change that reads
+    each echelon row at the free columns of the map."""
 
     @staticmethod
     def _long_way(m, simple):
@@ -314,11 +316,23 @@ class TestQuotientKernels:
                     out.append((submodule(m, witness), rows, phi))
         return out
 
+    @staticmethod
+    def _in_free_columns(m, simple, ref, rows, phi):
+        """The long way's kernel with each kernel row's coordinates read
+        off the pivots of the map's echelon form."""
+        g = []
+        for i, kern in enumerate(rows):
+            piv = rref(m.field, phi[i])[1] if simple.dims[i] else ()
+            free = [c for c in range(m.dims[i]) if c not in piv]
+            g.append(Mat(tuple(tuple(r[c] for r in kern) for c in free),
+                         len(free), len(kern)))
+        return conjugate(ref, g)
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_equal_to_kernels_built_the_long_way(self, a2, two_loop, p):
         _, loops = two_loop
         factors = {}
-        checked = 0
+        checked = weighted = 0
         for m_rat in itertools.chain(_walk_families(a2), [loops["S+S"]]):
             try:
                 m = reduce_module(m_rat, p)
@@ -337,21 +351,71 @@ class TestQuotientKernels:
             for simple in factors[alg.key()]:
                 got = list(counting._quotient_kernels(m, simple))
                 want = self._long_way(m, simple)
-                assert len(got) == len(want)
-                for k, (ref, rows, phi) in zip(got, want):
-                    # coordinates of a kernel row in the basis of k: its
-                    # entries off the pivots of the map's echelon form
-                    g = []
-                    for i, kern in enumerate(rows):
-                        piv = rref(m.field, phi[i])[1] if simple.dims[i] \
-                            else ()
-                        free = [c for c in range(m.dims[i]) if c not in piv]
-                        g.append(Mat(tuple(tuple(r[c] for r in kern)
-                                           for c in free),
-                                     len(free), len(kern)))
-                    assert k == conjugate(ref, g)
-                    checked += 1
-        assert checked > 500
+                assert sum(w for _, w in got) == len(want)
+                if simple.total_dim != 1:
+                    assert all(w == 1 for _, w in got)
+                # per isomorphism class: summed weight, long-way kernels
+                classes = []
+                for x, slot, n in itertools.chain(
+                        ((k, 1, w) for k, w in got),
+                        ((ref, 2, 1) for ref, _, _ in want)):
+                    hit = next((c for c in classes if c[0].dims == x.dims
+                                and is_isomorphic(c[0], x)[0]), None)
+                    if hit is None:
+                        hit = [x, 0, 0]
+                        classes.append(hit)
+                    hit[slot] += n
+                assert all(c[1] == c[2] for c in classes)
+                expected = collections.Counter(
+                    self._in_free_columns(m, simple, *w) for w in want)
+                for k, w in got:
+                    if w == 1:
+                        assert expected[k] > 0
+                        expected[k] -= 1
+                    else:
+                        weighted += 1
+                checked += len(want)
+        assert checked > 500 and weighted > 50
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_one_kernel_for_the_split_lines(self, a2, three_vertex, p):
+        """(p^(h-k) - 1)/(p - 1) kernels of the unsplit lines plus one
+        for the split ones, k the multiplicity of S in the label, and the
+        weights sum to every line of Hom(M, S), each map to a simple
+        being onto."""
+        alg, _ = a2
+        alg3, simples3 = three_vertex
+        sums3 = {"+".join(combo): direct_sum_many(
+                     alg3, RATIONALS, [simples3[x] for x in combo])
+                 for r in range(1, 5)
+                 for combo in itertools.combinations_with_replacement(
+                     sorted(simples3), r)}
+        split = 0
+        for algebra, sums in ((alg, a2_sums(alg, 4)), (alg3, sums3)):
+            field = reduce_module(next(iter(sums.values())), p).field
+            factors = {f"S{v}": simple_at_vertex(algebra, field, v)
+                       for v in algebra.quiver.vertices}
+            for label, m_rat in sums.items():
+                m = reduce_module(m_rat, p)
+                for lab, simple in factors.items():
+                    k = label.split("+").count(lab)
+                    h = hom_dim(m, simple)
+                    got = list(counting._quotient_kernels(m, simple))
+                    assert len(got) == \
+                        (p ** (h - k) - 1) // (p - 1) + (k > 0), \
+                        (label, lab)
+                    assert sum(w for _, w in got) == (p ** h - 1) // (p - 1)
+                    split += k > 0
+        assert split > 40
+
+    @pytest.mark.parametrize("p", [2, 3, 19])
+    def test_four_copies_of_a_simple_give_one_kernel(self, a2, p):
+        alg, _ = a2
+        m = reduce_module(a2_sums(alg, 4)["S1+S1+S1+S1"], p)
+        got = list(counting._quotient_kernels(
+            m, simple_at_vertex(alg, m.field, "1")))
+        assert [w for _, w in got] == [(p ** 4 - 1) // (p - 1)]
+        assert got[0][0].dims == (3, 0)
 
 
 _ORACLE: dict = {}

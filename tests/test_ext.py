@@ -18,9 +18,10 @@ from extsym.instances import a2_sums, deformed_a2_module
 from extsym.linalg import Mat, mat_mul, rank
 from extsym.modules import (direct_sum, hom_basis, hom_dim, is_isomorphic,
                             module_from_fractions, reduce_module,
-                            sub_quotient, witness_from_rows)
+                            sub_quotient)
 
-from oracle import count_extension_tuples, extension_tuple_satisfies
+from oracle import (count_extension_tuples, extension_tuple_satisfies,
+                    witness_from_rows)
 
 
 class TestDimensions:

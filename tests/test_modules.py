@@ -15,10 +15,9 @@ from extsym.modules import (Catalog, ModuleError, composition_series,
                             is_isomorphic, module_from_fractions,
                             named_indecomposables, reduce_catalog,
                             reduce_module, search_hom_space,
-                            simple_at_vertex, sub_quotient,
-                            witness_from_rows, zero_module)
+                            simple_at_vertex, sub_quotient, zero_module)
 
-from oracle import modules_isomorphic_bruteforce
+from oracle import modules_isomorphic_bruteforce, witness_from_rows
 
 
 class TestValidation:
