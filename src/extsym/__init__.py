@@ -19,7 +19,7 @@ from .delta import (DeltaSignature, check_delta_multiplicativity,
 from .euler import EulerError, EulerValue, good_primes, interpolate_euler
 from .ext import (BetaPair, BetaPrimePair, ExtError, ExtSpace, Flag,
                   beta_flag_maps, beta_map, beta_prime_map, ext1_space,
-                  ext_dim, ext_symmetry_audit, middle_term, transport_class)
+                  ext_dim, ext_symmetry_audit, middle_term)
 from .fields import GF, RATIONALS, FieldError
 from .fileio import (FormatError, load_algebra, load_catalog, load_module,
                      parse_algebra, parse_catalog, parse_module)

@@ -499,44 +499,12 @@ def _match_catalog(mid: RepModule, catalog: Dict[str, RepModule]) -> str:
 # Correction term: block submodule pairs weighted by extension classes
 
 
-def _block_submodules(total: RepModule, parts: Sequence[RepModule]):
-    """Block sums of one submodule of each part, as (submodule, inclusion)
-    pairs of their direct sum ``total``.
-
-    Each distinct part is walked once.  The rows of a block sum, each
-    part's echelon rows shifted to its block, are already in echelon
-    form, so they are the witness as they stand and the inclusion is
-    their transpose.
-    """
-    field = total.field
-    walks = {}
-    for x in parts:
-        if x.key() not in walks:
-            walks[x.key()] = [spaces for e in itertools.product(
-                *[range(d + 1) for d in x.dims])
-                for spaces, _ in _vertex_walk(x, e, False)]
-    offsets = [[sum(y.dims[v] for y in parts[:i]) for v in range(len(x.dims))]
-               for i, x in enumerate(parts)]
-    for choice in itertools.product(*[walks[x.key()] for x in parts]):
-        witness = []
-        for v, d in enumerate(total.dims):
-            rows, pivots = [], []
-            for off, spaces in zip(offsets, choice):
-                u = spaces[v]
-                rows += [(0,) * off[v] + r + (0,) * (d - off[v] - len(r))
-                         for r in u.mat.rows]
-                pivots += [off[v] + c for c in u.pivots]
-            witness.append(Subspace(field, d, Mat(tuple(rows), len(rows), d),
-                                    tuple(pivots)))
-        yield (submodule(total, witness),
-               tuple(transpose(u.mat) for u in witness))
-
-
 def count_efg(n_parts: Sequence[RepModule],
               m_parts: Sequence[RepModule]) -> Dict[Tuple[int, ...], int]:
     """Point counts with the Euler characteristics of the correction set
     at every dimension vector e between 0 and dims(M) + dims(N), zeros
-    included, for M and N the direct sums of the GF(p) parts.
+    included, for M and N the direct sums of the GF(p) parts; an empty
+    list is the zero module.
 
     The correction set holds (M1 <= M, N1 <= N, class up to scalar,
     compatible subspace) with dims M1 + dims N1 = e; over (M1, N1) the
@@ -545,20 +513,63 @@ def count_efg(n_parts: Sequence[RepModule],
     space.  The block sums of submodules of the parts hold every point
     fixed by the torus scaling each part, so (Bialynicki-Birula) the
     count at e is the sum over block pairs of (q^w - 1)/(q - 1); the
-    parts [N] and [M] give every pair.
+    parts [N] and [M] give every pair.  Ext^1 is additive and the
+    inclusions of block sums are block-diagonal, so the paired map splits
+    over the pairs (N_i, M_j) of parts and w is the sum of their w_ij.
+    Each distinct part lists its submodules once, each distinct pair of
+    parts tabulates w_ij once, and no block sum or direct sum is built.
     """
-    alg, field = n_parts[0].algebra, n_parts[0].field
+    parts = [*n_parts, *m_parts]
+    if not parts:
+        raise CountError("correction counting needs at least one part")
+    alg, field = parts[0].algebra, parts[0].field
+    for side, ps in (("N", n_parts), ("M", m_parts)):
+        for i, x in enumerate(ps):
+            if x.algebra.key() != alg.key():
+                raise CountError(f"part {i} of {side} is a module over "
+                                 f"another algebra than the first part's")
+            if x.field != field:
+                raise CountError(f"part {i} of {side} is over {x.field}, "
+                                 f"the first part over {field}")
     q = _prime(field, "correction counting")
-    n, m = (direct_sum_many(alg, field, ps) for ps in (n_parts, m_parts))
+    keys = [x.key() for x in parts]
+    nn = len(n_parts)
+    # (submodule, inclusion) pairs per distinct part: the rows of
+    # iter_submodules are in echelon form, the pivot of a row its first 1,
+    # so they are the witness as they stand and the inclusion their
+    # transpose
+    subs = {}
+    for k, x in zip(keys, parts):
+        if k in subs:
+            continue
+        subs[k] = []
+        for e in itertools.product(*[range(d + 1) for d in x.dims]):
+            for rows in list(iter_submodules(x, e)):
+                mats = [Mat(r, len(r), d) for r, d in zip(rows, x.dims)]
+                witness = [Subspace(field, d, u,
+                                    tuple(r.index(1) for r in u.rows))
+                           for d, u in zip(x.dims, mats)]
+                subs[k].append((submodule(x, witness),
+                                tuple(map(transpose, mats))))
+    w = {}
+    for a, x in zip(keys[:nn], n_parts):
+        for b, y in zip(keys[nn:], m_parts):
+            if (a, b) not in w:
+                w[a, b] = [
+                    [image_first_block_dim(field, bp.matrix, bp.dst_nm.dim)
+                     for bp in (beta_map(x, y, n1, n1_incl, m1, m1_incl)
+                                for m1, m1_incl in subs[b])]
+                    for n1, n1_incl in subs[a]]
     table = {e: 0 for e in itertools.product(
-        *[range(a + b + 1) for a, b in zip(m.dims, n.dims)])}
-    m1_subs = list(_block_submodules(m, m_parts))
-    for n1, n1_incl in _block_submodules(n, n_parts):
-        for m1, m1_incl in m1_subs:
-            bp = beta_map(n, m, n1, n1_incl, m1, m1_incl)
-            w = image_first_block_dim(field, bp.matrix, bp.dst_nm.dim)
-            e = tuple(a + b for a, b in zip(m1.dims, n1.dims))
-            table[e] += (q ** w - 1) // (q - 1)
+        *[range(sum(x.dims[v] for x in parts) + 1)
+          for v in range(len(alg.quiver.vertices))])}
+    for choice in itertools.product(*[range(len(subs[k])) for k in keys]):
+        wt = sum(w[a, b][i][j]
+                 for a, i in zip(keys[:nn], choice[:nn])
+                 for b, j in zip(keys[nn:], choice[nn:]))
+        e = tuple(map(sum, zip(*[subs[k][i][0].dims
+                                 for k, i in zip(keys, choice)])))
+        table[e] += (q ** wt - 1) // (q - 1)
     return table
 
 

@@ -264,12 +264,6 @@ def transport_matrix(src: ExtSpace, dst: ExtSpace, maps: Sequence[Mat],
     return transpose(Mat(tuple(cols), len(cols), dst.dim))
 
 
-def transport_class(coords: Sequence, src: ExtSpace, dst: ExtSpace,
-                    maps: Sequence[Mat], side: str) -> Tuple:
-    """Transport a class along a module map (see ``transport_matrix``)."""
-    return mat_vec(src.field, transport_matrix(src, dst, maps, side), coords)
-
-
 # ---------------------------------------------------------------------------
 # beta maps (Grassmannian form)
 

@@ -362,17 +362,3 @@ def enumerate_subspaces(n: int, k: int, q: int) -> Iterator[Subspace]:
                 rows[i][c] = v
             mat = Mat(tuple(tuple(r) for r in rows), k, n)
             yield Subspace(field, n, mat, tuple(pivots))
-
-
-def mat_inv(field, a: Mat) -> Optional[Mat]:
-    """Inverse of a square matrix, or None if singular."""
-    if a.nrows != a.ncols:
-        raise LinAlgError("inverse of non-square matrix")
-    n = a.nrows
-    if n == 0:
-        return Mat((), 0, 0)
-    aug = hstack(field, [a, identity(field, n)])
-    red, pivots = rref(field, aug)
-    if tuple(pivots) != tuple(range(n)):
-        return None
-    return Mat(tuple(r[n:] for r in red.rows), n, n)

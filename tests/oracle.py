@@ -286,9 +286,24 @@ def count_extension_tuples(xdims, ydims, arrows, relations, p):
 # Base change and submodule witnesses, on the package's linear algebra.
 
 
+def mat_inv(field, a):
+    """Inverse of a square matrix, or None if singular."""
+    from extsym.linalg import LinAlgError, Mat, hstack, identity, rref
+    if a.nrows != a.ncols:
+        raise LinAlgError("inverse of non-square matrix")
+    n = a.nrows
+    if n == 0:
+        return Mat((), 0, 0)
+    aug = hstack(field, [a, identity(field, n)])
+    red, pivots = rref(field, aug)
+    if tuple(pivots) != tuple(range(n)):
+        return None
+    return Mat(tuple(r[n:] for r in red.rows), n, n)
+
+
 def conjugate(m, g):
     """Base change by a per-vertex invertible tuple: X_a -> g_t X_a g_s^-1."""
-    from extsym.linalg import mat_inv, mat_mul
+    from extsym.linalg import mat_mul
     from extsym.modules import ModuleError, RepModule
     q = m.algebra.quiver
     field = m.field

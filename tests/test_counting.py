@@ -3,6 +3,7 @@ submodules with simple quotients, middle-term strata, the correction-set
 count, and prime screening."""
 
 import collections
+import functools
 import itertools
 from fractions import Fraction
 
@@ -16,13 +17,14 @@ from extsym.counting import (CountError, CountSeries, count_efg, count_flags,
                              stratify_ext_classes)
 from extsym.delta import enumerate_flag_types
 from extsym.euler import interpolate_euler, select_primes
-from extsym.ext import ext1_space, ext_dim, middle_term
+from extsym.ext import (beta_map, ext1_space, ext_dim, image_first_block_dim,
+                        middle_term)
 from extsym.fields import RATIONALS, FieldError
 from extsym.instances import (a2_catalog, a2_sums, deformed_a2_module,
                               three_vertex_algebra, three_vertex_simples,
                               two_loop_modules)
 from extsym.linalg import (Mat, Subspace, enumerate_subspaces, identity,
-                           kernel_basis, mat_from_fractions, rref)
+                           kernel_basis, mat_from_fractions, rref, transpose)
 from extsym.modules import (Catalog, ModuleError, UndecidableError,
                             direct_sum, direct_sum_many, hom_basis, hom_dim,
                             hom_combination, is_isomorphic,
@@ -33,7 +35,8 @@ from extsym.verify import _strata_chi, verify_formula1, verify_formula2
 
 from oracle import (conjugate, count_efg_pairs, count_flags_bruteforce,
                     count_submodules_bruteforce, efg_degree_bound,
-                    gaussian_binomial_int, mat_apply, span_set)
+                    gaussian_binomial_int, mat_apply, span_set,
+                    witness_from_rows)
 
 
 def _arrow_data(m):
@@ -761,6 +764,37 @@ class TestHomRankStrata:
                        short)
 
 
+def _submodules_with_incl(x):
+    """Every submodule of x as (echelon rows, submodule, inclusion)."""
+    out = []
+    for e in itertools.product(*[range(d + 1) for d in x.dims]):
+        for rows in iter_submodules(x, e):
+            wit = witness_from_rows(x, rows)
+            out.append((rows, submodule(x, wit),
+                        tuple(transpose(u.mat) for u in wit)))
+    return out
+
+
+def _block_sum(total, parts, rows_per_part):
+    """The block sum of one submodule of each part of ``total``, given by
+    their echelon rows, as (submodule, inclusion)."""
+    rows = [[] for _ in total.dims]
+    offsets = [0] * len(total.dims)
+    for x, part_rows in zip(parts, rows_per_part):
+        for v, vrows in enumerate(part_rows):
+            rows[v] += [(0,) * offsets[v] + r
+                        + (0,) * (total.dims[v] - offsets[v] - x.dims[v])
+                        for r in vrows]
+            offsets[v] += x.dims[v]
+    wit = witness_from_rows(total, rows)
+    return submodule(total, wit), tuple(transpose(u.mat) for u in wit)
+
+
+def _w(field, n, m, n1, n1_incl, m1, m1_incl):
+    bp = beta_map(n, m, n1, n1_incl, m1, m1_incl)
+    return image_first_block_dim(field, bp.matrix, bp.dst_nm.dim)
+
+
 class TestCorrectionCount:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_base_pair_values(self, a2, p):
@@ -775,6 +809,77 @@ class TestCorrectionCount:
         with pytest.raises(CountError,
                            match="^correction counting requires a prime"):
             count_efg([mods["S2"]], [mods["S1"]])
+
+    def test_empty_side_is_the_zero_module(self, a2):
+        _, mods = a2
+        p1 = reduce_module(mods["P1"], 3)
+        zeros = {e: 0 for e in itertools.product(range(2), range(2))}
+        assert count_efg([], [p1]) == zeros
+        assert count_efg([p1], []) == zeros
+
+    def test_no_parts_refused(self):
+        with pytest.raises(CountError, match="^correction counting needs at "
+                                             "least one part$"):
+            count_efg([], [])
+
+    def test_part_over_another_field_refused(self, a2):
+        _, mods = a2
+        s1, s2 = reduce_module(mods["S1"], 2), reduce_module(mods["S2"], 3)
+        with pytest.raises(CountError,
+                           match=r"^part 0 of M is over GF\(3\), the first "
+                                 r"part over GF\(2\)$"):
+            count_efg([s1], [s2])
+        with pytest.raises(CountError, match="^part 1 of N is over GF"):
+            count_efg([s2, s1], [s2])
+
+    def test_part_over_another_algebra_refused(self, a2, three_vertex):
+        _, mods = a2
+        _, simples = three_vertex
+        s1 = reduce_module(mods["S1"], 2)
+        with pytest.raises(CountError,
+                           match="^part 1 of M is a module over another "
+                                 "algebra than the first part's$"):
+            count_efg([s1], [s1, reduce_module(simples["S1"], 2)])
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_paired_map_splits_over_pairs_of_parts(self, a2, three_vertex,
+                                                    p):
+        """On every block sum pair (N1 <= N, M1 <= M) of submodules of the
+        parts, the w of one paired map on the whole direct sums equals the
+        sum of the w of the maps on the pairs (N_i, M_j) of parts; and the
+        table of ``count_efg`` is the sum of [w]_q over those pairs."""
+        _, mods = a2
+        _, simples = three_vertex
+        for n_labels, m_labels, named in (
+                (["S1", "S1", "P1"], ["S2", "P2"], mods),
+                (["S1", "S2", "S3"], ["S2", "S3", "S2"], simples)):
+            n_parts = [reduce_module(named[x], p) for x in n_labels]
+            m_parts = [reduce_module(named[x], p) for x in m_labels]
+            field = n_parts[0].field
+            total = [functools.reduce(direct_sum, ps)
+                     for ps in (n_parts, m_parts)]
+            subs = [[_submodules_with_incl(x) for x in ps]
+                    for ps in (n_parts, m_parts)]
+            table = {e: 0 for e in itertools.product(
+                *[range(a + b + 1) for a, b in zip(*(t.dims for t in total))])}
+            nonzero = 0
+            for n_choice in itertools.product(*subs[0]):
+                for m_choice in itertools.product(*subs[1]):
+                    whole = [_block_sum(t, ps, [rows for rows, _, _ in c])
+                             for t, ps, c in zip(total, (n_parts, m_parts),
+                                                 (n_choice, m_choice))]
+                    w = _w(field, total[0], total[1], *whole[0], *whole[1])
+                    assert w == sum(
+                        _w(field, x, y, n1, n1_incl, m1, m1_incl)
+                        for x, (_, n1, n1_incl) in zip(n_parts, n_choice)
+                        for y, (_, m1, m1_incl) in zip(m_parts, m_choice)), \
+                        (n_labels, m_labels)
+                    e = tuple(a + b for a, b in zip(whole[0][0].dims,
+                                                    whole[1][0].dims))
+                    table[e] += (p ** w - 1) // (p - 1)
+                    nonzero += w > 0
+            assert nonzero, (n_labels, m_labels)
+            assert count_efg(n_parts, m_parts) == table, (n_labels, m_labels)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_table_vanishes_at_both_ends(self, a2, p):

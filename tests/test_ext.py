@@ -12,10 +12,10 @@ from extsym.counting import iter_submodules
 from extsym.ext import (ExtError, beta_map, beta_prime_map, beta_flag_maps,
                         ext1_space, ext_dim, ext_symmetry_audit, Flag,
                         flag_symmetry_identity, image_first_block_dim,
-                        kernel_projection_dim, middle_term, transport_class)
+                        kernel_projection_dim, middle_term, transport_matrix)
 from extsym.fields import GF, RATIONALS
 from extsym.instances import a2_sums, deformed_a2_module
-from extsym.linalg import Mat, mat_mul, rank
+from extsym.linalg import Mat, mat_mul, mat_vec, rank
 from extsym.modules import (direct_sum, hom_basis, hom_dim, is_isomorphic,
                             module_from_fractions, reduce_module,
                             sub_quotient)
@@ -188,7 +188,8 @@ class TestPushouts:
                 e = middle_term(space, coords)[0]
                 for z in sums:
                     dst = ext1_space(m, z)
-                    cols = [transport_class(coords, space, dst, f, "pushout")
+                    cols = [mat_vec(field, transport_matrix(
+                                space, dst, f, "pushout"), coords)
                             for f in hom_basis(n, z).basis]
                     delta = Mat(tuple(cols), len(cols), dst.dim)
                     assert hom_dim(e, z) == (hom_dim(m, z) + hom_dim(n, z)
@@ -205,8 +206,8 @@ class TestTransport:
         ident = tuple(Mat(((field.one,),) if d else (), d, d)
                       for d in mods["S2"].dims)
         coords = (field.one,)
-        assert transport_class(coords, space, space, ident, "pushout") == \
-            coords
+        assert mat_vec(field, transport_matrix(space, space, ident,
+                                               "pushout"), coords) == coords
 
     def test_zero_map_kills_classes(self, a2):
         _, mods = a2
@@ -215,7 +216,8 @@ class TestTransport:
         zero_maps = tuple(Mat(tuple((field.zero,) * d for _ in range(d)),
                               d, d) for d in mods["S2"].dims)
         coords = (field.one,)
-        assert transport_class(coords, space, space, zero_maps, "pushout") \
+        assert mat_vec(field, transport_matrix(space, space, zero_maps,
+                                               "pushout"), coords) \
             == space.zero_class()
 
     def test_side_mismatch_rejected(self, a2):
@@ -223,7 +225,7 @@ class TestTransport:
         s12 = ext1_space(mods["S1"], mods["S2"])
         s21 = ext1_space(mods["S2"], mods["S1"])
         with pytest.raises(ExtError):
-            transport_class((s12.field.one,), s12, s21, (), "pushout")
+            transport_matrix(s12, s21, (), "pushout")
 
 
 def _submodule_with_incl(m, rows_by_vertex):

@@ -12,10 +12,10 @@ from extsym.fields import GF, QQ, RATIONALS, FieldError
 from extsym.linalg import (Mat, coords_in, enumerate_subspaces,
                            gaussian_binomial, identity, integer_rank_minor,
                            kernel_basis, mat_add, mat_from_fractions,
-                           mat_inv, mat_mul, mat_scale, mat_vec, rank,
+                           mat_mul, mat_scale, mat_vec, rank,
                            reduce_against, rref, solve, span, transpose)
 
-from oracle import gauss_rank, gaussian_binomial_int, null_space_dim
+from oracle import gauss_rank, gaussian_binomial_int, mat_inv, null_space_dim
 
 
 def frac_mat(rows):
