@@ -8,7 +8,6 @@ arrows must satisfy s(a_k) = t(a_{k+1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -19,19 +18,30 @@ class AlgebraError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Arrow:
-    name: str
-    source: str
-    target: str
+    __slots__ = ("name", "source", "target")
+
+    def __init__(self, name: str, source: str, target: str):
+        self.name = name
+        self.source = source
+        self.target = target
+
+    def __eq__(self, other):
+        if other.__class__ is not Arrow:
+            return NotImplemented
+        return (self.name, self.source, self.target) == \
+            (other.name, other.source, other.target)
+
+    def __hash__(self):
+        return hash((self.name, self.source, self.target))
 
 
-@dataclass(frozen=True)
 class Quiver:
-    vertices: Tuple[str, ...]
-    arrows: Tuple[Arrow, ...]
+    __slots__ = ("vertices", "arrows")
 
-    def __post_init__(self):
+    def __init__(self, vertices: Tuple[str, ...], arrows: Tuple[Arrow, ...]):
+        self.vertices = vertices
+        self.arrows = arrows
         if not self.vertices:
             raise AlgebraError("quiver needs at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
@@ -43,6 +53,14 @@ class Quiver:
         for a in self.arrows:
             if a.source not in vs or a.target not in vs:
                 raise AlgebraError(f"dangling arrow endpoint on {a.name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Quiver:
+            return NotImplemented
+        return (self.vertices, self.arrows) == (other.vertices, other.arrows)
+
+    def __hash__(self):
+        return hash((self.vertices, self.arrows))
 
     def arrow(self, name: str) -> Arrow:
         for a in self.arrows:
@@ -68,16 +86,25 @@ def make_quiver(vertices: Sequence[str], arrows: Sequence[Tuple[str, str, str]])
     return Quiver(tuple(vertices), tuple(Arrow(*a) for a in arrows))
 
 
-@dataclass(frozen=True)
 class Path:
     """Either a vertex path (length 0) or a nonempty arrow-name sequence."""
 
-    vertex: Optional[str] = None
-    arrows: Tuple[str, ...] = ()
+    __slots__ = ("vertex", "arrows")
 
-    def __post_init__(self):
-        if (self.vertex is None) == (len(self.arrows) == 0):
+    def __init__(self, vertex: Optional[str] = None,
+                 arrows: Tuple[str, ...] = ()):
+        if (vertex is None) == (len(arrows) == 0):
             raise AlgebraError("path is either a vertex or a nonempty arrow list")
+        self.vertex = vertex
+        self.arrows = arrows
+
+    def __eq__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return (self.vertex, self.arrows) == (other.vertex, other.arrows)
+
+    def __hash__(self):
+        return hash((self.vertex, self.arrows))
 
     @property
     def is_vertex(self) -> bool:
@@ -105,18 +132,26 @@ def arrow_path(*names: str) -> Path:
     return Path(arrows=tuple(names))
 
 
-@dataclass(frozen=True)
 class Relation:
     """Nonempty linear combination of paths sharing source and target."""
 
-    terms: Tuple[Tuple[Fraction, Path], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: Tuple[Tuple[Fraction, Path], ...]):
+        if not terms:
             raise AlgebraError("empty relation")
-        for coeff, _ in self.terms:
+        for coeff, _ in terms:
             if coeff == 0:
                 raise AlgebraError("zero coefficient in relation")
+        self.terms = terms
+
+    def __eq__(self, other):
+        if other.__class__ is not Relation:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
 
     def endpoints(self, quiver: Quiver) -> Tuple[str, str]:
         eps = {path.endpoints(quiver) for _, path in self.terms}
@@ -130,15 +165,28 @@ def relation(*terms) -> Relation:
     return Relation(tuple((Fraction(c), p) for c, p in terms))
 
 
-@dataclass(frozen=True)
 class AlgebraPresentation:
-    quiver: Quiver
-    relations: Tuple[Relation, ...]
-    label: str = ""
+    __slots__ = ("quiver", "relations", "label", "_key")
+
+    def __init__(self, quiver: Quiver, relations: Tuple[Relation, ...],
+                 label: str = ""):
+        self.quiver = quiver
+        self.relations = relations
+        self.label = label
+        self._key = None
+
+    def __eq__(self, other):
+        if other.__class__ is not AlgebraPresentation:
+            return NotImplemented
+        return (self.quiver, self.relations, self.label) == \
+            (other.quiver, other.relations, other.label)
+
+    def __hash__(self):
+        return hash((self.quiver, self.relations, self.label))
 
     def key(self) -> str:
         """The presentation as a string, computed once per object."""
-        cached = self.__dict__.get("_key")
+        cached = self._key
         if cached is None:
             parts = [",".join(self.quiver.vertices),
                      ";".join(f"{a.name}:{a.source}>{a.target}"
@@ -147,8 +195,7 @@ class AlgebraPresentation:
                 parts.append("|".join(
                     f"{c}*{'v' + p.vertex if p.is_vertex else '.'.join(p.arrows)}"
                     for c, p in rel.terms))
-            cached = "&".join(parts)
-            object.__setattr__(self, "_key", cached)
+            cached = self._key = "&".join(parts)
         return cached
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
 from . import memo
@@ -30,22 +29,23 @@ class CountError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class CountSeries:
     """Point counts of one family over several primes."""
 
-    label: str
-    samples: Tuple[Tuple[int, int], ...]   # (prime, count)
-    degree_bound: int
+    __slots__ = ("label", "samples", "degree_bound")
 
-    def __post_init__(self):
-        qs = [q for q, _ in self.samples]
+    def __init__(self, label: str, samples: Tuple[Tuple[int, int], ...],
+                 degree_bound: int):
+        qs = [q for q, _ in samples]
         if len(set(qs)) != len(qs):
             raise CountError("duplicate sample primes")
-        if any(c < 0 for _, c in self.samples):
+        if any(c < 0 for _, c in samples):
             raise CountError("negative count")
-        if self.degree_bound < 0:
-            raise CountError(f"negative degree bound {self.degree_bound}")
+        if degree_bound < 0:
+            raise CountError(f"negative degree bound {degree_bound}")
+        self.label = label
+        self.samples = samples        # (prime, count)
+        self.degree_bound = degree_bound
 
 
 def _prime(field, what: str) -> int:

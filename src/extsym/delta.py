@@ -16,7 +16,6 @@ of a module as the convolution of its named summands' counted forms;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import memo
@@ -65,13 +64,16 @@ def all_dim_vectors(dims: Sequence[int]) -> List[Tuple[int, ...]]:
             itertools.product(*[range(d + 1) for d in dims])]
 
 
-@dataclass(frozen=True)
 class DeltaSignature:
     """Finite evaluation table of one module."""
 
-    label: str
-    mode: str                                  # "flag" | "grassmann"
-    table: Tuple[Tuple[tuple, EulerValue], ...]
+    __slots__ = ("label", "mode", "table")
+
+    def __init__(self, label: str, mode: str,
+                 table: Tuple[Tuple[tuple, EulerValue], ...]):
+        self.label = label
+        self.mode = mode                  # "flag" | "grassmann"
+        self.table = table
 
     def values(self) -> Dict[tuple, int]:
         return {k: v.value for k, v in self.table}
@@ -109,8 +111,16 @@ def delta_signature(m_rat: RepModule, mode: str,
     tuple(primes) if primes is not None else None))
 def _signature(m_rat, mode, simples, label, primes):
     # one screen for every slot: each takes the first bound + 2 primes
-    slots = enumerate_flag_types(m_rat.dims, simples) if mode == "flag" \
-        else all_dim_vectors(m_rat.dims)
+    if mode != "flag":
+        slots = all_dim_vectors(m_rat.dims)
+    else:
+        slots = enumerate_flag_types(m_rat.dims, simples)
+        if not slots:
+            vecs = ", ".join(str(s.dims) for s in simples) or "none"
+            raise DeltaError(
+                f"{label or 'module'} of dimension vector {m_rat.dims} has "
+                f"no flag type: no sequence of the simples' dimension "
+                f"vectors ({vecs}) sums to it")
     bounds = [_slot_bound(m_rat, mode, slot) for slot in slots]
     ps = _screen(m_rat, mode, simples, max(bounds, default=0), primes)
     return DeltaSignature(label, mode, tuple(
@@ -214,12 +224,12 @@ def evaluation_form(m_rat: RepModule, mode: str,
     tuple(primes) if primes is not None else None))
 def _form(m_rat, mode, simples, catalog, primes, label):
     if not named_indecomposables(catalog):
-        return delta_signature(m_rat, mode, simples, primes=primes).values()
+        return delta_signature(m_rat, mode, simples, label, primes).values()
     # the form of the zero module: one empty chain, one zero submodule
     conv = {(): 1} if mode == "flag" else {(0,) * len(m_rat.dims): 1}
     for lab in named_summands(m_rat, catalog, label):
         conv = convolve(mode, conv, delta_signature(
-            catalog[lab], mode, simples, primes=primes).values())
+            catalog[lab], mode, simples, lab, primes).values())
     slots = enumerate_flag_types(m_rat.dims, simples) if mode == "flag" \
         else all_dim_vectors(m_rat.dims)
     return {slot: conv.get(slot, 0) for slot in slots}
@@ -248,9 +258,11 @@ def stratify_by_signature(catalog: Dict[str, RepModule],
     return [members for _, _, members in groups]
 
 
-@dataclass(frozen=True)
 class MultiplicativityReport:
-    per_type: Tuple[Tuple[tuple, int, int], ...]  # (type, combined, product)
+    __slots__ = ("per_type",)
+
+    def __init__(self, per_type: Tuple[Tuple[tuple, int, int], ...]):
+        self.per_type = per_type          # (type, combined, product)
 
     @property
     def passed(self) -> bool:

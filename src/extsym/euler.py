@@ -9,7 +9,6 @@ sample, cross-check the last one against it, and evaluate at q = 1.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -57,15 +56,19 @@ def polynomial_coeffs(samples: Sequence[Tuple[int, int]]) -> Tuple[Fraction, ...
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
 class EulerValue:
     """Exact Euler characteristic together with its interpolation evidence."""
 
-    value: int
-    coeffs: Tuple[Fraction, ...]        # ascending
-    samples: Tuple[Tuple[int, int], ...]
-    degree_bound: int
-    consistency: str                    # "verified"
+    __slots__ = ("value", "coeffs", "samples", "degree_bound", "consistency")
+
+    def __init__(self, value: int, coeffs: Tuple[Fraction, ...],
+                 samples: Tuple[Tuple[int, int], ...], degree_bound: int,
+                 consistency: str):
+        self.value = value
+        self.coeffs = coeffs              # ascending
+        self.samples = samples
+        self.degree_bound = degree_bound
+        self.consistency = consistency    # "verified"
 
     def as_dict(self):
         return {"value": self.value,

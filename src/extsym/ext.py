@@ -16,7 +16,6 @@ quiver order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from . import memo
@@ -109,7 +108,6 @@ def ext1_equations(x: RepModule, y: RepModule) -> Mat:
     return Mat(tuple(rows), len(rows), total)
 
 
-@dataclass(frozen=True)
 class ExtSpace:
     """D(X, Y) with its trivial part and a deterministic complement.
 
@@ -119,15 +117,21 @@ class ExtSpace:
     class coordinates.
     """
 
-    x: RepModule
-    y: RepModule
-    d_basis: Mat          # RREF basis of D(X, Y)
-    d_pivots: tuple       # pivots of d_basis
-    trivial: Mat          # RREF basis of Ker pi (= image of the Hom map)
-    compl: Mat            # complement basis, rows of d_basis not absorbed
-    readout: Mat          # D-coordinates -> class coordinates
-    layout: tuple
-    total: int
+    __slots__ = ("x", "y", "d_basis", "d_pivots", "trivial", "compl",
+                 "readout", "layout", "total")
+
+    def __init__(self, x: RepModule, y: RepModule, d_basis: Mat,
+                 d_pivots: tuple, trivial: Mat, compl: Mat, readout: Mat,
+                 layout: tuple, total: int):
+        self.x = x
+        self.y = y
+        self.d_basis = d_basis    # RREF basis of D(X, Y)
+        self.d_pivots = d_pivots  # pivots of d_basis
+        self.trivial = trivial    # RREF basis of Ker pi (image of Hom map)
+        self.compl = compl        # complement: rows of d_basis not absorbed
+        self.readout = readout    # D-coordinates -> class coordinates
+        self.layout = layout
+        self.total = total
 
     @property
     def dim(self) -> int:
@@ -282,15 +286,18 @@ def _block_matrix(row_dims: Sequence[int], col_dims: Sequence[int],
     return Mat(tuple(map(tuple, rows)), len(rows), sum(col_dims))
 
 
-@dataclass(frozen=True)
 class BetaPair:
     """beta: Ext(N, M1) -> Ext(N, M) + Ext(N1, M1) as a column matrix,
     together with the three Ext spaces involved."""
 
-    matrix: Mat
-    src: ExtSpace       # Ext(N, M1)
-    dst_nm: ExtSpace    # Ext(N, M)
-    dst_n1m1: ExtSpace  # Ext(N1, M1)
+    __slots__ = ("matrix", "src", "dst_nm", "dst_n1m1")
+
+    def __init__(self, matrix: Mat, src: ExtSpace, dst_nm: ExtSpace,
+                 dst_n1m1: ExtSpace):
+        self.matrix = matrix
+        self.src = src              # Ext(N, M1)
+        self.dst_nm = dst_nm        # Ext(N, M)
+        self.dst_n1m1 = dst_n1m1    # Ext(N1, M1)
 
 
 def beta_map(n: RepModule, m: RepModule,
@@ -308,14 +315,17 @@ def beta_map(n: RepModule, m: RepModule,
     return BetaPair(mat, e_nm1, e_nm, e_n1m1)
 
 
-@dataclass(frozen=True)
 class BetaPrimePair:
     """beta': Ext(M, N) + Ext(M1, N1) -> Ext(M1, N)."""
 
-    matrix: Mat
-    src_mn: ExtSpace
-    src_m1n1: ExtSpace
-    dst: ExtSpace
+    __slots__ = ("matrix", "src_mn", "src_m1n1", "dst")
+
+    def __init__(self, matrix: Mat, src_mn: ExtSpace, src_m1n1: ExtSpace,
+                 dst: ExtSpace):
+        self.matrix = matrix
+        self.src_mn = src_mn
+        self.src_m1n1 = src_m1n1
+        self.dst = dst
 
 
 def beta_prime_map(m: RepModule, n: RepModule,
@@ -370,7 +380,6 @@ def kernel_projection_dim(field, matrix: Mat, first_block: int) -> int:
 # Flag beta maps
 
 
-@dataclass(frozen=True)
 class Flag:
     """A chain M = M_0 >= M_1 >= ... >= M_m = 0 with inclusion maps.
 
@@ -379,9 +388,14 @@ class Flag:
     step repeats the previous module).
     """
 
-    top: RepModule
-    steps: Tuple[Tuple[RepModule, Tuple[Mat, ...]], ...]
-    factor_ids: Tuple[Optional[int], ...]
+    __slots__ = ("top", "steps", "factor_ids")
+
+    def __init__(self, top: RepModule,
+                 steps: Tuple[Tuple[RepModule, Tuple[Mat, ...]], ...],
+                 factor_ids: Tuple[Optional[int], ...]):
+        self.top = top
+        self.steps = steps
+        self.factor_ids = factor_ids
 
     @property
     def length(self) -> int:
@@ -395,13 +409,17 @@ class Flag:
         return self.steps[k - 1][1]
 
 
-@dataclass(frozen=True)
 class FlagBetaPair:
-    beta: Mat
-    beta_blocks_dst: tuple      # Ext(N_k, M_k) dims, k = 0..m-2
-    beta_prime: Mat
-    beta_prime_blocks_src: tuple  # Ext(M_k, N_k) dims
-    ext_mn_dim: int
+    __slots__ = ("beta", "beta_blocks_dst", "beta_prime",
+                 "beta_prime_blocks_src", "ext_mn_dim")
+
+    def __init__(self, beta: Mat, beta_blocks_dst: tuple, beta_prime: Mat,
+                 beta_prime_blocks_src: tuple, ext_mn_dim: int):
+        self.beta = beta
+        self.beta_blocks_dst = beta_blocks_dst  # Ext(N_k, M_k) dims, k <= m-2
+        self.beta_prime = beta_prime
+        self.beta_prime_blocks_src = beta_prime_blocks_src  # Ext(M_k, N_k) dims
+        self.ext_mn_dim = ext_mn_dim
 
 
 def beta_flag_maps(flag_m: Flag, flag_n: Flag) -> FlagBetaPair:
@@ -470,21 +488,26 @@ def flag_symmetry_identity(pair: FlagBetaPair, field) -> Tuple[int, int, int]:
 # Ext-symmetry audit
 
 
-@dataclass(frozen=True)
 class SymmetryRow:
-    left_label: str
-    right_label: str
-    dim_mn: int
-    dim_nm: int
+    __slots__ = ("left_label", "right_label", "dim_mn", "dim_nm")
+
+    def __init__(self, left_label: str, right_label: str, dim_mn: int,
+                 dim_nm: int):
+        self.left_label = left_label
+        self.right_label = right_label
+        self.dim_mn = dim_mn
+        self.dim_nm = dim_nm
 
     @property
     def symmetric(self) -> bool:
         return self.dim_mn == self.dim_nm
 
 
-@dataclass(frozen=True)
 class SymmetryReport:
-    rows: Tuple[SymmetryRow, ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Tuple[SymmetryRow, ...]):
+        self.rows = rows
 
     @property
     def passed(self) -> bool:

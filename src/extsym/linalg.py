@@ -16,7 +16,6 @@ so int-valued input over Q stays exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -27,13 +26,24 @@ class LinAlgError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Mat:
     """Immutable dense matrix with explicit shape."""
 
-    rows: tuple
-    nrows: int
-    ncols: int
+    __slots__ = ("rows", "nrows", "ncols")
+
+    def __init__(self, rows: tuple, nrows: int, ncols: int):
+        self.rows = rows
+        self.nrows = nrows
+        self.ncols = ncols
+
+    def __eq__(self, other):
+        if other.__class__ is not Mat:
+            return NotImplemented
+        return (self.rows, self.nrows, self.ncols) == \
+            (other.rows, other.nrows, other.ncols)
+
+    def __hash__(self):
+        return hash((self.rows, self.nrows, self.ncols))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], ncols: Optional[int] = None) -> "Mat":
@@ -252,14 +262,25 @@ def solve(field, a: Mat, b: Sequence):
 # Subspaces
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of field^ambient, canonically the RREF basis of rows."""
 
-    field: object
-    ambient: int
-    mat: Mat
-    pivots: tuple
+    __slots__ = ("field", "ambient", "mat", "pivots")
+
+    def __init__(self, field, ambient: int, mat: Mat, pivots: tuple):
+        self.field = field
+        self.ambient = ambient
+        self.mat = mat
+        self.pivots = pivots
+
+    def __eq__(self, other):
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return (self.field, self.ambient, self.mat, self.pivots) == \
+            (other.field, other.ambient, other.mat, other.pivots)
+
+    def __hash__(self):
+        return hash((self.field, self.ambient, self.mat, self.pivots))
 
     @property
     def dim(self) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -28,12 +27,25 @@ class UndecidableError(RuntimeError):
     """Raised when the finite-field search grid cannot decide a question."""
 
 
-@dataclass(frozen=True)
 class RepModule:
-    algebra: AlgebraPresentation
-    field: object
-    dims: Tuple[int, ...]            # ordered as algebra.quiver.vertices
-    matrices: Tuple[Mat, ...]        # ordered as algebra.quiver.arrows
+    __slots__ = ("algebra", "field", "dims", "matrices", "_key")
+
+    def __init__(self, algebra: AlgebraPresentation, field,
+                 dims: Tuple[int, ...], matrices: Tuple[Mat, ...]):
+        self.algebra = algebra
+        self.field = field
+        self.dims = dims              # ordered as algebra.quiver.vertices
+        self.matrices = matrices      # ordered as algebra.quiver.arrows
+        self._key = None
+
+    def __eq__(self, other):
+        if other.__class__ is not RepModule:
+            return NotImplemented
+        return (self.algebra, self.field, self.dims, self.matrices) == \
+            (other.algebra, other.field, other.dims, other.matrices)
+
+    def __hash__(self):
+        return hash((self.algebra, self.field, self.dims, self.matrices))
 
     def dim(self, v: str) -> int:
         return self.dims[self.algebra.quiver.vertex_index(v)]
@@ -56,7 +68,7 @@ class RepModule:
         dims, entries).  Entries are integers only: a GF(p) entry as it
         is, a rational one as its numerator and denominator, each matrix
         flattened row by row (the dims fix its shape)."""
-        cached = self.__dict__.get("_key")
+        cached = self._key
         if cached is None:
             if isinstance(self.field, QQ):
                 entries = tuple(
@@ -66,9 +78,8 @@ class RepModule:
             else:
                 entries = tuple(tuple(x for r in m.rows for x in r)
                                 for m in self.matrices)
-            cached = (self.algebra.key(), repr(self.field), self.dims,
-                      entries)
-            object.__setattr__(self, "_key", cached)
+            cached = self._key = (self.algebra.key(), repr(self.field),
+                                  self.dims, entries)
         return cached
 
 
@@ -220,11 +231,14 @@ def reduce_catalog(catalog: Dict[str, RepModule], p: int) -> Catalog:
 # Hom spaces
 
 
-@dataclass(frozen=True)
 class HomBasis:
-    source: RepModule
-    target: RepModule
-    basis: Tuple[Tuple[Mat, ...], ...]   # each element: per-vertex matrices
+    __slots__ = ("source", "target", "basis")
+
+    def __init__(self, source: RepModule, target: RepModule,
+                 basis: Tuple[Tuple[Mat, ...], ...]):
+        self.source = source
+        self.target = target
+        self.basis = basis            # each element: per-vertex matrices
 
     @property
     def dim(self) -> int:
@@ -278,8 +292,18 @@ def _unpack_hom(field, vec: Sequence, layout) -> Tuple[Mat, ...]:
     return tuple(mats)
 
 
+def _same_ring(m: RepModule, n: RepModule, what: str) -> None:
+    """Refuse two modules over different fields or algebras (by key)."""
+    if m.field != n.field:
+        raise ModuleError(f"{what} between modules over different fields "
+                          f"{m.field!r} and {n.field!r}")
+    if m.algebra is not n.algebra and m.algebra.key() != n.algebra.key():
+        raise ModuleError(f"{what} between modules over different algebras")
+
+
 @memo.cached(lambda m, n: (m.key(), n.key()))
 def hom_basis(m: RepModule, n: RepModule) -> HomBasis:
+    _same_ring(m, n, "Hom")
     sys_mat, layout = _hom_system(m, n)
     kern = kernel_basis(m.field, sys_mat)
     basis = tuple(_unpack_hom(m.field, row, layout) for row in kern.rows)
@@ -396,8 +420,10 @@ def is_isomorphic(m: RepModule, n: RepModule):
     tried, since a hit proves isomorphism, and only then are Hom(N, M) and
     End(M) built and compared before the full search.  A hit is the
     witness the full search would return first; a pair whose Hom
-    dimensions differ is refused without any search.
+    dimensions differ is refused without any search.  Modules over
+    different algebras or fields are a ``ModuleError``.
     """
+    _same_ring(m, n, "isomorphism test")
     if m.dims != n.dims:
         return False, None
     if m.is_zero():

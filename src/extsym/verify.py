@@ -9,7 +9,6 @@ Grassmannian identity with its correction term).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import memo
@@ -28,16 +27,24 @@ class VerifyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    formula: str                      # "f1" | "f2"
-    instance: Dict[str, str]
-    rows: Tuple[Tuple[tuple, int, int], ...]   # (slot, lhs, rhs)
-    strata: Dict[str, Dict[str, int]]
-    efg: Optional[Dict[str, int]]
-    symmetry_ok: bool
-    primes: Tuple[int, ...]           # screened by the report for its counts
-    details: Dict[str, object] = dc_field(default_factory=dict)
+    __slots__ = ("formula", "instance", "rows", "strata", "efg",
+                 "symmetry_ok", "primes", "details")
+
+    def __init__(self, formula: str, instance: Dict[str, str],
+                 rows: Tuple[Tuple[tuple, int, int], ...],
+                 strata: Dict[str, Dict[str, int]],
+                 efg: Optional[Dict[str, int]], symmetry_ok: bool,
+                 primes: Tuple[int, ...],
+                 details: Optional[Dict[str, object]] = None):
+        self.formula = formula        # "f1" | "f2"
+        self.instance = instance
+        self.rows = rows              # (slot, lhs, rhs)
+        self.strata = strata
+        self.efg = efg
+        self.symmetry_ok = symmetry_ok
+        self.primes = primes          # screened by the report for its counts
+        self.details = {} if details is None else details
 
     @property
     def passed(self) -> bool:
@@ -367,9 +374,11 @@ def verify_formula1(m: RepModule, n: RepModule,
 # Built-in audit suite
 
 
-@dataclass(frozen=True)
 class AuditSummary:
-    entries: Tuple[Tuple[str, str], ...]    # (name, "pass"/"fail"/detail)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Tuple[Tuple[str, str], ...]):
+        self.entries = entries        # (name, "pass"/"fail"/detail)
 
     @property
     def passed(self) -> bool:

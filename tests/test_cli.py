@@ -7,12 +7,12 @@ from click.testing import CliRunner
 
 from extsym.cli import main
 from extsym.fileio import algebra_to_dict, catalog_to_dict, module_to_dict
-from extsym.instances import a2_catalog
+from extsym.instances import a2_catalog, a2_modules, a2_preprojective
+from extsym.modules import direct_sum
 
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    from extsym.instances import a2_modules, a2_preprojective
     root = tmp_path_factory.mktemp("cli")
     alg = a2_preprojective()
     mods = a2_modules(alg)
@@ -292,6 +292,32 @@ class TestDeltaAndStratify:
         assert sorted(map(sorted, classes)) == \
             sorted([["P1"], ["P2"], ["S1"], ["S2"], ["S1+S2"],
                     ["S1+S1"], ["S2+S2"]])
+
+    @pytest.mark.parametrize("catalog", ["catalog", "plain_catalog"])
+    def test_stratify_refuses_entries_the_simples_cannot_build(self, files,
+                                                               catalog):
+        r = run("stratify", "--algebra", files["algebra"],
+                "--catalog", files[catalog], "--simples", "vertex:1",
+                "--json")
+        assert r.exit_code == 1
+        payload = json.loads(r.output)
+        assert payload["verdict"] == "error"
+        assert payload["message"].startswith(
+            "S2 of dimension vector (0, 1) has no flag type")
+
+    def test_delta_refuses_a_module_the_simples_cannot_build(self, files,
+                                                            tmp_path):
+        alg = a2_preprojective()
+        mods = a2_modules(alg)
+        path = tmp_path / "S2+P1.json"
+        path.write_text(json.dumps(module_to_dict(
+            direct_sum(mods["S2"], mods["P1"]))))
+        r = run("delta", "--algebra", files["algebra"], "--module",
+                str(path), "--simples", "vertex:1", "--json")
+        assert r.exit_code == 1
+        assert json.loads(r.output)["message"] == (
+            "module of dimension vector (1, 2) has no flag type: no "
+            "sequence of the simples' dimension vectors ((1, 0)) sums to it")
 
 
 class TestVerify:

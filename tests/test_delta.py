@@ -104,6 +104,45 @@ class TestSignatures:
         assert a is b
 
 
+class TestNoFlagType:
+    """A nonzero module that no sequence of the simples builds has no flag
+    type; its flag signature is refused, not read as an empty table."""
+
+    def test_signature_refused(self, a2):
+        _, mods = a2
+        m = direct_sum(mods["S2"], mods["P1"])
+        with pytest.raises(DeltaError, match=r"^S2\+P1 of dimension vector "
+                           r"\(1, 2\) has no flag type: .*\(\(1, 0\)\)"):
+            delta_signature(m, "flag", [mods["S1"]], label="S2+P1",
+                            primes=PRIMES)
+        with pytest.raises(DeltaError, match=r"vectors \(none\)"):
+            delta_signature(m, "flag", [], primes=PRIMES)
+        # grassmann mode does not read the simples
+        assert delta_signature(m, "grassmann", [], primes=PRIMES).table
+
+    def test_zero_module_keeps_its_empty_type(self, a2):
+        alg, mods = a2
+        z = zero_module(alg, RATIONALS)
+        for simples in ([], [mods["S1"]]):
+            assert delta_signature(z, "flag", simples,
+                                   primes=PRIMES).values() == {(): 1}
+
+    def test_multiplicativity_refused(self, a2):
+        _, mods = a2
+        with pytest.raises(DeltaError, match=r"\(1, 1\) has no flag type"):
+            check_delta_multiplicativity(mods["S1"], mods["S2"], [],
+                                         primes=PRIMES)
+
+    @pytest.mark.parametrize("named", [True, False])
+    def test_stratification_refused(self, a2, named):
+        alg, mods = a2
+        cat = a2_catalog(alg, 2)
+        with pytest.raises(DeltaError, match=r"^S2 of dimension vector "
+                           r"\(0, 1\) has no flag type"):
+            stratify_by_signature(cat if named else dict(cat),
+                                  [mods["S1"]], "flag", PRIMES)
+
+
 class TestStratification:
     def test_total_dim_two_catalog_splits_into_singletons(self, a2):
         alg, mods = a2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extsym.algebra import AlgebraPresentation, make_quiver
 from extsym.fields import GF, RATIONALS, FieldError
 from extsym.instances import a2_catalog
 from extsym.linalg import rank
@@ -62,6 +63,46 @@ class TestHom:
                 hom_dim(S1, probe) + hom_dim(P1, probe)
             assert hom_dim(probe, both) == \
                 hom_dim(probe, S1) + hom_dim(probe, P1)
+
+    @staticmethod
+    def _foreign(a2, three_vertex):
+        """Modules over other algebras or fields than the rational S1."""
+        mods = a2[1]
+        path_alg = AlgebraPresentation(
+            make_quiver(("1", "2"), (("a", "1", "2"),)), ())
+        return {"three-vertex S1": three_vertex[1]["S1"],
+                "path-algebra S1": simple_at_vertex(path_alg, RATIONALS, "1"),
+                "S1 mod 3": reduce_module(mods["S1"], 3),
+                "S1 mod 5": reduce_module(mods["S1"], 5),
+                "P1 mod 5": reduce_module(mods["P1"], 5)}
+
+    @pytest.mark.parametrize("left,right,forward,backward", [
+        ("S1", "three-vertex S1", "algebras$", "algebras$"),
+        ("S1", "path-algebra S1", "algebras$", "algebras$"),
+        ("S1 mod 3", "P1 mod 5", r"fields GF\(3\) and GF\(5\)$",
+         r"fields GF\(5\) and GF\(3\)$"),
+        ("S1", "P1 mod 5", r"fields QQ and GF\(5\)$",
+         r"fields GF\(5\) and QQ$"),
+    ])
+    def test_modules_over_different_algebras_or_fields_refused(
+            self, a2, three_vertex, left, right, forward, backward):
+        named = dict(self._foreign(a2, three_vertex), S1=a2[1]["S1"])
+        m, n = named[left], named[right]
+        for call in (hom_basis, hom_dim):
+            with pytest.raises(ModuleError, match="^Hom between modules "
+                               "over different " + forward):
+                call(m, n)
+            with pytest.raises(ModuleError, match="different " + backward):
+                call(n, m)
+
+    @pytest.mark.parametrize("other", ["three-vertex S1", "path-algebra S1",
+                                       "S1 mod 5", "P1 mod 5"])
+    def test_isomorphism_test_refuses_them(self, a2, three_vertex, other):
+        foreign = self._foreign(a2, three_vertex)
+        for m in (a2[1]["S1"], foreign["S1 mod 3"]):
+            with pytest.raises(ModuleError, match="^isomorphism test "
+                               "between modules over different "):
+                is_isomorphic(m, foreign[other])
 
 
 class TestIsomorphism:
