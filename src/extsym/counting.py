@@ -295,10 +295,11 @@ def _module_class(m: RepModule):
 
     Modules are compared with ``is_isomorphic`` only against the
     representatives sharing their algebra, field, dimension vector and
-    arrow ranks.  A module whose comparison is undecidable forms a class
-    of its own presentation: classes may split, they never merge unproven.
+    arrow ranks, which are isomorphism invariants.  A module whose
+    comparison is undecidable forms a class of its own presentation:
+    classes may split, they never merge unproven.
     """
-    bucket_key = (m.key()[:3], _arrow_rank_profile(m))
+    bucket_key = (m.key()[:3], tuple(rank(m.field, a) for a in m.matrices))
     bucket = _class_buckets.get(bucket_key)
     if bucket is None:
         bucket = memo.remember(_class_buckets, bucket_key, [])
@@ -388,19 +389,35 @@ def stratify_ext_classes(m: RepModule, n: RepModule,
     isomorphism type of the middle term.
 
     Counts are numbers of lines, per catalog entry of the middle term's
-    dimension vector; every middle term must match a catalog entry,
-    otherwise the catalog is reported incomplete.
+    dimension vector.  The entries and the middle terms are classified
+    by ``_module_class``; the first entry of a class names it, so a
+    middle term presented exactly as an entry matches it without a
+    search.  A middle term whose class no entry shares, the catalog
+    lacking it or an isomorphism test being undecidable, is reported as
+    an incomplete catalog.
     """
     q = _prime(m.field, "stratification of extension classes")
     space = ext1_space(m, n)
     mid_dims = tuple(a + b for a, b in zip(m.dims, n.dims))
-    counts: Dict[str, int] = {lab: 0 for lab, c in catalog.items()
-                              if c.dims == mid_dims}
-    # distinct lines give distinct middle-term presentations (the
-    # complement rows are independent), so each is matched once
+    counts: Dict[str, int] = {}
+    names: Dict[int, str] = {}
+    for lab, c in catalog.items():
+        if c.algebra.key() != m.algebra.key():
+            raise CountError(f"catalog entry {lab} is a module over another "
+                             f"algebra than the extension's")
+        if c.field != m.field:
+            raise CountError(f"catalog entry {lab} is over {c.field}, the "
+                             f"extension over {m.field}")
+        if c.dims == mid_dims:
+            counts[lab] = 0
+            names.setdefault(_module_class(c)[0], lab)
     for line in _lines(space.dim, q):
-        label = _match_catalog(middle_term(space, line)[0],
-                               catalog)
+        label = names.get(_module_class(middle_term(space, line)[0])[0])
+        if label is None:
+            raise CountError(
+                f"catalog incomplete: no entry matches a middle term with "
+                f"dimension vector {mid_dims}, or an isomorphism test was "
+                f"undecidable")
         counts[label] += 1
     expected = (q ** space.dim - 1) // (q - 1) if space.dim else 0
     if sum(counts.values()) != expected:
@@ -473,26 +490,6 @@ def named_summands(m: RepModule, catalog: Catalog,
             f"named indecomposables {names} but is not confirmed isomorphic "
             f"to it: the catalog does not name all of its indecomposables")
     return parts
-
-
-@memo.cached(lambda m: m.key())
-def _arrow_rank_profile(m: RepModule):
-    return tuple(rank(m.field, a) for a in m.matrices)
-
-
-def _match_catalog(mid: RepModule, catalog: Dict[str, RepModule]) -> str:
-    # arrow ranks are isomorphism invariants: a cheap sound prefilter
-    profile = _arrow_rank_profile(mid)
-    candidates = [(lab, c) for lab, c in catalog.items()
-                  if c.dims == mid.dims
-                  and _arrow_rank_profile(c) == profile]
-    for lab, c in candidates:
-        iso, _ = is_isomorphic(mid, c)
-        if iso:
-            return lab
-    raise CountError(
-        f"catalog incomplete: no entry matches a middle term with "
-        f"dimension vector {mid.dims}")
 
 
 # ---------------------------------------------------------------------------

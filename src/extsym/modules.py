@@ -146,10 +146,7 @@ def simple_at_vertex(algebra: AlgebraPresentation, field, v: str) -> RepModule:
 
 
 def direct_sum(m: RepModule, n: RepModule) -> RepModule:
-    if m.algebra is not n.algebra and m.algebra != n.algebra:
-        raise ModuleError("direct sum across different algebras")
-    if m.field != n.field:
-        raise ModuleError("direct sum across different fields")
+    _same_ring(m, n, "direct sum")
     field = m.field
     q = m.algebra.quiver
     dims = tuple(a + b for a, b in zip(m.dims, n.dims))

@@ -43,7 +43,8 @@ class VerificationReport:
         self.strata = strata
         self.efg = efg
         self.symmetry_ok = symmetry_ok
-        self.primes = primes          # screened by the report for its counts
+        self.primes = primes          # those of f1's correction term; every
+                                      # other table screens its own
         self.details = {} if details is None else details
 
     @property
@@ -113,14 +114,7 @@ def _fit_tables(label, counter, bound, primes) -> Dict:
     return out
 
 
-def _entries_of(catalog, dims) -> Dict[str, RepModule]:
-    """The catalog entries of one dimension vector: those that the strata
-    match the middle terms against."""
-    return {lab: c for lab, c in catalog.items() if c.dims == dims}
-
-
-def _strata_chi(m, n, catalog, ps, primes,
-                direction_label) -> Dict[str, int]:
+def _strata_chi(m, n, catalog, primes, direction_label) -> Dict[str, int]:
     """chi of each middle-term stratum of the projectivized extension
     space, per catalog entry of the middle term's dimension vector (zero
     rows included).
@@ -130,21 +124,19 @@ def _strata_chi(m, n, catalog, ps, primes,
     exactly the lines of the blocks P Ext^1(M_i, N_j), and every stratum
     is stable under it, so (Bialynicki-Birula) chi(stratum L) is the sum
     over (i, j) of chi of the lines xi of the block with
-    E_xi + (the other summands) isomorphic to L.  Each such module is
-    matched to the catalog entry with the same ``named_summands``; the
-    block tables (``_block_strata``) screen their own primes from the
-    supplied ``primes``.  Under any other catalog, the lines of the whole
-    space are counted at the report's primes ``ps``.
+    E_xi + (the other summands) isomorphic to L.  The lines of a block
+    are matched against the direct sums of named modules
+    (``_named_sums``), and each sum to the catalog entry with the same
+    ``named_summands``.  Under any other catalog, the lines of the whole
+    space are matched against the entries.
     """
     d = tuple(a + b for a, b in zip(m.dims, n.dims))
-    entries = _entries_of(catalog, d)
+    entries = {lab: c for lab, c in catalog.items() if c.dims == d}
+    chi = dict.fromkeys(entries, 0)
     if not named_indecomposables(catalog):
-        def counter(p):
-            return stratify_ext_classes(reduce_module(m, p),
-                                        reduce_module(n, p),
-                                        reduce_catalog(entries, p))
-        return _fit_tables(f"{direction_label} stratum", counter,
-                           projective_space_degree_bound(ext_dim(m, n)), ps)
+        chi.update(_line_strata(m, n, entries, primes,
+                                f"{direction_label} stratum"))
+        return chi
     by_parts: Dict[Tuple[str, ...], str] = {}
     for lab, c in entries.items():
         parts = named_summands(c, catalog, f"catalog entry {lab}")
@@ -160,11 +152,17 @@ def _strata_chi(m, n, catalog, ps, primes,
         first, second = second, first
     ms, ns = named_summands(m, catalog, first), named_summands(n, catalog,
                                                                second)
-    chi = dict.fromkeys(entries, 0)
     for i, x in enumerate(ms):
         for j, y in enumerate(ns):
+            xm, ym = catalog[x], catalog[y]
+            if not ext_dim(xm, ym):
+                continue
             rest = ms[:i] + ms[i + 1:] + ns[:j] + ns[j + 1:]
-            for parts, value in _block_strata(x, y, named, primes).items():
+            sums = _named_sums(named, tuple(a + b for a, b in
+                                            zip(xm.dims, ym.dims)))
+            for parts, value in _line_strata(
+                    xm, ym, sums, primes,
+                    f"stratum of Ext^1({x}, {y})").items():
                 lab = by_parts.get(tuple(sorted(parts + rest, key=order.get)))
                 if lab is None:
                     raise CountError(
@@ -174,43 +172,45 @@ def _strata_chi(m, n, catalog, ps, primes,
     return chi
 
 
-@memo.cached(lambda x, y, named, primes: (
-    x, y, tuple((lab, c.key()) for lab, c in named),
-    tuple(primes) if primes is not None else None))
-def _block_strata(x: str, y: str, named,
-                  primes) -> Dict[Tuple[str, ...], int]:
-    """chi of each stratum with points of P Ext^1(X, Y), for the named
-    indecomposables labelled x and y, keyed by the named summands of its
-    middle terms.
-
-    The lines are matched by ``stratify_ext_classes`` against every direct
-    sum of named modules of dimension vector dims X + dims Y
-    (``_direct_sum_vectors``), at primes screened for (X, Y) and those
-    sums.  A stratum without points at any of the primes is left out."""
+@memo.cached(lambda named, dims: (
+    tuple((lab, c.key()) for lab, c in named), dims))
+def _named_sums(named, dims) -> Dict[Tuple[str, ...], RepModule]:
+    """Every direct sum of the named modules with the given dimension
+    vector (``_direct_sum_vectors``), keyed by its summands' labels."""
     mods = dict(named)
-    xm, ym = mods[x], mods[y]
-    dim = ext_dim(xm, ym)
-    if not dim:
-        return {}
-    dims = tuple(a + b for a, b in zip(xm.dims, ym.dims))
+    alg, field = named[0][1].algebra, named[0][1].field
     sums = {}
     for mult in _direct_sum_vectors(named, dims).values():
         parts = tuple(lab for (lab, _), k in zip(named, mult)
                       for _ in range(k))
-        sums[parts] = direct_sum_many(xm.algebra, xm.field,
+        sums[parts] = direct_sum_many(alg, field,
                                       [mods[lab] for lab in parts])
-    bound = projective_space_degree_bound(dim)
-    ps = select_primes(xm, ym, list(sums.values()), bound + 2, primes)
+    return sums
+
+
+@memo.cached(lambda x, y, targets, primes, label: (
+    x.key(), y.key(), tuple((k, t.key()) for k, t in targets.items()),
+    tuple(primes) if primes is not None else None))
+def _line_strata(x: RepModule, y: RepModule, targets, primes,
+                 label: str) -> Dict:
+    """chi of each stratum with points of P Ext^1(X, Y), keyed by the
+    target that its middle terms match.
+
+    The lines are matched by ``stratify_ext_classes`` against the targets,
+    at primes screened for (X, Y) and the targets.  A stratum without
+    points at any of the primes is left out."""
+    bound = projective_space_degree_bound(ext_dim(x, y))
+    ps = select_primes(x, y, list(targets.values()), bound + 2, primes)
     seen = set()
 
     def counter(p):
-        counts = stratify_ext_classes(reduce_module(xm, p),
-                                      reduce_module(ym, p),
-                                      reduce_catalog(sums, p))
+        counts = stratify_ext_classes(reduce_module(x, p),
+                                      reduce_module(y, p),
+                                      reduce_catalog(targets, p))
         seen.update(k for k, v in counts.items() if v)
         return counts
-    chi = _fit_tables(f"stratum of Ext^1({x}, {y})", counter, bound, ps)
-    return {parts: v for parts, v in chi.items() if parts in seen}
+    chi = _fit_tables(label, counter, bound, ps)
+    return {k: v for k, v in chi.items() if k in seen}
 
 
 def _details(catalog) -> Dict[str, object]:
@@ -238,23 +238,19 @@ def verify_formula2(m: RepModule, n: RepModule,
     classes of equal flag signature in the catalog.  Chain Euler
     characteristics are read from flag evaluation forms
     (``delta.evaluation_form``), those of M + N as the convolution of
-    the forms of M and N.
+    the forms of M and N.  Every table fitted screens its own primes, so
+    the report lists none.
     """
     _require_members(m, n, simples)
     sym_ok = _advisory_symmetry(m, n, simples, allow_asymmetric)
     d = tuple(a + b for a, b in zip(m.dims, n.dims))
     dim_e, dim_nm = ext_dim(m, n), ext_dim(n, m)
-    # only a plain catalog counts the strata at the report's primes
-    ps = [] if named_indecomposables(catalog) else select_primes(
-        m, n, list(_entries_of(catalog, d).values()),
-        projective_space_degree_bound(max(dim_e, dim_nm)) + 2, primes)
 
     def chains(mod, label):
         return evaluation_form(mod, "flag", simples, catalog, primes, label)
 
-    chi_mn = _strata_chi(m, n, catalog, ps, primes, "forward") \
-        if dim_e else {}
-    chi_nm = _strata_chi(n, m, catalog, ps, primes, "backward") \
+    chi_mn = _strata_chi(m, n, catalog, primes, "forward") if dim_e else {}
+    chi_nm = _strata_chi(n, m, catalog, primes, "backward") \
         if dim_nm else {}
     touched = sorted(set(chi_mn) | set(chi_nm))
 
@@ -282,7 +278,7 @@ def verify_formula2(m: RepModule, n: RepModule,
         "f2",
         {"algebra": m.algebra.label or "unnamed",
          "dims": str(d), "extension dim": str(dim_e)},
-        tuple(rows), strata_table, None, sym_ok, tuple(ps),
+        tuple(rows), strata_table, None, sym_ok, (),
         _details(catalog))
 
 
@@ -301,16 +297,16 @@ def verify_formula1(m: RepModule, n: RepModule,
     counted by the paired-transport fibration, on the named summands of
     M and N under a named catalog (``count_efg``).  Submodule Euler
     characteristics are read from grassmann evaluation forms
-    (``delta.evaluation_form``).
+    (``delta.evaluation_form``).  The report lists the primes of the
+    correction term; every other table fitted screens its own.
     """
     _require_members(m, n, simples)
     sym_ok = _advisory_symmetry(m, n, simples, allow_asymmetric)
     d = tuple(a + b for a, b in zip(m.dims, n.dims))
     dim_e, dim_nm = ext_dim(m, n), ext_dim(n, m)
     # the correction is counted only when Ext(N, M) is nonzero (the named
-    # summands are read only then), at the degree bound of the parts'
-    # submodule varieties and P Ext^1(N, M); only a plain catalog counts
-    # the strata at the same primes
+    # summands are read only then), at primes screened for its parts, up
+    # to the degree bound of their submodule varieties and P Ext^1(N, M)
     named = named_indecomposables(catalog)
     n_parts, m_parts = [n], [m]
     if dim_nm and named:
@@ -319,20 +315,14 @@ def verify_formula1(m: RepModule, n: RepModule,
                                                  (m, "first module")))
     efg_bound = sum(k * k // 4 for x in n_parts + m_parts
                     for k in x.dims) + dim_nm - 1 if dim_nm else 0
-    if not named:
-        ps = select_primes(
-            m, n, list(_entries_of(catalog, d).values()),
-            max(projective_space_degree_bound(dim_e), efg_bound) + 2, primes)
-    else:
-        ps = select_primes(m, n, n_parts + m_parts, efg_bound + 2,
-                           primes) if dim_nm else []
+    ps = select_primes(m, n, n_parts + m_parts, efg_bound + 2,
+                       primes) if dim_nm else []
 
     def submodules(mod, label):
         return evaluation_form(mod, "grassmann", simples, catalog, primes,
                                label)
 
-    chi_mn = _strata_chi(m, n, catalog, ps, primes, "forward") \
-        if dim_e else {}
+    chi_mn = _strata_chi(m, n, catalog, primes, "forward") if dim_e else {}
     class_chi = []
     strata_table: Dict[str, Dict[str, int]] = {}
     for members in stratify_by_signature(catalog, simples, "grassmann",

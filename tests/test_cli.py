@@ -408,7 +408,8 @@ class TestVerify:
     @pytest.mark.parametrize("which", ["f1", "f2"])
     @pytest.mark.parametrize("change, message", [
         ("no P1", "catalog incomplete: no entry matches a middle term with "
-                  "dimension vector (1, 1)"),
+                  "dimension vector (1, 1), or an isomorphism test was "
+                  "undecidable"),
         ("twin", "catalog entries S1+S2 and S2+S1 are both the direct sum "
                  "S1+S2 of named indecomposables")])
     def test_named_catalog_refused(self, files, tmp_path, which, change,

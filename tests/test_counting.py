@@ -35,7 +35,8 @@ from extsym.verify import _strata_chi, verify_formula1, verify_formula2
 
 from oracle import (conjugate, count_efg_pairs, count_flags_bruteforce,
                     count_submodules_bruteforce, efg_degree_bound,
-                    gaussian_binomial_int, mat_apply, span_set,
+                    gaussian_binomial_int, mat_apply,
+                    modules_isomorphic_bruteforce, span_set,
                     witness_from_rows)
 
 
@@ -640,13 +641,114 @@ class TestStrata:
         with pytest.raises(CountError, match="incomplete"):
             stratify_ext_classes(m, n, cat)
 
+    def test_entries_over_another_field_refused(self, a2):
+        alg, mods = a2
+        m = reduce_module(mods["S1"], 3)
+        n = reduce_module(mods["S2"], 3)
+        cat = {**reduce_catalog(a2_catalog(alg, 2), 3),
+               "P1 mod 5": reduce_module(mods["P1"], 5)}
+        with pytest.raises(CountError,
+                           match=r"^catalog entry P1 mod 5 is over GF\(5\), "
+                                 r"the extension over GF\(3\)$"):
+            stratify_ext_classes(m, n, cat)
+
+    def test_entries_of_another_algebra_refused(self, a2, two_loop):
+        alg, mods = a2
+        _, loops = two_loop
+        m = reduce_module(mods["S1"], 3)
+        n = reduce_module(mods["S2"], 3)
+        cat = {"S": reduce_module(loops["S"], 3),
+               **reduce_catalog(a2_catalog(alg, 2), 3)}
+        with pytest.raises(CountError,
+                           match="^catalog entry S is a module over another "
+                                 "algebra than the extension's$"):
+            stratify_ext_classes(m, n, cat)
+
+
+class TestStrataAgainstBruteForce:
+    """Per-prime strata against an exhaustive classification of every
+    line: its middle term belongs to the first entry, in catalog order,
+    that an exhaustive search finds isomorphic to it.  The entries are
+    conjugated, so that the lines are classified by isomorphism tests
+    rather than by presentation."""
+
+    @staticmethod
+    def _conjugated(cat, p):
+        def flip(field, d):
+            # the order of the basis reversed, and -1 in dimension 1
+            if d == 1:
+                return mat_from_fractions(field, [[p - 1]])
+            return mat_from_fractions(field, [[int(i + j == d - 1)
+                                               for j in range(d)]
+                                              for i in range(d)], ncols=d)
+        out = {lab: conjugate(c, [flip(c.field, d) for d in c.dims])
+               for lab, c in reduce_catalog(cat, p).items()}
+        return Catalog(out, cat.indecomposables) \
+            if isinstance(cat, Catalog) else out
+
+    @staticmethod
+    def _bruteforce(m, n, cat, p):
+        """(counts per entry, number of lines whose middle term is
+        presented exactly as an entry)."""
+        space = ext1_space(m, n)
+        lines = [v for v in itertools.product(range(p), repeat=space.dim)
+                 if any(v) and next(x for x in v if x) == 1]
+        dims = tuple(a + b for a, b in zip(m.dims, n.dims))
+        counts = {lab: 0 for lab, c in cat.items() if c.dims == dims}
+        keys = {c.key() for c in cat.values()}
+        as_entries = 0
+        for line in lines:
+            mid = middle_term(space, line)[0]
+            as_entries += mid.key() in keys
+            counts[next(lab for lab in counts if modules_isomorphic_bruteforce(
+                list(dims), _arrow_data(mid), _arrow_data(cat[lab]), p))] += 1
+        return counts, as_entries
+
+    @pytest.mark.parametrize("kind", ["named", "plain"])
+    @pytest.mark.parametrize("p, totals, pairs, lines, as_entries", [
+        # over GF(2) the presentations of some middle terms form a single
+        # orbit of the base changes, so no conjugation avoids them all
+        (2, (3, 4), 35, 113, 23), (3, (3,), 8, 20, 0)], ids=["2", "3"])
+    def test_a2_pairs(self, a2, kind, p, totals, pairs, lines, as_entries):
+        """Every pair of the given combined dimensions with Ext^1(M, N)
+        nonzero."""
+        alg, _ = a2
+        sums = a2_sums(alg, 3)
+        cat = a2_catalog(alg, 4)
+        cat = self._conjugated(cat if kind == "named" else dict(cat), p)
+        seen = [0, 0, 0]
+        for a, b in itertools.product(sums, repeat=2):
+            m, n = sums[a], sums[b]
+            if m.total_dim + n.total_dim not in totals or not ext_dim(m, n):
+                continue
+            mp, np_ = reduce_module(m, p), reduce_module(n, p)
+            want, keyed = self._bruteforce(mp, np_, cat, p)
+            got = stratify_ext_classes(mp, np_, cat)
+            assert got == want, (a, b)
+            seen = [seen[0] + 1, seen[1] + sum(got.values()), seen[2] + keyed]
+        assert seen == [pairs, lines, as_entries]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("kind", ["named", "plain"])
+    def test_two_loop_simple_pair(self, two_loop, p, kind):
+        _, loops = two_loop
+        cat = Catalog(loops, tuple(lab for lab in loops if lab != "S+S"))
+        cat = self._conjugated(cat if kind == "named" else dict(cat), p)
+        s = reduce_module(loops["S"], p)
+        want, keyed = self._bruteforce(s, s, cat, p)
+        assert keyed == 0
+        # each of the p + 1 lines is a class of its own
+        assert sorted(want.values()) == [0] * (len(want) - p - 1) + \
+            [1] * (p + 1)
+        assert stratify_ext_classes(s, s, cat) == want
+
 
 class TestHomRankStrata:
     """Strata under catalogs that name their indecomposables, read by
     localisation onto pairs of named modules: each middle term is told
     apart by its Hom vector over the named modules (``named_summands``),
-    confirmed by one isomorphism, against the isomorphism search that
-    counts every line under a plain catalog."""
+    confirmed by one isomorphism, against the strata of the whole space
+    that a plain catalog counts line by line."""
 
     def test_localised_strata_equal_counted_ones(self, a2):
         """Every pair of combined dimension <= 4, every pair of combined
@@ -667,41 +769,43 @@ class TestHomRankStrata:
         reached = 0
         for a, b in sorted(ordered):
             m, n = sums[a], sums[b]
-            d = tuple(x + y for x, y in zip(m.dims, n.dims))
-            entries = [c for c in cat.values() if c.dims == d]
-            ps = select_primes(m, n, entries, max(ext_dim(m, n), 1) + 1,
-                               None)
-            got = _strata_chi(m, n, cat, [], None, "forward")
-            assert got == _strata_chi(m, n, dict(cat), ps, None,
+            got = _strata_chi(m, n, cat, None, "forward")
+            assert got == _strata_chi(m, n, dict(cat), None,
                                       "forward"), (a, b)
             reached += any(got.values())
         assert (len(ordered), reached) == (163, 83)
 
     def test_unnamed_catalogs_search_for_isomorphisms(self, a2, two_loop,
                                                       monkeypatch):
-        """One stratification for every catalog: a named one is searched
-        line by line like its plain copy."""
+        """One stratification for every catalog: a named one is classified
+        line by line like its plain copy, each entry of the middle term's
+        dimension vector and each line once."""
         alg, mods = a2
         calls = []
-        match = counting._match_catalog
+        classify = counting._module_class
 
-        def counted(mid, cat):
-            calls.append(1)
-            return match(mid, cat)
+        def counted(x):
+            calls.append(x.key())
+            return classify(x)
 
-        monkeypatch.setattr(counting, "_match_catalog", counted)
+        monkeypatch.setattr(counting, "_module_class", counted)
         p = 3
         m, n = reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)
         named = reduce_catalog(a2_catalog(alg, 2), p)
+        entries = [c.key() for c in named.values() if c.dims == (1, 1)]
+        assert len(entries) == 3
         assert stratify_ext_classes(m, n, named)["P1"] == 1
-        assert calls == [1]
+        assert calls[:3] == entries and len(calls) == 4
+        calls.clear()
         assert stratify_ext_classes(m, n, dict(named))["P1"] == 1
-        assert calls == [1, 1]
+        assert calls[:3] == entries and len(calls) == 4
+        calls.clear()
         _, loops = two_loop
         s = reduce_module(loops["S"], p)
         cat = {lab: reduce_module(c, p) for lab, c in loops.items()}
         assert sum(stratify_ext_classes(s, s, cat).values()) == p + 1
-        assert len(calls) == 2 + p + 1
+        assert len(calls) == sum(c.dims == (2,) for c in cat.values()) \
+            + p + 1
 
     @pytest.mark.parametrize("names", [
         sub for r in range(1, 4)
@@ -727,19 +831,43 @@ class TestHomRankStrata:
                        twin)
 
     def test_first_line_of_a_stratum_confirmed(self, a2, monkeypatch):
-        """The lines of a block are matched by isomorphism, the first of
-        each stratum included, even when every decomposition is already
-        confirmed: the decompositions are memoised, the block tables are
-        recounted at other primes."""
+        """A line whose middle term is presented otherwise than its entry
+        is matched by isomorphism, the first of each stratum included,
+        even when every decomposition is already confirmed: the
+        decompositions are memoised, the block tables are recounted at
+        other primes, and a refused isomorphism leaves the catalog
+        incomplete."""
         alg, mods = a2
-        args = (mods["S1"], mods["S2"], [mods["S1"], mods["S2"]],
-                a2_catalog(alg, 2))
+        cat = a2_catalog(alg, 2)
+        # P1 with its arrow doubled: isomorphic to P1 away from 2
+        cat = Catalog({**cat, "P1": module_from_fractions(
+            alg, RATIONALS, {"1": 1, "2": 1}, {"a": [[2]], "a*": [[0]]})},
+            cat.indecomposables)
+        args = (mods["S1"], mods["S2"], [mods["S1"], mods["S2"]], cat)
         memo.clear_all()
         assert verify_formula2(*args).strata["P1"]["forward"] == 1
         monkeypatch.setattr(counting, "is_isomorphic",
                             lambda x, y: (False, None))
         with pytest.raises(CountError, match="catalog incomplete"):
-            verify_formula2(*args, primes=[5, 7])
+            verify_formula2(*args, primes=[7, 11])
+
+    def test_middle_term_presented_as_an_entry_matches_by_key(
+            self, a2, monkeypatch):
+        """The extension S1 -> P1 -> S2 is presented exactly as the entry
+        P1, so its line is matched without an isomorphism test."""
+        alg, mods = a2
+        p = 3
+        m, n = reduce_module(mods["S1"], p), reduce_module(mods["S2"], p)
+        cat = reduce_catalog(a2_catalog(alg, 2), p)
+        memo.clear_all()
+
+        def refused(x, y):
+            raise AssertionError("isomorphism test called")
+
+        monkeypatch.setattr(counting, "is_isomorphic", refused)
+        assert stratify_ext_classes(m, n, cat)["P1"] == 1
+        space = ext1_space(m, n)
+        assert middle_term(space, (1,))[0].key() == cat["P1"].key()
 
     def test_unconfirmed_decomposition_refused(self, a2, monkeypatch):
         # P1+S1 is not presented as the direct sum S1+P1 of its named

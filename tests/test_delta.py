@@ -8,6 +8,7 @@ import pytest
 
 import extsym
 from extsym import delta, memo
+from extsym import verify as pipeline
 from extsym.counting import CountError, named_summands
 from extsym.delta import (DeltaError, all_dim_vectors,
                           check_delta_multiplicativity, convolve,
@@ -231,13 +232,22 @@ class TestSuppliedPrimesAreScreened:
         assert sorted(map(sorted, supplied)) == \
             [["P1", "P1'"], ["P2"], ["S1+S2"]]
 
+    @staticmethod
+    def screens(record):
+        """``select_primes`` recording (extra modules' keys, primes taken)."""
+        def screen(m, n, extra, count, primes):
+            ps = select_primes(m, n, extra, count, primes)
+            record.append(([x.key() for x in extra], ps))
+            return ps
+        return screen
+
     def test_verify_formulas(self, a2, monkeypatch):
         alg, mods = a2
         simples = [mods["S1"], mods["S2"]]
         cat = dict(a2_catalog(alg, 2))
         cat["P1'"] = self.p1_scaled(alg)
         supplied = [3, 2] + PRIMES[2:]
-        given = []
+        given, screened = [], []
 
         def recording(m, n, extra, count, primes):
             given.append(primes)
@@ -247,29 +257,42 @@ class TestSuppliedPrimesAreScreened:
             auto = verify(mods["S1"], mods["S2"], simples, cat)
             memo.clear_all()
             monkeypatch.setattr(delta, "select_primes", recording)
+            monkeypatch.setattr(pipeline, "select_primes",
+                                self.screens(screened))
             rep = verify(mods["S1"], mods["S2"], simples, cat,
                          primes=supplied)
             monkeypatch.undo()
             assert rep.rows == auto.rows and rep.passed
             assert rep.strata == auto.strata
-            assert 3 not in rep.primes
+            # the strata tables, whose lines P1' may match, skip 3
+            strata = [ps for keys, ps in screened
+                      if cat["P1'"].key() in keys]
+            assert strata and all(3 not in ps for ps in strata)
             # every signature, those of the grouping included, took them
             assert given and all(p == supplied for p in given)
             given.clear()
+            screened.clear()
 
-
-    def test_entries_of_other_dimension_vectors_not_screened(self, a2):
-        """A plain catalog screens M, N and its entries of the middle
+    def test_entries_of_other_dimension_vectors_not_screened(
+            self, a2, monkeypatch):
+        """The strata screen M, N and the catalog entries of the middle
         term's dimension vector only, the ones a line is matched against:
         a bad entry of another dimension vector keeps 3 in."""
         alg, mods = a2
         simples = [mods["S1"], mods["S2"]]
         cat = dict(a2_catalog(alg, 3))
         cat["P1'+S2"] = direct_sum(self.p1_scaled(alg), mods["S2"])
+        entries = [c.key() for c in cat.values() if c.dims == (1, 1)]
+        screened = []
+        monkeypatch.setattr(pipeline, "select_primes",
+                            self.screens(screened))
         for verify in (verify_formula2, verify_formula1):
+            memo.clear_all()
             rep = verify(mods["S1"], mods["S2"], simples, cat)
             assert rep.passed
-            assert rep.primes[:2] == (2, 3)
+            assert [ps for keys, ps in screened if keys == entries]
+            assert all(ps[:2] == [2, 3] for _, ps in screened)
+            screened.clear()
 
 
 class TestMultiplicativity:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extsym.algebra import AlgebraPresentation, make_quiver
+from extsym.ext import ext_dim
 from extsym.fields import GF, RATIONALS, FieldError
 from extsym.instances import a2_catalog
 from extsym.linalg import rank
@@ -103,6 +104,26 @@ class TestHom:
             with pytest.raises(ModuleError, match="^isomorphism test "
                                "between modules over different "):
                 is_isomorphic(m, foreign[other])
+
+
+    def test_direct_sum_across_relabelled_algebras(self, a2):
+        """A label is not part of the algebra: a sum accepts what Hom and
+        Ext^1 accept."""
+        alg, mods = a2
+        other = AlgebraPresentation(alg.quiver, alg.relations, "other")
+        s2 = simple_at_vertex(other, RATIONALS, "2")
+        assert (hom_dim(mods["S1"], s2), ext_dim(mods["S1"], s2)) == (0, 1)
+        both = direct_sum(mods["S1"], s2)
+        assert both.key() == direct_sum(mods["S1"], mods["S2"]).key()
+
+    @pytest.mark.parametrize("other", ["three-vertex S1", "path-algebra S1",
+                                       "S1 mod 5", "P1 mod 5"])
+    def test_direct_sum_refuses_them(self, a2, three_vertex, other):
+        foreign = self._foreign(a2, three_vertex)
+        for m in (a2[1]["S1"], foreign["S1 mod 3"]):
+            with pytest.raises(ModuleError, match="^direct sum between "
+                               "modules over different "):
+                direct_sum(m, foreign[other])
 
 
 class TestIsomorphism:
