@@ -21,8 +21,8 @@ from .linalg import (Mat, Subspace, contains_vector, enumerate_subspaces,
                      integer_rank_minor, kernel_basis, mat_mul, mat_vec,
                      rank, rref, span, transpose)
 from .modules import (Catalog, ModuleError, RepModule, UndecidableError,
-                      _hom_system, direct_sum_many, hom_basis, hom_dim,
-                      is_isomorphic, reduce_module, submodule)
+                      _hom_system, direct_sum, hom_basis, hom_dim,
+                      is_isomorphic, reduce_module, submodule, zero_module)
 
 
 class CountError(ValueError):
@@ -53,6 +53,17 @@ def _prime(field, what: str) -> int:
     if not field.char:
         raise CountError(f"{what} requires a prime field")
     return field.char
+
+
+def _same_ring(x: RepModule, ref: RepModule, subject: str, owner: str):
+    """Refuse X, named ``subject``, unless it is over the algebra (by
+    ``key()``) and the field of ``ref``, named ``owner``."""
+    if x.algebra.key() != ref.algebra.key():
+        raise CountError(f"{subject} is a module over another algebra than "
+                         f"{owner}'s")
+    if x.field != ref.field:
+        raise CountError(f"{subject} is over {x.field}, {owner} over "
+                         f"{ref.field}")
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +356,7 @@ def count_flags(m: RepModule, jseq: Sequence[int],
     """
     _prime(m.field, "flag counting")
     for i, s in enumerate(simples):
-        if s.algebra.key() != m.algebra.key():
-            raise CountError(f"simple {i} is a module over another algebra "
-                             f"than the module's")
-        if s.field != m.field:
-            raise CountError(f"simple {i} is over {s.field}, the module "
-                             f"over {m.field}")
+        _same_ring(s, m, f"simple {i}", "the module")
     jseq = tuple(jseq)
     bad = [j for j in jseq if not 0 <= j < len(simples)]
     if bad:
@@ -402,12 +408,7 @@ def stratify_ext_classes(m: RepModule, n: RepModule,
     counts: Dict[str, int] = {}
     names: Dict[int, str] = {}
     for lab, c in catalog.items():
-        if c.algebra.key() != m.algebra.key():
-            raise CountError(f"catalog entry {lab} is a module over another "
-                             f"algebra than the extension's")
-        if c.field != m.field:
-            raise CountError(f"catalog entry {lab} is over {c.field}, the "
-                             f"extension over {m.field}")
+        _same_ring(c, m, f"catalog entry {lab}", "the extension")
         if c.dims == mid_dims:
             counts[lab] = 0
             names.setdefault(_module_class(c)[0], lab)
@@ -425,31 +426,30 @@ def stratify_ext_classes(m: RepModule, n: RepModule,
     return counts
 
 
-@memo.cached(lambda named, dims: (tuple(x.key() for _, x in named), dims))
-def _direct_sum_vectors(named, dims) -> Dict[tuple, Tuple[int, ...]]:
-    """Hom vector over the named modules -> multiplicities of the named
-    modules, for every direct sum of them with the given dimension vector
-    (the first multiplicities found, should two sums share a vector)."""
-    mods = [x for _, x in named]
-    summand_vecs = [tuple(hom_dim(x, y) for x in mods) for y in mods]
-    sums: Dict[tuple, Tuple[int, ...]] = {}
-    mult = [0] * len(mods)
+@memo.cached(lambda named, dims: (
+    tuple((lab, x.key()) for lab, x in named), dims))
+def _named_sums(named, dims) -> Dict[Tuple[str, ...], RepModule]:
+    """Every direct sum of the named modules with the given dimension
+    vector, keyed by its summands' labels in naming order.  Each sum is
+    the previous one plus one summand, so sums sharing their first
+    summands share those steps."""
+    sums: Dict[Tuple[str, ...], RepModule] = {}
 
-    def rec(i, rest, acc):
+    def rec(i, rest, parts, acc):
         # direct sums of named modules i, i+1, ... of dimension vector rest
         if not any(rest):
-            sums.setdefault(acc, tuple(mult))
+            sums[parts] = acc
             return
-        if i == len(mods):
+        if i == len(named):
             return
-        rec(i + 1, rest, acc)
-        left = tuple(a - b for a, b in zip(rest, mods[i].dims))
+        rec(i + 1, rest, parts, acc)
+        lab, x = named[i]
+        left = tuple(a - b for a, b in zip(rest, x.dims))
         if min(left) >= 0:
-            mult[i] += 1
-            rec(i, left, tuple(a + b for a, b in zip(acc, summand_vecs[i])))
-            mult[i] -= 1
+            rec(i, left, parts + (lab,), direct_sum(acc, x))
 
-    rec(0, tuple(dims), tuple(0 for _ in mods))
+    x = named[0][1]
+    rec(0, tuple(dims), (), zero_module(x.algebra, x.field))
     return sums
 
 
@@ -461,27 +461,29 @@ def named_summands(m: RepModule, catalog: Catalog,
     """The labels of the named indecomposables of a catalog whose direct
     sum is M, repeated by multiplicity, in naming order.
 
-    The summands are read from M's Hom vector over the named modules
-    (``_direct_sum_vectors``), and M is confirmed isomorphic to their
-    direct sum once.  A module with no such decomposition is a
-    ``CountError`` that names it by ``label``.  A module presented
-    exactly as that direct sum is isomorphic to it through the identity,
-    so its decomposition needs no search.
+    A module presented exactly as one of the direct sums of named modules
+    (``_named_sums``) is isomorphic to it through the identity, so its
+    summands are read from its presentation.  Any other module is matched
+    by its Hom vector over the named modules to the first sum with the
+    same vector, and confirmed isomorphic to it once.  A module with no
+    such decomposition is a ``CountError`` that names it by ``label``.
     """
     named = tuple((lab, catalog[lab]) for lab in catalog.indecomposables)
+    sums = _named_sums(named, m.dims)
+    parts = next((ps for ps, s in sums.items() if s.key() == m.key()), None)
+    if parts is not None:
+        return parts
     names = ", ".join(lab for lab, _ in named)
     vec = tuple(hom_dim(x, m) for _, x in named)
-    mult = _direct_sum_vectors(named, m.dims).get(vec)
-    if mult is None:
+    parts = next((ps for ps, s in sums.items()
+                  if tuple(hom_dim(x, s) for _, x in named) == vec), None)
+    if parts is None:
         raise CountError(
             f"{label} has Hom vector {vec} over the named indecomposables "
             f"{names}, that of no direct sum of them: the catalog does not "
             f"name all of its indecomposables")
-    parts = tuple(lab for (lab, _), k in zip(named, mult) for _ in range(k))
-    total = direct_sum_many(m.algebra, m.field,
-                            [catalog[lab] for lab in parts])
     try:
-        iso = m.key() == total.key() or is_isomorphic(m, total)[0]
+        iso = is_isomorphic(m, sums[parts])[0]
     except UndecidableError:
         iso = False
     if not iso:
@@ -522,12 +524,7 @@ def count_efg(n_parts: Sequence[RepModule],
     alg, field = parts[0].algebra, parts[0].field
     for side, ps in (("N", n_parts), ("M", m_parts)):
         for i, x in enumerate(ps):
-            if x.algebra.key() != alg.key():
-                raise CountError(f"part {i} of {side} is a module over "
-                                 f"another algebra than the first part's")
-            if x.field != field:
-                raise CountError(f"part {i} of {side} is over {x.field}, "
-                                 f"the first part over {field}")
+            _same_ring(x, parts[0], f"part {i} of {side}", "the first part")
     q = _prime(field, "correction counting")
     keys = [x.key() for x in parts]
     nn = len(n_parts)

@@ -70,6 +70,12 @@ def _require_keys(obj: dict, required: Sequence[str], optional: Sequence[str],
         raise FormatError(f"{what}: unknown keys {sorted(extra)}")
 
 
+def _require_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise FormatError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _parse_fraction(s, what: str) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
@@ -103,7 +109,8 @@ def parse_algebra(data: dict) -> AlgebraPresentation:
     arrows = []
     for i, a in enumerate(data["arrows"]):
         _require_keys(a, ["name", "from", "to"], [], f"arrow #{i}")
-        arrows.append((a["name"], a["from"], a["to"]))
+        arrows.append(tuple(_require_str(a[k], f"arrow #{i}: {k}")
+                            for k in ("name", "from", "to")))
     quiver = make_quiver(tuple(vertices), tuple(arrows))
     relations = []
     for i, rel in enumerate(data.get("relations", [])):
@@ -119,11 +126,13 @@ def parse_algebra(data: dict) -> AlgebraPresentation:
                                       f"relation #{i} term #{j}")))
         relations.append(Relation(tuple(terms)))
     return AlgebraPresentation(quiver, tuple(relations),
-                               label=data.get("label", ""))
+                               label=_require_str(data.get("label", ""),
+                                                  "algebra: label"))
 
 
 def parse_module(data: dict, algebra: AlgebraPresentation) -> RepModule:
     _require_keys(data, ["dims"], ["matrices", "label"], "module")
+    _require_str(data.get("label", ""), "module: label")
     dims = data["dims"]
     if not isinstance(dims, dict):
         raise FormatError("module: dims must be an object")
@@ -145,6 +154,8 @@ def parse_module(data: dict, algebra: AlgebraPresentation) -> RepModule:
                 not all(isinstance(row, list) for row in rows):
             raise FormatError(f"module: matrix {name!r} must be a list of "
                               f"rows, each a list")
+        if len({len(row) for row in rows}) > 1:
+            raise FormatError(f"module: matrix {name!r}: ragged rows")
         mats[name] = [[_parse_fraction(x, f"matrix {name!r}") for x in row]
                       for row in rows]
     full_dims = {v: dims.get(v, 0) for v in algebra.quiver.vertices}

@@ -12,15 +12,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import memo
-from .counting import (CountError, CountSeries, _direct_sum_vectors,
-                       count_efg, named_summands, stratify_ext_classes)
+from .counting import (CountError, CountSeries, _named_sums, count_efg,
+                       named_summands, stratify_ext_classes)
 from .delta import (all_dim_vectors, convolve, enumerate_flag_types,
                     evaluation_form, stratify_by_signature)
 from .euler import (interpolate_euler, projective_space_degree_bound,
                     select_primes)
 from .ext import ext_dim, ext_symmetry_audit
-from .modules import (RepModule, composition_series, direct_sum_many,
-                      named_indecomposables, reduce_catalog, reduce_module)
+from .modules import (RepModule, composition_series, named_indecomposables,
+                      reduce_catalog, reduce_module)
 
 
 class VerifyError(ValueError):
@@ -152,8 +152,12 @@ def _strata_chi(m, n, catalog, primes, direction_label) -> Dict[str, int]:
         first, second = second, first
     ms, ns = named_summands(m, catalog, first), named_summands(n, catalog,
                                                                second)
-    for i, x in enumerate(ms):
-        for j, y in enumerate(ns):
+    # equal summands give equal blocks with the same rest: each distinct
+    # pair is read once, weighted by its multiplicities
+    for x in dict.fromkeys(ms):
+        i = ms.index(x)
+        for y in dict.fromkeys(ns):
+            j = ns.index(y)
             xm, ym = catalog[x], catalog[y]
             if not ext_dim(xm, ym):
                 continue
@@ -168,24 +172,8 @@ def _strata_chi(m, n, catalog, primes, direction_label) -> Dict[str, int]:
                     raise CountError(
                         f"catalog incomplete: no entry matches a middle "
                         f"term with dimension vector {d}")
-                chi[lab] += value
+                chi[lab] += ms.count(x) * ns.count(y) * value
     return chi
-
-
-@memo.cached(lambda named, dims: (
-    tuple((lab, c.key()) for lab, c in named), dims))
-def _named_sums(named, dims) -> Dict[Tuple[str, ...], RepModule]:
-    """Every direct sum of the named modules with the given dimension
-    vector (``_direct_sum_vectors``), keyed by its summands' labels."""
-    mods = dict(named)
-    alg, field = named[0][1].algebra, named[0][1].field
-    sums = {}
-    for mult in _direct_sum_vectors(named, dims).values():
-        parts = tuple(lab for (lab, _), k in zip(named, mult)
-                      for _ in range(k))
-        sums[parts] = direct_sum_many(alg, field,
-                                      [mods[lab] for lab in parts])
-    return sums
 
 
 @memo.cached(lambda x, y, targets, primes, label: (

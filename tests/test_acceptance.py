@@ -63,6 +63,34 @@ def test_1_three_vertex_pair_is_asymmetric(three_vertex):
         assert ext_dim(s["S2"], s["S1"]) == 0
 
 
+class TestAsymmetricOverride:
+    """Negative control: on the asymmetric pair of test 1 the identities
+    are refused, and forced with the override they fail, in both
+    directions, at the slots where Ext^1 is one-sided.  Budget: 5 s
+    each."""
+
+    def test_refused_without_the_override(self, three_vertex_catalog):
+        s, cat = three_vertex_catalog
+        for verify in (verify_formula2, verify_formula1):
+            with Budget(5), pytest.raises(
+                    VerifyError, match="extension-dimension symmetry fails"):
+                verify(s["S1"], s["S2"], [s["S1"], s["S2"]], cat)
+
+    @pytest.mark.parametrize("a, b, bad2, bad1", [
+        ("S1", "S2", ((1, 0), 1, 0), ((1, 0, 0), 1, 0)),
+        ("S2", "S1", ((0, 1), 0, 1), ((0, 1, 0), 0, 1))])
+    def test_forced_identities_fail(self, three_vertex_catalog, a, b, bad2,
+                                    bad1):
+        s, cat = three_vertex_catalog
+        for verify, bad in ((verify_formula2, bad2),
+                            (verify_formula1, bad1)):
+            with Budget(5):
+                rep = verify(s[a], s[b], [s["S1"], s["S2"]], cat,
+                             allow_asymmetric=True)
+            assert not rep.symmetry_ok and not rep.passed
+            assert [r for r in rep.rows if r[1] != r[2]] == [bad]
+
+
 def test_2_symmetry_audits_across_instances(a2, two_loop, three_vertex):
     """Exact dimension symmetry over three instance families.
     Budget: 10 s."""

@@ -73,6 +73,17 @@ class TestExtDim:
         assert r.output == "error: module: dimension at vertex '1' must " \
                            "be an integer, got 1.7\n"
 
+    def test_ragged_matrix_is_an_error_verdict(self, files, tmp_path):
+        bad = tmp_path / "ragged.json"
+        bad.write_text(json.dumps({"dims": {"1": 2, "2": 2},
+                                   "matrices": {"a": [["1", "0"], ["1"]]}}))
+        r = run("ext", "dim", "--algebra", files["algebra"],
+                "--module", str(bad), "--module", files["S2"], "--json")
+        assert r.exit_code == 1
+        assert json.loads(r.output) == {
+            "verdict": "error",
+            "message": "module: matrix 'a': ragged rows"}
+
     def test_base_pair(self, files):
         r = run("ext", "dim", "--algebra", files["algebra"],
                 "--module", files["S1"], "--module", files["S2"], "--json")
@@ -463,6 +474,29 @@ class TestVerify:
                 "--module", files["S1"], "--module", files["S2"],
                 "--simples", "vertex:1,vertex:2")
         assert r.exit_code == 1
+
+    @pytest.mark.parametrize("which", ["f2", "f1"])
+    def test_forced_asymmetric_pair_fails(self, three_vertex_catalog,
+                                          tmp_path, which):
+        s, cat = three_vertex_catalog
+        paths = {"alg": algebra_to_dict(s["S1"].algebra),
+                 "cat": catalog_to_dict(cat),
+                 "S1": module_to_dict(s["S1"]),
+                 "S2": module_to_dict(s["S2"])}
+        for name, doc in paths.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        args = ["verify", which, "--algebra", str(tmp_path / "alg.json"),
+                "--module", str(tmp_path / "S1.json"),
+                "--module", str(tmp_path / "S2.json"),
+                "--catalog", str(tmp_path / "cat.json"),
+                "--simples", "vertex:1,vertex:2", "--json"]
+        refused = run(*args)
+        assert refused.exit_code == 1
+        assert json.loads(refused.output)["verdict"] == "error"
+        r = run(*args, "--allow-asymmetric")
+        assert r.exit_code == 1
+        out = json.loads(r.output)
+        assert (out["verdict"], out["symmetry_audit"]) == ("fail", "fail")
 
 
 class TestToplevel:

@@ -745,10 +745,10 @@ class TestStrataAgainstBruteForce:
 
 class TestHomRankStrata:
     """Strata under catalogs that name their indecomposables, read by
-    localisation onto pairs of named modules: each middle term is told
-    apart by its Hom vector over the named modules (``named_summands``),
-    confirmed by one isomorphism, against the strata of the whole space
-    that a plain catalog counts line by line."""
+    localisation onto pairs of named modules: each middle term is matched
+    to the catalog entry with the same named summands
+    (``named_summands``), against the strata of the whole space that a
+    plain catalog counts line by line."""
 
     def test_localised_strata_equal_counted_ones(self, a2):
         """Every pair of combined dimension <= 4, every pair of combined

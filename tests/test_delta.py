@@ -488,6 +488,30 @@ class TestNamingRefused:
             named_summands(direct_sum(cat["P1"], cat["S1"]), cat, "P1+S1")
 
 
+def test_summands_read_from_the_presentation(a2, monkeypatch):
+    """A module presented as a direct sum of named modules is decomposed
+    by its presentation: no Hom vector and no isomorphism test, and the
+    direct sums of named modules are built once per dimension vector,
+    not once per module."""
+    alg, _ = a2
+    cat = a2_catalog(alg, 4)
+    memo.clear_all()
+    calls = []
+    for name in ("hom_dim", "is_isomorphic", "direct_sum"):
+        fn = getattr(extsym.counting, name)
+        monkeypatch.setattr(extsym.counting, name,
+                            lambda *a, _n=name, _f=fn: calls.append(_n)
+                            or _f(*a))
+    labels = [lab for lab, c in cat.items() if c.dims == (2, 2)]
+    assert len(labels) == 6
+    built = None
+    for lab in labels:
+        assert named_summands(cat[lab], cat, lab) == tuple(lab.split("+"))
+        assert set(calls) <= {"direct_sum"}
+        built = len(calls) if built is None else built
+        assert len(calls) == built > 0
+
+
 def test_only_evaluation_forms_count_points():
     """Euler characteristics of a module come from its evaluation form:
     no other module of the package, the command layer included, calls the

@@ -1,6 +1,7 @@
 """JSON descriptions of algebras, modules and catalogs."""
 
 import json
+import re
 
 import pytest
 
@@ -87,6 +88,35 @@ class TestStrictness:
         with pytest.raises(FormatError, match=match):
             parse_module({"dims": {"1": 1, "2": 1},
                           "matrices": matrices}, alg)
+
+    def test_ragged_matrix_rejected(self, a2):
+        alg, _ = a2
+        with pytest.raises(FormatError,
+                           match="matrix 'a': ragged rows"):
+            parse_module({"dims": {"1": 2, "2": 2},
+                          "matrices": {"a": [["1", "0"], ["1"]]}}, alg)
+
+    @pytest.mark.parametrize("field", ["name", "from", "to"])
+    @pytest.mark.parametrize("value", [["a"], 1])
+    def test_arrow_fields_must_be_strings(self, a2, field, value):
+        alg, _ = a2
+        d = algebra_to_dict(alg)
+        d["arrows"][0][field] = value
+        with pytest.raises(FormatError, match=re.escape(
+                f"arrow #0: {field} must be a string, got {value!r}")):
+            parse_algebra(d)
+
+    @pytest.mark.parametrize("label", [3, ["x"], None])
+    def test_labels_must_be_strings(self, a2, label):
+        alg, _ = a2
+        d = algebra_to_dict(alg)
+        d["label"] = label
+        with pytest.raises(FormatError, match="algebra: label must be a "
+                                              "string"):
+            parse_algebra(d)
+        with pytest.raises(FormatError, match="module: label must be a "
+                                              "string"):
+            parse_module({"dims": {"1": 1}, "label": label}, alg)
 
     def test_boolean_is_not_a_rational(self, a2):
         alg, _ = a2
