@@ -498,6 +498,35 @@ def named_summands(m: RepModule, catalog: Catalog,
 # Correction term: block submodule pairs weighted by extension classes
 
 
+@memo.cached(lambda x: x.key())
+def _part_submodules(x: RepModule) -> list:
+    """The (submodule, inclusion) pairs of a GF(p) part, at every
+    dimension vector.  The rows of ``iter_submodules`` are in echelon
+    form, the pivot of a row its first 1, so they are the witness as they
+    stand and the inclusion their transpose."""
+    out = []
+    for e in itertools.product(*[range(d + 1) for d in x.dims]):
+        for rows in list(iter_submodules(x, e)):
+            mats = [Mat(r, len(r), d) for r, d in zip(rows, x.dims)]
+            witness = [Subspace(x.field, d, u,
+                                tuple(r.index(1) for r in u.rows))
+                       for d, u in zip(x.dims, mats)]
+            out.append((submodule(x, witness), tuple(map(transpose, mats))))
+    return out
+
+
+@memo.cached(lambda x, y: (x.key(), y.key()))
+def _part_widths(x: RepModule, y: RepModule) -> list:
+    """w_ij of a pair of GF(p) parts (N_i, M_j): for each submodule of X
+    and each of Y, in ``_part_submodules`` order, the dimension of the
+    first-summand slice of the image of their paired transport map."""
+    ys = _part_submodules(y)
+    return [[image_first_block_dim(x.field, bp.matrix, bp.dst_nm.dim)
+             for bp in (beta_map(x, y, n1, n1_incl, m1, m1_incl)
+                        for m1, m1_incl in ys)]
+            for n1, n1_incl in _part_submodules(x)]
+
+
 def count_efg(n_parts: Sequence[RepModule],
               m_parts: Sequence[RepModule]) -> Dict[Tuple[int, ...], int]:
     """Point counts with the Euler characteristics of the correction set
@@ -515,8 +544,9 @@ def count_efg(n_parts: Sequence[RepModule],
     parts [N] and [M] give every pair.  Ext^1 is additive and the
     inclusions of block sums are block-diagonal, so the paired map splits
     over the pairs (N_i, M_j) of parts and w is the sum of their w_ij.
-    Each distinct part lists its submodules once, each distinct pair of
-    parts tabulates w_ij once, and no block sum or direct sum is built.
+    The submodules of a part and the w_ij of a pair of parts are
+    memoised by module keys, so each is built once per part and prime
+    across calls, and no block sum or direct sum is built.
     """
     parts = [*n_parts, *m_parts]
     if not parts:
@@ -526,43 +556,18 @@ def count_efg(n_parts: Sequence[RepModule],
         for i, x in enumerate(ps):
             _same_ring(x, parts[0], f"part {i} of {side}", "the first part")
     q = _prime(field, "correction counting")
-    keys = [x.key() for x in parts]
     nn = len(n_parts)
-    # (submodule, inclusion) pairs per distinct part: the rows of
-    # iter_submodules are in echelon form, the pivot of a row its first 1,
-    # so they are the witness as they stand and the inclusion their
-    # transpose
-    subs = {}
-    for k, x in zip(keys, parts):
-        if k in subs:
-            continue
-        subs[k] = []
-        for e in itertools.product(*[range(d + 1) for d in x.dims]):
-            for rows in list(iter_submodules(x, e)):
-                mats = [Mat(r, len(r), d) for r, d in zip(rows, x.dims)]
-                witness = [Subspace(field, d, u,
-                                    tuple(r.index(1) for r in u.rows))
-                           for d, u in zip(x.dims, mats)]
-                subs[k].append((submodule(x, witness),
-                                tuple(map(transpose, mats))))
-    w = {}
-    for a, x in zip(keys[:nn], n_parts):
-        for b, y in zip(keys[nn:], m_parts):
-            if (a, b) not in w:
-                w[a, b] = [
-                    [image_first_block_dim(field, bp.matrix, bp.dst_nm.dim)
-                     for bp in (beta_map(x, y, n1, n1_incl, m1, m1_incl)
-                                for m1, m1_incl in subs[b])]
-                    for n1, n1_incl in subs[a]]
+    subs = [_part_submodules(x) for x in parts]
+    w = [[_part_widths(x, y) for y in m_parts] for x in n_parts]
     table = {e: 0 for e in itertools.product(
         *[range(sum(x.dims[v] for x in parts) + 1)
           for v in range(len(alg.quiver.vertices))])}
-    for choice in itertools.product(*[range(len(subs[k])) for k in keys]):
-        wt = sum(w[a, b][i][j]
-                 for a, i in zip(keys[:nn], choice[:nn])
-                 for b, j in zip(keys[nn:], choice[nn:]))
-        e = tuple(map(sum, zip(*[subs[k][i][0].dims
-                                 for k, i in zip(keys, choice)])))
+    for choice in itertools.product(*[range(len(s)) for s in subs]):
+        wt = sum(w[a][b][i][j]
+                 for a, i in enumerate(choice[:nn])
+                 for b, j in enumerate(choice[nn:]))
+        e = tuple(map(sum, zip(*[s[i][0].dims
+                                 for s, i in zip(subs, choice)])))
         table[e] += (q ** wt - 1) // (q - 1)
     return table
 

@@ -34,21 +34,25 @@ def enumerate_flag_types(dims: Sequence[int],
                          simples: Sequence[RepModule]) -> List[Tuple[int, ...]]:
     """All index sequences over the simple list whose dimension vectors sum
     to the target, in lexicographic order.  A zero module in the list
-    would give types of every length, so it is refused."""
+    would give types of every length, so it is refused.  The list is
+    memoised by the dimension vectors and shared: do not change it."""
     zero = [str(i) for i, s in enumerate(simples) if s.is_zero()]
     if zero:
         raise DeltaError("the list of simples holds a zero module at index "
                          + ", ".join(zero))
-    dims = tuple(dims)
-    n = len(dims)
+    return _flag_types(tuple(dims), tuple(s.dims for s in simples))
+
+
+@memo.cached(lambda dims, vecs: (dims, vecs))
+def _flag_types(dims, vecs):
     out: List[Tuple[int, ...]] = []
 
     def rec(remaining, acc):
         if all(r == 0 for r in remaining):
             out.append(tuple(acc))
             return
-        for idx, s in enumerate(simples):
-            nxt = tuple(r - d for r, d in zip(remaining, s.dims))
+        for idx, d in enumerate(vecs):
+            nxt = tuple(r - v for r, v in zip(remaining, d))
             if any(v < 0 for v in nxt):
                 continue
             acc.append(idx)
@@ -276,12 +280,14 @@ def check_delta_multiplicativity(m_rat: RepModule, n_rat: RepModule,
     """Evaluation forms multiply on direct sums: for every flag type j of
     M + N, the counted delta_{M+N}(j) against the sum over 0/1 vectors c of
     delta_M(j|c) * delta_N(j|1-c) (``convolve``), where j|c keeps the steps
-    with c = 1.
+    with c = 1.  The sum is built with its summands in key order (past the
+    ring parts), so (M, N) and (N, M) read one memoised form.
     """
     from .modules import direct_sum
+    total = direct_sum(*sorted((m_rat, n_rat), key=lambda x: x.key()[2:]))
     full, left, right = (
         delta_signature(x, "flag", simples, primes=primes).values()
-        for x in (direct_sum(m_rat, n_rat), m_rat, n_rat))
+        for x in (total, m_rat, n_rat))
     product = convolve("flag", left, right)
     return MultiplicativityReport(tuple(
         (jseq, lhs, product.get(jseq, 0)) for jseq, lhs in full.items()))

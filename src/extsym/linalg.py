@@ -243,21 +243,6 @@ def kernel_basis(field, a: Mat) -> Mat:
     return Mat(tuple(map(tuple, rows)), len(rows), a.ncols)
 
 
-def solve(field, a: Mat, b: Sequence):
-    """One solution of a x = b, or None if inconsistent."""
-    if len(b) != a.nrows:
-        raise LinAlgError("rhs length mismatch")
-    aug = Mat(tuple(r + (v,) for r, v in zip(a.rows, b)), a.nrows, a.ncols + 1) \
-        if a.nrows else Mat((), 0, a.ncols + 1)
-    red, pivots = rref(field, aug)
-    if a.ncols in pivots:
-        return None
-    x = [field.zero] * a.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red.rows[i][a.ncols]
-    return tuple(x)
-
-
 # ---------------------------------------------------------------------------
 # Subspaces
 

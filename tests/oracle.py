@@ -4,9 +4,9 @@ Everything here but the last two sections is written from scratch on
 plain lists and Fractions (or ints mod p), without importing the
 package's linear algebra, so the test suite can cross-check the library
 against a second, slower computation of the same quantities.  The last two
-sections keep the base change and submodule witnesses that tests build
-modules with, and the correction count that enumerates every submodule
-pair, the reference for the library's count on block pairs.
+sections keep a linear solve, the base change and submodule witnesses that
+tests build modules with, and the correction count that enumerates every
+submodule pair, the reference for the library's count on block pairs.
 """
 
 from __future__ import annotations
@@ -283,7 +283,8 @@ def count_extension_tuples(xdims, ydims, arrows, relations, p):
 
 
 # ---------------------------------------------------------------------------
-# Base change and submodule witnesses, on the package's linear algebra.
+# A linear solve, base change and submodule witnesses, on the package's
+# linear algebra.
 
 
 def mat_inv(field, a):
@@ -299,6 +300,22 @@ def mat_inv(field, a):
     if tuple(pivots) != tuple(range(n)):
         return None
     return Mat(tuple(r[n:] for r in red.rows), n, n)
+
+
+def solve(field, a, b):
+    """One solution of a x = b, or None if inconsistent."""
+    from extsym.linalg import LinAlgError, Mat, rref
+    if len(b) != a.nrows:
+        raise LinAlgError("rhs length mismatch")
+    aug = Mat(tuple(r + (v,) for r, v in zip(a.rows, b)), a.nrows, a.ncols + 1) \
+        if a.nrows else Mat((), 0, a.ncols + 1)
+    red, pivots = rref(field, aug)
+    if a.ncols in pivots:
+        return None
+    x = [field.zero] * a.ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = red.rows[i][a.ncols]
+    return tuple(x)
 
 
 def conjugate(m, g):

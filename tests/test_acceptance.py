@@ -525,6 +525,25 @@ def test_17_five_copies_of_a_simple_within_budget(a2):
             assert rep.per_type == (((j,) * 5, 120, 120),)
 
 
+def test_18_two_loop_pairs_of_dimension_four_within_budget(two_loop):
+    """Multiplicativity of delta on N(1,0) with each of N(1,0), N(0,1),
+    N(1,1), N(1,-1), N(2,1), N(1,2) and N(3,1) of the two-loop algebra, and
+    on each mirror, caches cold.  Each M + N has dimension 4 and one flag
+    type; a mirror has the same per-type rows.  Budget: 3 s."""
+    memo.clear_all()
+    with Budget(3):
+        _, mods = two_loop
+        simples = [mods["S"]]
+        m = mods["N(1,0)"]
+        for lab in ("N(1,0)", "N(0,1)", "N(1,1)", "N(1,-1)", "N(2,1)",
+                    "N(1,2)", "N(3,1)"):
+            rep = check_delta_multiplicativity(m, mods[lab], simples)
+            mirror = check_delta_multiplicativity(mods[lab], m, simples)
+            assert rep.passed, lab
+            assert len(rep.per_type) == 1, lab
+            assert mirror.per_type == rep.per_type, lab
+
+
 @pytest.mark.parametrize("which, message", [
     (("I", "X", "v"), "unknown audit instances: 'X', 'v'; the built-in ones "
                       "are I, II, III, IV"),

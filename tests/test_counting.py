@@ -969,6 +969,32 @@ class TestCorrectionCount:
                                  "algebra than the first part's$"):
             count_efg([s1], [s1, reduce_module(simples["S1"], 2)])
 
+    def test_part_tables_built_once(self, a2, monkeypatch):
+        """A second call with the same parts, in another order, reads the
+        submodules of each part and the w_ij of each pair of parts from
+        memo: no submodule walk, no paired map, the same table."""
+        _, mods = a2
+        n_parts = [reduce_module(mods[x], 3) for x in ("S1", "P1")]
+        m_parts = [reduce_module(mods[x], 3) for x in ("S2", "P2", "S2")]
+        memo.clear_all()
+        want = count_efg(n_parts, m_parts)
+        calls = []
+
+        def spy(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        for name in ("iter_submodules", "beta_map"):
+            monkeypatch.setattr(counting, name, spy(getattr(counting, name)))
+        assert count_efg(n_parts, m_parts) == want
+        assert count_efg(n_parts[::-1], m_parts[::-1]) == want
+        assert calls == []
+        memo.clear_all()
+        assert count_efg(n_parts, m_parts) == want
+        assert {"iter_submodules", "beta_map"} <= set(calls)
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_paired_map_splits_over_pairs_of_parts(self, a2, three_vertex,
                                                     p):

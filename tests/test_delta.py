@@ -9,14 +9,15 @@ import pytest
 import extsym
 from extsym import delta, memo
 from extsym import verify as pipeline
-from extsym.counting import CountError, named_summands
+from extsym.counting import CountError, count_flags, named_summands
 from extsym.delta import (DeltaError, all_dim_vectors,
                           check_delta_multiplicativity, convolve,
                           delta_signature, enumerate_flag_types,
                           evaluation_form, stratify_by_signature)
 from extsym.euler import PRIME_LIMIT, EulerError, select_primes
 from extsym.instances import a2_catalog, a2_sums
-from extsym.modules import (Catalog, direct_sum, module_from_fractions,
+from extsym.modules import (Catalog, ModuleError, direct_sum,
+                            module_from_fractions, reduce_module,
                             zero_module)
 from extsym.fields import RATIONALS
 from extsym.verify import verify_formula1, verify_formula2
@@ -45,6 +46,18 @@ class TestTypeEnumeration:
         simples = [mods["S1"], zero_module(alg, RATIONALS), mods["S2"]]
         with pytest.raises(DeltaError, match="zero module .* index 1$"):
             enumerate_flag_types((1, 1), simples)
+
+    def test_memoised_by_dimension_vectors(self, a2):
+        """Simples with the same dimension vectors share one list; a zero
+        simple is refused whatever is memoised."""
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        types = enumerate_flag_types((2, 1), simples)
+        reduced = [reduce_module(s, 5) for s in simples]
+        assert enumerate_flag_types([2, 1], reduced) is types
+        with pytest.raises(DeltaError, match="zero module .* index 0$"):
+            enumerate_flag_types((2, 1), [zero_module(alg, RATIONALS),
+                                          *simples])
 
     def test_all_dim_vectors(self):
         assert all_dim_vectors((1, 1)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -329,6 +342,35 @@ class TestMultiplicativity:
         rep = check_delta_multiplicativity(mods["P1"], mods["S2"], simples,
                                            primes=PRIMES)
         assert rep.passed
+
+    def test_mirror_reads_the_counted_sum(self, a2, monkeypatch):
+        """(N, M) after (M, N) counts no flag: M + N is built with its
+        summands in key order, so both read one memoised form."""
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        m, n = mods["P1"], a2_sums(alg, 2)["S1+S2"]
+        memo.clear_all()
+        rep = check_delta_multiplicativity(m, n, simples)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return count_flags(*args)
+
+        monkeypatch.setattr(delta, "count_flags", counted)
+        mirror = check_delta_multiplicativity(n, m, simples)
+        assert calls == []
+        assert mirror.per_type == rep.per_type
+        assert rep.passed
+
+    def test_pair_over_two_algebras_refused(self, a2, three_vertex):
+        _, mods = a2
+        _, other = three_vertex
+        for pair in ((mods["S1"], other["S1"]), (other["S1"], mods["S1"])):
+            with pytest.raises(ModuleError, match="^direct sum between "
+                                                  "modules over different "
+                                                  "algebras$"):
+                check_delta_multiplicativity(*pair, [mods["S1"]])
 
     def test_two_loop_pairs(self, two_loop):
         """Every pair of combined dimension <= 3; with one simple, each

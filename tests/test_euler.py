@@ -16,9 +16,9 @@ from extsym.euler import (EulerError, euler_of, flag_degree_bound,
 from extsym.instances import a2_modules, a2_preprojective
 from extsym.modules import direct_sum_many, reduce_module
 from extsym.fields import RATIONALS
-from extsym.linalg import Mat, solve
+from extsym.linalg import Mat
 
-from oracle import efg_degree_bound
+from oracle import efg_degree_bound, solve
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 

@@ -13,9 +13,10 @@ from extsym.linalg import (Mat, coords_in, enumerate_subspaces,
                            gaussian_binomial, identity, integer_rank_minor,
                            kernel_basis, mat_add, mat_from_fractions,
                            mat_mul, mat_scale, mat_vec, rank,
-                           reduce_against, rref, solve, span, transpose)
+                           reduce_against, rref, span, transpose)
 
-from oracle import gauss_rank, gaussian_binomial_int, mat_inv, null_space_dim
+from oracle import (gauss_rank, gaussian_binomial_int, mat_inv,
+                    null_space_dim, solve)
 
 
 def frac_mat(rows):

@@ -7,7 +7,7 @@ import pkgutil
 import extsym
 from extsym import memo
 from extsym.instances import a2_catalog
-from extsym.verify import verify_formula2
+from extsym.verify import verify_formula1, verify_formula2
 
 
 def _is_table(value) -> bool:
@@ -18,11 +18,12 @@ def test_every_table_is_bounded_and_cleared(a2, monkeypatch):
     alg, mods = a2
     args = (mods["S1"], mods["S2"], [mods["S1"], mods["S2"]],
             a2_catalog(alg, 2))
+    verifiers = (verify_formula2, verify_formula1)
     memo.clear_all()
-    want = verify_formula2(*args).rows
+    want = [verify(*args).rows for verify in verifiers]
     monkeypatch.setattr(memo, "LIMIT", 3)
     memo.clear_all()
-    assert verify_formula2(*args).rows == want
+    assert [verify(*args).rows for verify in verifiers] == want
     assert max(len(t) for t in memo._tables) <= 3
     assert all(memo._tables)
     memo.clear_all()
