@@ -17,12 +17,12 @@ from .delta import (DeltaSignature, check_delta_multiplicativity,
                     delta_signature, enumerate_flag_types,
                     stratify_by_signature)
 from .euler import EulerError, EulerValue, good_primes, interpolate_euler
-from .ext import (BetaPair, BetaPrimePair, ExtError, ExtSpace, Flag,
-                  beta_flag_maps, beta_map, beta_prime_map, ext1_space,
-                  ext_dim, ext_symmetry_audit, middle_term)
+from .ext import (ExtError, ExtSpace, beta_map, ext1_space, ext_dim,
+                  ext_symmetry_audit, middle_term)
 from .fields import GF, RATIONALS, FieldError
-from .fileio import (FormatError, load_algebra, load_catalog, load_module,
-                     parse_algebra, parse_catalog, parse_module)
+from .fileio import (FormatError, algebra_to_dict, catalog_to_dict,
+                     load_algebra, load_catalog, load_module, parse_algebra,
+                     parse_catalog, parse_module)
 from .modules import (ModuleError, RepModule, UndecidableError, check_module,
                       composition_series, direct_sum, direct_sum_many,
                       hom_basis, hom_dim, is_isomorphic, module_from_fractions,

@@ -14,7 +14,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 
 from . import memo
 from .ext import (beta_map, ext1_equations, ext1_space, ext_dim,
-                  image_first_block_dim, middle_term)
+                  middle_term, pushed_kernel_dim)
 from .fields import QQ, FieldError
 from .linalg import (Mat, Subspace, contains_vector, enumerate_subspaces,
                      gaussian_binomial, hstack, identity,
@@ -357,6 +357,9 @@ def count_flags(m: RepModule, jseq: Sequence[int],
     _prime(m.field, "flag counting")
     for i, s in enumerate(simples):
         _same_ring(s, m, f"simple {i}", "the module")
+        if s.is_zero():  # every chain through it would go uncounted
+            raise CountError(
+                f"the list of simples holds a zero module at index {i}")
     jseq = tuple(jseq)
     bad = [j for j in jseq if not 0 <= j < len(simples)]
     if bad:
@@ -518,12 +521,12 @@ def _part_submodules(x: RepModule) -> list:
 @memo.cached(lambda x, y: (x.key(), y.key()))
 def _part_widths(x: RepModule, y: RepModule) -> list:
     """w_ij of a pair of GF(p) parts (N_i, M_j): for each submodule of X
-    and each of Y, in ``_part_submodules`` order, the dimension of the
-    first-summand slice of the image of their paired transport map."""
+    and each of Y, in ``_part_submodules`` order, w = dim push(ker pull)
+    of their paired transport map beta."""
     ys = _part_submodules(y)
-    return [[image_first_block_dim(x.field, bp.matrix, bp.dst_nm.dim)
-             for bp in (beta_map(x, y, n1, n1_incl, m1, m1_incl)
-                        for m1, m1_incl in ys)]
+    return [[pushed_kernel_dim(x.field,
+                               *beta_map(x, y, n1, n1_incl, m1, m1_incl))
+             for m1, m1_incl in ys]
             for n1, n1_incl in _part_submodules(x)]
 
 
@@ -536,12 +539,12 @@ def count_efg(n_parts: Sequence[RepModule],
 
     The correction set holds (M1 <= M, N1 <= N, class up to scalar,
     compatible subspace) with dims M1 + dims N1 = e; over (M1, N1) the
-    classes form P^(w-1), w the dimension of the first-summand slice of
-    the image of the paired transport map, and the subspaces an affine
-    space.  The block sums of submodules of the parts hold every point
-    fixed by the torus scaling each part, so (Bialynicki-Birula) the
-    count at e is the sum over block pairs of (q^w - 1)/(q - 1); the
-    parts [N] and [M] give every pair.  Ext^1 is additive and the
+    classes form P^(w-1), w = dim push(ker pull) of the paired transport
+    map beta, and the subspaces an affine space.  The block sums of
+    submodules of the parts hold every point fixed by the torus scaling
+    each part, so (Bialynicki-Birula) the count at e is the sum over
+    block pairs of (q^w - 1)/(q - 1); the parts [N] and [M] give every
+    pair.  Ext^1 is additive and the
     inclusions of block sums are block-diagonal, so the paired map splits
     over the pairs (N_i, M_j) of parts and w is the sum of their w_ij.
     The submodules of a part and the w_ij of a pair of parts are

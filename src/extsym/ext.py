@@ -16,12 +16,12 @@ quiver order.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from . import memo
 from .linalg import (Mat, Subspace, coords_in, identity, kernel_basis,
-                     mat_mul, mat_scale, mat_vec, quotient_projection, rref,
-                     span, transpose)
+                     mat_mul, mat_vec, quotient_projection, rref, span,
+                     transpose)
 from .modules import RepModule, _hom_system, check_module
 
 
@@ -269,219 +269,27 @@ def transport_matrix(src: ExtSpace, dst: ExtSpace, maps: Sequence[Mat],
 
 
 # ---------------------------------------------------------------------------
-# beta maps (Grassmannian form)
-
-
-def _block_matrix(row_dims: Sequence[int], col_dims: Sequence[int],
-                  blocks) -> Mat:
-    """The matrix with block rows of sizes ``row_dims`` and block columns
-    of sizes ``col_dims``: block (i, j) is ``blocks[i, j]``, or zero when
-    absent."""
-    roff = [sum(row_dims[:i]) for i in range(len(row_dims))]
-    coff = [sum(col_dims[:j]) for j in range(len(col_dims))]
-    rows = [[0] * sum(col_dims) for _ in range(sum(row_dims))]
-    for (i, j), b in blocks.items():
-        for r, brow in enumerate(b.rows):
-            rows[roff[i] + r][coff[j]:coff[j] + b.ncols] = brow
-    return Mat(tuple(map(tuple, rows)), len(rows), sum(col_dims))
-
-
-class BetaPair:
-    """beta: Ext(N, M1) -> Ext(N, M) + Ext(N1, M1) as a column matrix,
-    together with the three Ext spaces involved."""
-
-    __slots__ = ("matrix", "src", "dst_nm", "dst_n1m1")
-
-    def __init__(self, matrix: Mat, src: ExtSpace, dst_nm: ExtSpace,
-                 dst_n1m1: ExtSpace):
-        self.matrix = matrix
-        self.src = src              # Ext(N, M1)
-        self.dst_nm = dst_nm        # Ext(N, M)
-        self.dst_n1m1 = dst_n1m1    # Ext(N1, M1)
+# The paired transport beta of the correction term
 
 
 def beta_map(n: RepModule, m: RepModule,
              n1: RepModule, n1_incl: Sequence[Mat],
-             m1: RepModule, m1_incl: Sequence[Mat]) -> BetaPair:
-    """The map sending a class of Ext^1(N, M1) to (pushout to M, pullback
-    to N1): the block column [push; pull].  Columns are indexed by the
-    complement basis of Ext^1(N, M1)."""
+             m1: RepModule, m1_incl: Sequence[Mat]) -> Tuple[Mat, Mat]:
+    """The two transports of Ext^1(N, M1), as (push, pull): the pushout
+    along M1 -> M into Ext^1(N, M) and the pullback along N1 -> N into
+    Ext^1(N1, M1).  The columns of both are indexed by the complement
+    basis of Ext^1(N, M1)."""
     e_nm1 = ext1_space(n, m1)
-    e_nm = ext1_space(n, m)
-    e_n1m1 = ext1_space(n1, m1)
-    mat = _block_matrix((e_nm.dim, e_n1m1.dim), (e_nm1.dim,), {
-        (0, 0): transport_matrix(e_nm1, e_nm, m1_incl, "pushout"),
-        (1, 0): transport_matrix(e_nm1, e_n1m1, n1_incl, "pullback")})
-    return BetaPair(mat, e_nm1, e_nm, e_n1m1)
+    return (transport_matrix(e_nm1, ext1_space(n, m), m1_incl, "pushout"),
+            transport_matrix(e_nm1, ext1_space(n1, m1), n1_incl, "pullback"))
 
 
-class BetaPrimePair:
-    """beta': Ext(M, N) + Ext(M1, N1) -> Ext(M1, N)."""
-
-    __slots__ = ("matrix", "src_mn", "src_m1n1", "dst")
-
-    def __init__(self, matrix: Mat, src_mn: ExtSpace, src_m1n1: ExtSpace,
-                 dst: ExtSpace):
-        self.matrix = matrix
-        self.src_mn = src_mn
-        self.src_m1n1 = src_m1n1
-        self.dst = dst
-
-
-def beta_prime_map(m: RepModule, n: RepModule,
-                   m1: RepModule, m1_incl: Sequence[Mat],
-                   n1: RepModule, n1_incl: Sequence[Mat]) -> BetaPrimePair:
-    """(eps, eps') -> pullback of eps along M1 -> M minus pushout of eps'
-    along N1 -> N, both landing in Ext^1(M1, N): the block row
-    [pull | -push]."""
-    field = m.field
-    e_mn = ext1_space(m, n)
-    e_m1n1 = ext1_space(m1, n1)
-    e_m1n = ext1_space(m1, n)
-    mat = _block_matrix((e_m1n.dim,), (e_mn.dim, e_m1n1.dim), {
-        (0, 0): transport_matrix(e_mn, e_m1n, m1_incl, "pullback"),
-        (0, 1): mat_scale(field, -1, transport_matrix(e_m1n1, e_m1n, n1_incl,
-                                                      "pushout"))})
-    return BetaPrimePair(mat, e_mn, e_m1n1, e_m1n)
-
-
-# ---------------------------------------------------------------------------
-# Subspace bookkeeping used by both theorem pipelines
-
-
-def image_first_block_dim(field, matrix: Mat, first_block: int) -> int:
-    """dim { v in first block : (v, 0) lies in the column span of matrix }."""
-    if matrix.ncols == 0 or first_block == 0:
-        return 0
-    # combos c with (matrix c) vanishing outside the first block
-    tail = Mat(matrix.rows[first_block:], matrix.nrows - first_block,
-               matrix.ncols)
-    combos = kernel_basis(field, tail)
-    if combos.nrows == 0:
-        return 0
-    head = Mat(matrix.rows[:first_block], first_block, matrix.ncols)
-    vecs = [mat_vec(field, head, c) for c in combos.rows]
-    return span(field, vecs, first_block).dim
-
-
-def kernel_projection_dim(field, matrix: Mat, first_block: int) -> int:
-    """dim of the projection of ker(matrix) onto its first block of
-    coordinates."""
-    if matrix.ncols == 0:
-        return 0
-    kern = kernel_basis(field, matrix)
-    if kern.nrows == 0 or first_block == 0:
-        return 0
-    proj = [row[:first_block] for row in kern.rows]
-    return span(field, proj, first_block).dim
-
-
-# ---------------------------------------------------------------------------
-# Flag beta maps
-
-
-class Flag:
-    """A chain M = M_0 >= M_1 >= ... >= M_m = 0 with inclusion maps.
-
-    steps[k] = (module M_{k+1}, per-vertex inclusion M_{k+1} -> M_k).
-    factor_ids[k] is the index of the simple at step k+1 (or None when the
-    step repeats the previous module).
-    """
-
-    __slots__ = ("top", "steps", "factor_ids")
-
-    def __init__(self, top: RepModule,
-                 steps: Tuple[Tuple[RepModule, Tuple[Mat, ...]], ...],
-                 factor_ids: Tuple[Optional[int], ...]):
-        self.top = top
-        self.steps = steps
-        self.factor_ids = factor_ids
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-    def module(self, k: int) -> RepModule:
-        return self.top if k == 0 else self.steps[k - 1][0]
-
-    def incl(self, k: int) -> Tuple[Mat, ...]:
-        """Inclusion M_k -> M_{k-1}, for 1 <= k <= length."""
-        return self.steps[k - 1][1]
-
-
-class FlagBetaPair:
-    __slots__ = ("beta", "beta_blocks_dst", "beta_prime",
-                 "beta_prime_blocks_src", "ext_mn_dim")
-
-    def __init__(self, beta: Mat, beta_blocks_dst: tuple, beta_prime: Mat,
-                 beta_prime_blocks_src: tuple, ext_mn_dim: int):
-        self.beta = beta
-        self.beta_blocks_dst = beta_blocks_dst  # Ext(N_k, M_k) dims, k <= m-2
-        self.beta_prime = beta_prime
-        self.beta_prime_blocks_src = beta_prime_blocks_src  # Ext(M_k, N_k) dims
-        self.ext_mn_dim = ext_mn_dim
-
-
-def beta_flag_maps(flag_m: Flag, flag_n: Flag) -> FlagBetaPair:
-    """The two block maps attached to a pair of flags of equal length.
-
-    beta : sum_k Ext(N_k, M_{k+1}) -> sum_k Ext(N_k, M_k),   k = 0..m-2,
-        block k of the image = push_{M_{k+1}->M_k}(eps_k)
-                              - pull_{N_k->N_{k-1}}(eps_{k-1}).
-    beta': sum_k Ext(M_k, N_k) -> sum_k Ext(M_{k+1}, N_k),
-        block k = pull_{M_{k+1}->M_k}(eta_k) - push_{N_{k+1}->N_k}(eta_{k+1})
-        for k <= m-3, block m-2 = pull(eta_{m-2}).
-    """
-    if flag_m.length != flag_n.length:
-        raise ExtError("flag length mismatch")
-    mlen = flag_m.length
-    field = flag_m.top.field
-    if mlen < 2:
-        empty = Mat((), 0, 0)
-        return FlagBetaPair(empty, (), empty, (),
-                            ext1_space(flag_m.top, flag_n.top).dim)
-    ks = range(mlen - 1)
-    # spaces
-    e_src = [ext1_space(flag_n.module(k), flag_m.module(k + 1)) for k in ks]
-    e_dst = [ext1_space(flag_n.module(k), flag_m.module(k)) for k in ks]
-    ep_src = [ext1_space(flag_m.module(k), flag_n.module(k)) for k in ks]
-    ep_dst = [ext1_space(flag_m.module(k + 1), flag_n.module(k)) for k in ks]
-
-    # beta: eps_k pushes out along M_{k+1} -> M_k into block k and, with a
-    # minus sign, pulls back along N_{k+1} -> N_k into block k+1
-    blocks = {}
-    for k in ks:
-        blocks[k, k] = transport_matrix(e_src[k], e_dst[k],
-                                        flag_m.incl(k + 1), "pushout")
-        if k + 1 <= mlen - 2:
-            blocks[k + 1, k] = mat_scale(field, -1, transport_matrix(
-                e_src[k], e_dst[k + 1], flag_n.incl(k + 1), "pullback"))
-    dst_dims = tuple(s.dim for s in e_dst)
-    beta = _block_matrix(dst_dims, [s.dim for s in e_src], blocks)
-
-    # beta': eta_k pulls back along M_{k+1} -> M_k into block k and, with a
-    # minus sign, pushes out along N_k -> N_{k-1} into block k-1
-    blocks = {}
-    for k in ks:
-        blocks[k, k] = transport_matrix(ep_src[k], ep_dst[k],
-                                        flag_m.incl(k + 1), "pullback")
-        if k >= 1:
-            blocks[k - 1, k] = mat_scale(field, -1, transport_matrix(
-                ep_src[k], ep_dst[k - 1], flag_n.incl(k), "pushout"))
-    ps_dims = tuple(s.dim for s in ep_src)
-    beta_prime = _block_matrix([s.dim for s in ep_dst], ps_dims, blocks)
-
-    return FlagBetaPair(beta, dst_dims, beta_prime, ps_dims,
-                        ext1_space(flag_m.top, flag_n.top).dim)
-
-
-def flag_symmetry_identity(pair: FlagBetaPair, field) -> Tuple[int, int, int]:
-    """(dim p0(ker beta'), dim {eps : eps + 0... in im beta}, dim Ext(M,N))."""
-    first_dst = pair.beta_blocks_dst[0] if pair.beta_blocks_dst else 0
-    first_src = pair.beta_prime_blocks_src[0] if pair.beta_prime_blocks_src else 0
-    a = kernel_projection_dim(field, pair.beta_prime, first_src)
-    b = image_first_block_dim(field, pair.beta, first_dst)
-    return a, b, pair.ext_mn_dim
+def pushed_kernel_dim(field, push: Mat, pull: Mat) -> int:
+    """w = dim push(ker pull), the dimension of the classes of Ext^1(N, M)
+    that beta reaches from a class with zero pullback."""
+    return span(field, [mat_vec(field, push, k)
+                        for k in kernel_basis(field, pull).rows],
+                push.nrows).dim
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Independent brute-force reference implementations.
 
-Everything here but the last two sections is written from scratch on
+Everything here but the last three sections is written from scratch on
 plain lists and Fractions (or ints mod p), without importing the
 package's linear algebra, so the test suite can cross-check the library
-against a second, slower computation of the same quantities.  The last two
-sections keep a linear solve, the base change and submodule witnesses that
-tests build modules with, and the correction count that enumerates every
-submodule pair, the reference for the library's count on block pairs.
+against a second, slower computation of the same quantities.  The last
+three sections keep a linear solve, the base change and submodule
+witnesses that tests build modules with; the correction count that
+enumerates every submodule pair, the reference for the library's count on
+block pairs; and the maps of the dimension lemma a + b = dim Ext^1(M, N),
+beta' and the flag maps, the reference of the lemma tests.
 """
 
 from __future__ import annotations
@@ -359,11 +361,11 @@ def count_efg_pairs(n, m):
         sum over M1 <= M, N1 <= N with dims e1 + e2 = e
             of (q^w - 1)/(q - 1) * q^h,
 
-    with w the dimension of the first-summand slice of the image of the
-    paired transport map and h = dim Hom(M1, N/N1), the dimension of the
-    affine space of compatible subspaces."""
+    with w = dim push(ker pull) of the paired transport map beta and
+    h = dim Hom(M1, N/N1), the dimension of the affine space of
+    compatible subspaces."""
     from extsym.counting import _vertex_walk
-    from extsym.ext import beta_map, image_first_block_dim
+    from extsym.ext import beta_map, pushed_kernel_dim
     from extsym.modules import hom_dim, sub_quotient
     q = m.field.char
     top = tuple(a + b for a, b in zip(m.dims, n.dims))
@@ -377,8 +379,8 @@ def count_efg_pairs(n, m):
     m1_subs = subs(m)
     for e2, (n1, n_quot, n1_incl, _) in subs(n):
         for e1, (m1, _, m1_incl, _) in m1_subs:
-            bp = beta_map(n, m, n1, n1_incl, m1, m1_incl)
-            w = image_first_block_dim(m.field, bp.matrix, bp.dst_nm.dim)
+            w = pushed_kernel_dim(m.field, *beta_map(n, m, n1, n1_incl,
+                                                     m1, m1_incl))
             if w:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 table[e] += (q ** w - 1) // (q - 1) * q ** hom_dim(m1,
@@ -401,3 +403,95 @@ def efg_degree_bound(m_dims, n_dims, ext_nm_dim):
                    for a in range(m + 1) for b in range(n + 1))
                for m, n in zip(m_dims, n_dims))
     return max(best + ext_nm_dim - 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# The dimension lemma a + b = dim Ext^1(M, N), on a pair of submodules and
+# on a pair of flags: the reference of the lemma tests.  It runs on the
+# package's Ext spaces and transports; the library keeps only beta.
+
+
+def _transport(x, y, x2, y2, maps, side, sign=1):
+    """sign times the transport from Ext^1(x, y) to Ext^1(x2, y2)."""
+    from extsym.ext import ext1_space, transport_matrix
+    from extsym.linalg import mat_scale
+    return mat_scale(x.field, sign, transport_matrix(
+        ext1_space(x, y), ext1_space(x2, y2), maps, side))
+
+
+def kernel_projection_dim(field, matrix, first_block):
+    """dim of the projection of ker(matrix) onto its first coordinates."""
+    from extsym.linalg import kernel_basis, span
+    return span(field, [row[:first_block]
+                        for row in kernel_basis(field, matrix).rows],
+                first_block).dim
+
+
+def lemma_dims(m, n, m1, m1_incl, n1, n1_incl):
+    """(a, b) on the submodules M1 <= M, N1 <= N: a = dim p0(ker beta')
+    for beta' = [pull | -push]: Ext^1(M, N) + Ext^1(M1, N1) -> Ext^1(M1, N)
+    along M1 -> M and N1 -> N, and b = dim push(ker pull) of beta."""
+    from extsym.ext import beta_map, pushed_kernel_dim
+    from extsym.linalg import hstack
+    field = m.field
+    pull = _transport(m, n, m1, n, m1_incl, "pullback")
+    beta_prime = hstack(field, [pull, _transport(m1, n1, m1, n, n1_incl,
+                                                 "pushout", -1)])
+    return (kernel_projection_dim(field, beta_prime, pull.ncols),
+            pushed_kernel_dim(field, *beta_map(n, m, n1, n1_incl, m1,
+                                               m1_incl)))
+
+
+def _block_matrix(blocks, count):
+    """The matrix with block (i, j) = blocks[i, j], zero where absent, for
+    i, j < count; the diagonal blocks are all given and fix the sizes."""
+    from extsym.linalg import Mat
+    diag = [blocks[k, k] for k in range(count)]
+    roff = [0, *itertools.accumulate(b.nrows for b in diag)]
+    coff = [0, *itertools.accumulate(b.ncols for b in diag)]
+    rows = [[0] * coff[-1] for _ in range(roff[-1])]
+    for (i, j), b in blocks.items():
+        for r, brow in enumerate(b.rows):
+            rows[roff[i] + r][coff[j]:coff[j] + b.ncols] = brow
+    return Mat(tuple(map(tuple, rows)), roff[-1], coff[-1])
+
+
+def flag_lemma_dims(m, steps_m, n, steps_n):
+    """(a, b) on flags M = M_0 >= ... >= M_l = 0 and N = N_0 >= ... >=
+    N_l = 0, l >= 2, given by their steps (M_k, inclusion M_k -> M_(k-1)),
+    k = 1..l.  With blocks k = 0..l-2,
+
+    beta : sum Ext(N_k, M_{k+1}) -> sum Ext(N_k, M_k), block k of the
+        image push_{M_{k+1}->M_k}(eps_k) - pull_{N_k->N_{k-1}}(eps_{k-1}),
+    beta': sum Ext(M_k, N_k) -> sum Ext(M_{k+1}, N_k), block k of the
+        image pull_{M_{k+1}->M_k}(eta_k) - push_{N_{k+1}->N_k}(eta_{k+1}),
+
+    eps and eta outside 0..l-2 being zero; a = dim p0(ker beta') and
+    b = dim {v : (v, 0, ..., 0) in im beta}."""
+    from extsym.ext import pushed_kernel_dim
+    from extsym.linalg import Mat
+    ms, ns = [m, *(x for x, _ in steps_m)], [n, *(x for x, _ in steps_n)]
+    count = len(steps_m) - 1
+    beta, beta_prime = {}, {}
+    for k in range(count):
+        # the inclusions M_{k+1} -> M_k and N_{k+1} -> N_k
+        incl_m, incl_n = steps_m[k][1], steps_n[k][1]
+        beta[k, k] = _transport(ns[k], ms[k + 1], ns[k], ms[k], incl_m,
+                                "pushout")
+        beta_prime[k, k] = _transport(ms[k], ns[k], ms[k + 1], ns[k],
+                                      incl_m, "pullback")
+        if k + 1 < count:
+            beta[k + 1, k] = _transport(ns[k], ms[k + 1], ns[k + 1],
+                                        ms[k + 1], incl_n, "pullback", -1)
+        if k:
+            beta_prime[k - 1, k] = _transport(ms[k], ns[k], ms[k], ns[k - 1],
+                                              steps_n[k - 1][1], "pushout",
+                                              -1)
+    # b: the first block of rows of beta on the kernel of the others
+    head, beta = beta[0, 0].nrows, _block_matrix(beta, count)
+    return (kernel_projection_dim(m.field, _block_matrix(beta_prime, count),
+                                  beta_prime[0, 0].ncols),
+            pushed_kernel_dim(m.field,
+                              Mat(beta.rows[:head], head, beta.ncols),
+                              Mat(beta.rows[head:], beta.nrows - head,
+                                  beta.ncols)))

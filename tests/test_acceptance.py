@@ -15,24 +15,22 @@ from extsym import memo
 from extsym.counting import (count_flags, count_grassmannian,
                              iter_submodules, stratify_ext_classes)
 from extsym.delta import check_delta_multiplicativity
-from extsym.ext import (beta_map, beta_prime_map, ext1_space, ext_dim,
-                        ext_symmetry_audit, image_first_block_dim,
-                        kernel_projection_dim, middle_term)
+from extsym.ext import (beta_map, ext1_space, ext_dim, ext_symmetry_audit,
+                        middle_term, pushed_kernel_dim)
 from extsym.euler import (EulerError, euler_of, interpolate_euler,
                           projective_space_degree_bound)
 from extsym.counting import CountSeries
 from extsym.fields import RATIONALS
 from extsym.instances import (a2_catalog, a2_modules, a2_preprojective,
-                              a2_sums, three_vertex_algebra,
-                              three_vertex_simples, two_loop_modules)
-from extsym.linalg import Mat, mat_from_fractions, rank
+                              a2_sums)
+from extsym.linalg import mat_from_fractions, rank
 from extsym.modules import (direct_sum, direct_sum_many, hom_dim,
                             reduce_module, sub_quotient)
 from extsym.verify import (VerifyError, run_audit_suite, verify_formula1,
                            verify_formula2)
 
 from oracle import (conjugate, count_efg_pairs, efg_degree_bound,
-                    witness_from_rows)
+                    lemma_dims, witness_from_rows)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "worked_instance.json")
@@ -248,13 +246,8 @@ def test_5_property_suite_over_all_small_pairs(a2):
                         for rows_n in iter_submodules(n, e2):
                             witn = witness_from_rows(n, rows_n)
                             n1, _, n1_incl, _ = sub_quotient(n, witn)
-                            bp = beta_map(n, m, n1, n1_incl, m1, m1_incl)
-                            bq = beta_prime_map(m, n, m1, m1_incl,
-                                                n1, n1_incl)
-                            a = kernel_projection_dim(m.field, bq.matrix,
-                                                      bq.src_mn.dim)
-                            b = image_first_block_dim(m.field, bp.matrix,
-                                                      bp.dst_nm.dim)
+                            a, b = lemma_dims(m, n, m1, m1_incl,
+                                              n1, n1_incl)
                             assert a + b == target, (la, lb, e1, e2)
 
 
@@ -397,8 +390,8 @@ def test_11_correction_row_degree_bound(a2):
             for rows in iter_submodules(nq, (1, 0)):
                 n1, n_quot, n1_incl, _ = sub_quotient(
                     nq, witness_from_rows(nq, rows))
-                bp = beta_map(nq, mq, n1, n1_incl, m1, m1_incl)
-                w = image_first_block_dim(mq.field, bp.matrix, bp.dst_nm.dim)
+                w = pushed_kernel_dim(mq.field, *beta_map(
+                    nq, mq, n1, n1_incl, m1, m1_incl))
                 total += (q ** w - 1) // (q - 1) * q ** hom_dim(m1, n_quot)
             return total
 

@@ -294,6 +294,18 @@ class TestDeltaAndStratify:
         assert r.output.startswith("error: ")
         assert "index 2" in r.output
 
+    def test_zero_simple_refused_by_flag_chi(self, files, tmp_path):
+        cat = tmp_path / "zero.json"
+        cat.write_text(json.dumps({"modules": {"Z": {"dims": {}},
+                                               "S1": {"dims": {"1": 1}}}}))
+        r = run("flag", "chi", "--algebra", files["algebra"],
+                "--module", files["S1"], "--catalog", str(cat),
+                "--simples", "Z,vertex:1", "--type", "0,1", "--json")
+        assert r.exit_code == 1
+        assert json.loads(r.output) == {
+            "verdict": "error",
+            "message": "the list of simples holds a zero module at index 0"}
+
     def test_stratify(self, files):
         r = run("stratify", "--algebra", files["algebra"],
                 "--catalog", files["catalog"],

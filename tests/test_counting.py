@@ -17,8 +17,8 @@ from extsym.counting import (CountError, CountSeries, count_efg, count_flags,
                              stratify_ext_classes)
 from extsym.delta import enumerate_flag_types
 from extsym.euler import interpolate_euler, select_primes
-from extsym.ext import (beta_map, ext1_space, ext_dim, image_first_block_dim,
-                        middle_term)
+from extsym.ext import (beta_map, ext1_space, ext_dim, middle_term,
+                        pushed_kernel_dim)
 from extsym.fields import RATIONALS, FieldError
 from extsym.instances import (a2_catalog, a2_sums, deformed_a2_module,
                               three_vertex_algebra, three_vertex_simples,
@@ -29,7 +29,8 @@ from extsym.modules import (Catalog, ModuleError, UndecidableError,
                             direct_sum, direct_sum_many, hom_basis, hom_dim,
                             hom_combination, is_isomorphic,
                             module_from_fractions, reduce_catalog,
-                            reduce_module, simple_at_vertex, submodule)
+                            reduce_module, simple_at_vertex, submodule,
+                            zero_module)
 
 from extsym.verify import _strata_chi, verify_formula1, verify_formula2
 
@@ -248,6 +249,16 @@ class TestFlags:
         simples = [reduce_module(mods["S1"], 3), reduce_module(mods["S2"], 3)]
         with pytest.raises(CountError, match=f"2 simples: {bad}$"):
             count_flags(p1, jseq, simples)
+
+    def test_zero_simple_refused(self, a2):
+        # the chain S1 >= S1 >= 0 of type (Z, S1) exists, so a count of 0
+        # would be wrong: the zero module is no simple factor
+        alg, mods = a2
+        s1 = reduce_module(mods["S1"], 3)
+        zero = zero_module(alg, s1.field)
+        with pytest.raises(CountError, match="^the list of simples holds a "
+                                             "zero module at index 0$"):
+            count_flags(s1, (0, 1), [zero, s1])
 
     def test_semisimple_square_counts(self, a2):
         _, mods = a2
@@ -919,8 +930,7 @@ def _block_sum(total, parts, rows_per_part):
 
 
 def _w(field, n, m, n1, n1_incl, m1, m1_incl):
-    bp = beta_map(n, m, n1, n1_incl, m1, m1_incl)
-    return image_first_block_dim(field, bp.matrix, bp.dst_nm.dim)
+    return pushed_kernel_dim(field, *beta_map(n, m, n1, n1_incl, m1, m1_incl))
 
 
 class TestCorrectionCount:
@@ -1038,9 +1048,9 @@ class TestCorrectionCount:
     @pytest.mark.parametrize("p", [2, 3])
     def test_table_vanishes_at_both_ends(self, a2, p):
         # at e = 0, M1 = 0 and Ext^1(N, M1) = 0; at the top, M1 = M and
-        # N1 = N, so the paired map is the diagonal and no class lies in
-        # its first-summand slice; both with M and N whole and split into
-        # their named summands
+        # N1 = N, so the pullback is the identity and push(ker pull) is
+        # zero; both with M and N whole and split into their named
+        # summands
         alg, _ = a2
         sums = a2_sums(alg, 2)
         cat = a2_catalog(alg, 2)

@@ -1,5 +1,5 @@
 """First extension spaces: dimensions, middle terms, class transport,
-the paired block maps and their dimension identity."""
+the paired transport beta and the dimension lemma of the block maps."""
 
 import itertools
 from fractions import Fraction
@@ -9,19 +9,19 @@ import pytest
 from extsym import memo
 from extsym.algebra import validate_presentation
 from extsym.counting import iter_submodules
-from extsym.ext import (ExtError, beta_map, beta_prime_map, beta_flag_maps,
-                        ext1_space, ext_dim, ext_symmetry_audit, Flag,
-                        flag_symmetry_identity, image_first_block_dim,
-                        kernel_projection_dim, middle_term, transport_matrix)
-from extsym.fields import GF, RATIONALS
+from extsym.ext import (ExtError, beta_map, ext1_space, ext_dim,
+                        ext_symmetry_audit, middle_term, pushed_kernel_dim,
+                        transport_matrix)
+from extsym.fields import GF, RATIONALS, FieldError
 from extsym.instances import a2_sums, deformed_a2_module
 from extsym.linalg import Mat, mat_mul, mat_vec, rank
 from extsym.modules import (direct_sum, hom_basis, hom_dim, is_isomorphic,
                             module_from_fractions, reduce_module,
                             sub_quotient)
 
-from oracle import (count_extension_tuples, extension_tuple_satisfies,
-                    witness_from_rows)
+from oracle import (all_vectors, count_extension_tuples,
+                    extension_tuple_satisfies, flag_lemma_dims, lemma_dims,
+                    mat_apply, witness_from_rows)
 
 
 class TestDimensions:
@@ -228,10 +228,13 @@ class TestTransport:
             transport_matrix(s12, s21, (), "pushout")
 
 
-def _submodule_with_incl(m, rows_by_vertex):
-    wit = witness_from_rows(m, rows_by_vertex)
-    sub, _, incl, _ = sub_quotient(m, wit)
-    return sub, incl
+def _submodules(m, dims=None):
+    """(submodule, inclusion) for each submodule of m of the dimension
+    vectors ``dims``, or of every dimension vector."""
+    dims = dims or itertools.product(*(range(d + 1) for d in m.dims))
+    return [(sub, incl) for e in dims for rows in iter_submodules(m, e)
+            for sub, _, incl, _ in [sub_quotient(m,
+                                                 witness_from_rows(m, rows))]]
 
 
 class TestBlockMapIdentity:
@@ -246,25 +249,13 @@ class TestBlockMapIdentity:
         p = 5
         m = reduce_module(mods[la], p)
         n = reduce_module(mods[lb], p)
-        field = m.field
         target = ext_dim(m, n)
-        e_ranges = [range(d + 1) for d in m.dims]
-        f_ranges = [range(d + 1) for d in n.dims]
         checked = 0
-        for e1 in itertools.product(*e_ranges):
-            for rows_m in iter_submodules(m, e1):
-                m1, m1_incl = _submodule_with_incl(m, rows_m)
-                for e2 in itertools.product(*f_ranges):
-                    for rows_n in iter_submodules(n, e2):
-                        n1, n1_incl = _submodule_with_incl(n, rows_n)
-                        bp = beta_map(n, m, n1, n1_incl, m1, m1_incl)
-                        bq = beta_prime_map(m, n, m1, m1_incl, n1, n1_incl)
-                        a = kernel_projection_dim(field, bq.matrix,
-                                                  bq.src_mn.dim)
-                        b = image_first_block_dim(field, bp.matrix,
-                                                  bp.dst_nm.dim)
-                        assert a + b == target
-                        checked += 1
+        for (m1, m1_incl), (n1, n1_incl) in itertools.product(
+                _submodules(m), _submodules(n)):
+            a, b = lemma_dims(m, n, m1, m1_incl, n1, n1_incl)
+            assert a + b == target
+            checked += 1
         assert checked >= 4
 
     def test_flag_form(self, a2):
@@ -273,24 +264,16 @@ class TestBlockMapIdentity:
         m = reduce_module(direct_sum(mods["S1"], mods["S2"]), p)
         n = reduce_module(mods["P1"], p)
         target = ext_dim(m, n)
+
+        def to_zero(x):
+            return _submodules(x, [(0,) * len(x.dims)])
+
         # length-2 flags: pick any codimension-(1,0) or (0,1) submodule step
-        for e1 in [(1, 0), (0, 1)]:
-            for rows_m in iter_submodules(m, e1):
-                m1, m1_incl = _submodule_with_incl(m, rows_m)
-                zm, zincl = _submodule_with_incl(
-                    m1, tuple(() for _ in m1.dims))
-                flag_m = Flag(m, ((m1, m1_incl), (zm, zincl)), (None, None))
-                for e2 in [(1, 1), (1, 0), (0, 1)]:
-                    for rows_n in iter_submodules(n, e2):
-                        n1, n1_incl = _submodule_with_incl(n, rows_n)
-                        zn, zincl_n = _submodule_with_incl(
-                            n1, tuple(() for _ in n1.dims))
-                        flag_n = Flag(n, ((n1, n1_incl), (zn, zincl_n)),
-                                      (None, None))
-                        pair = beta_flag_maps(flag_m, flag_n)
-                        a, b, d = flag_symmetry_identity(pair, m.field)
-                        assert d == target
-                        assert a + b == target
+        for m1 in _submodules(m, [(1, 0), (0, 1)]):
+            for n1 in _submodules(n, [(1, 1), (1, 0), (0, 1)]):
+                a, b = flag_lemma_dims(m, (m1, *to_zero(m1[0])),
+                                       n, (n1, *to_zero(n1[0])))
+                assert a + b == target
 
     @staticmethod
     def chains(m, length):
@@ -298,13 +281,8 @@ class TestBlockMapIdentity:
         equal steps allowed, as flag steps."""
         if length == 0:
             return [()] if m.is_zero() else []
-        out = []
-        for e in itertools.product(*(range(d + 1) for d in m.dims)):
-            for rows in iter_submodules(m, e):
-                step = _submodule_with_incl(m, rows)
-                out.extend((step,) + rest for rest in
-                           TestBlockMapIdentity.chains(step[0], length - 1))
-        return out
+        return [(step,) + rest for step in _submodules(m)
+                for rest in TestBlockMapIdentity.chains(step[0], length - 1)]
 
     @pytest.mark.parametrize("la, lb, npairs", [("S1+S2", "S1", 27),
                                                 ("S1", "S2+P1", 78)])
@@ -319,15 +297,49 @@ class TestBlockMapIdentity:
         target = ext_dim(m, n)
         checked = 0
         for steps_m in self.chains(m, 3):
-            flag_m = Flag(m, steps_m, (None,) * 3)
             for steps_n in self.chains(n, 3):
-                flag_n = Flag(n, steps_n, (None,) * 3)
-                a, b, d = flag_symmetry_identity(
-                    beta_flag_maps(flag_m, flag_n), m.field)
-                assert d == target
+                a, b = flag_lemma_dims(m, steps_m, n, steps_n)
                 assert a + b == target
                 checked += 1
         assert checked == npairs
+
+
+class TestWidth:
+    """w = dim push(ker pull) of beta against a brute-force count: the
+    classes push(xi) over every xi in Ext^1(N, M1) with pull(xi) = 0 number
+    p^w.  On every pair of submodules N1 <= N, M1 <= M of every pair of
+    parts (N, M) of the four built-in algebras, at p = 2 and 3 where the
+    parts reduce (equal reductions once).  Budget: 2 s."""
+
+    def test_matches_bruteforce(self, a2, two_loop, three_vertex_catalog):
+        _, loops = two_loop
+        simples, cat = three_vertex_catalog
+        families = [
+            list(a2[1].values()),
+            [loops[x] for x in ("S", "N(1,0)", "N(0,1)", "N(1,1)")],
+            [deformed_a2_module(Fraction(a)) for a in (1, 2, -1)],
+            [simples["S3"]] + [cat[x] for x in ("S1", "S2", "E")]]
+        widths = []
+        for p, rational in itertools.product((2, 3), families):
+            subs = {}
+            for x in rational:
+                try:
+                    x = reduce_module(x, p)
+                except FieldError:
+                    continue
+                subs[x] = _submodules(x)
+            for n, m in itertools.product(subs, repeat=2):
+                for (n1, n1_incl), (m1, m1_incl) in itertools.product(
+                        subs[n], subs[m]):
+                    push, pull = beta_map(n, m, n1, n1_incl, m1, m1_incl)
+                    reached = {mat_apply(push.rows, xi, p)
+                               for xi in all_vectors(push.ncols, p)
+                               if not any(mat_apply(pull.rows, xi, p))}
+                    widths.append(pushed_kernel_dim(n.field, push, pull))
+                    assert len(reached) == p ** widths[-1]
+        assert len(widths) == 624
+        assert sum(w > 0 for w in widths) == 102
+        assert max(widths) == 4
 
 
 class TestSymmetryAudit:

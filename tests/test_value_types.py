@@ -33,11 +33,6 @@ FIELDS = [
     (modules.HomBasis, ("source", "target", "basis")),
     (ext.ExtSpace, ("x", "y", "d_basis", "d_pivots", "trivial", "compl",
                     "readout", "layout", "total")),
-    (ext.BetaPair, ("matrix", "src", "dst_nm", "dst_n1m1")),
-    (ext.BetaPrimePair, ("matrix", "src_mn", "src_m1n1", "dst")),
-    (ext.Flag, ("top", "steps", "factor_ids")),
-    (ext.FlagBetaPair, ("beta", "beta_blocks_dst", "beta_prime",
-                        "beta_prime_blocks_src", "ext_mn_dim")),
     (ext.SymmetryRow, ("left_label", "right_label", "dim_mn", "dim_nm")),
     (ext.SymmetryReport, ("rows",)),
     (counting.CountSeries, ("label", "samples", "degree_bound")),
