@@ -19,7 +19,7 @@ from .fields import QQ, FieldError
 from .linalg import (Mat, Subspace, contains_vector, enumerate_subspaces,
                      gaussian_binomial, hstack, identity,
                      integer_rank_minor, kernel_basis, mat_mul, mat_vec,
-                     rank, rref, span, transpose)
+                     quotient_projection, rank, rref, span, transpose)
 from .modules import (Catalog, ModuleError, RepModule, UndecidableError,
                       _hom_system, direct_sum, hom_basis, hom_dim,
                       is_isomorphic, reduce_module, submodule, zero_module)
@@ -115,20 +115,9 @@ def _vertex_walk(m: RepModule, edims: Sequence[int], count_last: bool):
         k = edims[v] - low.dim
         if k < 0:
             return
-        # x lies in up when A x has zero residue modulo U_t, read at the
-        # non-pivot coordinates of U_t
-        eqs = []
-        for t, a in out[v]:
-            w = fixed[t]
-            for c in range(m.dims[t]):
-                if c in w.pivots:
-                    continue
-                row = a.rows[c]
-                for wr, pc in zip(w.mat.rows, w.pivots):
-                    if wr[c]:
-                        row = tuple((x - wr[c] * y) % p
-                                    for x, y in zip(row, a.rows[pc]))
-                eqs.append(row)
+        # x lies in up when A x projects to zero modulo U_t
+        eqs = [row for t, a in out[v] for row in mat_mul(
+            field, quotient_projection(field, fixed[t]), a).rows]
         if eqs:
             eq_mat = Mat(tuple(eqs), len(eqs), d)
             if any(any(mat_vec(field, eq_mat, u)) for u in low.mat.rows):
@@ -146,12 +135,11 @@ def _vertex_walk(m: RepModule, edims: Sequence[int], count_last: bool):
             upiv = [r.index(1) for r in up]
             taken = set(span(field, [[u[c] for c in upiv]
                                      for u in low.mat.rows], len(up)).pivots)
-        comp = [r for i, r in enumerate(up) if i not in taken]
-        for sub in enumerate_subspaces(len(comp), k, p):
-            extra = tuple(tuple(sum(c * r[j] for c, r in zip(coeffs, comp))
-                                % p for j in range(d))
-                          for coeffs in sub.mat.rows)
-            u = span(field, low.mat.rows + extra, d)
+        comp = Mat.from_rows([r for i, r in enumerate(up) if i not in taken],
+                             d)
+        for sub in enumerate_subspaces(comp.nrows, k, p):
+            u = span(field, low.mat.rows + mat_mul(field, sub.mat, comp).rows,
+                     d)
             if all(contains_vector(field, u, mat_vec(field, a, x))
                    for a in loops[v] for x in u.mat.rows):
                 fixed.append(u)
@@ -189,14 +177,6 @@ def count_grassmannian(m: RepModule, edims: Sequence[int]) -> int:
 # Flags with prescribed simple quotients
 
 
-def _lines(n: int, p: int):
-    """The lines of F_p^n, each as the vector on it whose first nonzero
-    entry is 1."""
-    for lead in range(n):
-        for tail in itertools.product(range(p), repeat=n - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
 def _quotient_kernels(m: RepModule, simple: RepModule):
     """The submodules K <= M with M/K isomorphic to a given simple, as
     (kernel module, weight) pairs: the kernels of the maps M -> S that are
@@ -216,12 +196,13 @@ def _quotient_kernels(m: RepModule, simple: RepModule):
     Each map taken, the split basis map or a line of Z, is put in reduced
     echelon form R at the vertices where S is nonzero; it is onto when R
     has a row per dimension of S there.  The kernel has the basis
-    e_c - sum_r R[r][c] e_pivot(r) over the free (non-pivot) columns c, so
-    a kernel vector's coordinates are its entries at the free columns, and
-    each arrow of K is M's arrow applied to that basis, read at the free
-    columns of its target.  Vertices where S vanishes keep all of M.  A
-    kernel fixes its echelon form, so kernels are deduplicated by those
-    rows.
+    e_c - sum_r R[r][c] e_pivot(r) over the free (non-pivot) columns c,
+    the columns of the transposed quotient projection of the row space of
+    R, so a kernel vector's coordinates are its entries at the free
+    columns, and each arrow of K is M's arrow times that basis, read at
+    the free columns of its target.  Vertices where S vanishes keep all
+    of M.  A kernel fixes its echelon form, so kernels are deduplicated
+    by those rows.
     """
     field = m.field
     p = field.char
@@ -242,8 +223,8 @@ def _quotient_kernels(m: RepModule, simple: RepModule):
         split = tuple(e for e, row in zip(units, pairs.rows)
                       if any(row))[:1]
     gens = Mat(split + unsplit, len(split) + len(unsplit), h)
-    lines = (((0,) * len(split) + line, 1)
-             for line in _lines(len(unsplit), p))
+    lines = (((0,) * len(split) + line.mat.rows[0], 1)
+             for line in enumerate_subspaces(len(unsplit), 1, p))
     if split:
         lines = itertools.chain(
             [((1,) + (0,) * len(unsplit),
@@ -268,26 +249,25 @@ def _quotient_kernels(m: RepModule, simple: RepModule):
                 tuple(flat[r * d:(r + 1) * d] for r in range(rk)), rk, d))
             if len(pivots) != rk:  # not onto at vertex i
                 break
-            echelon[i] = red.rows, pivots
+            echelon[i] = Subspace(field, d, red, pivots)
         else:
-            key = tuple(rows for rows, _ in echelon.values())
+            key = tuple(u.mat.rows for u in echelon.values())
             if key in seen:
                 continue
             seen.add(key)
+            # columns: the kernel basis at each vertex of S
+            kernel = {i: transpose(quotient_projection(field, u))
+                      for i, u in echelon.items()}
             free = [range(d) if i not in echelon else
-                    [c for c in range(d) if c not in echelon[i][1]]
+                    [c for c in range(d) if c not in echelon[i].pivots]
                     for i, d in enumerate(m.dims)]
             mats = []
             for (s, t), x in zip(ends, m.matrices):
-                rows = x.rows if t not in echelon else \
-                    tuple(x.rows[f] for f in free[t])
-                if s in echelon:
-                    red, pivots = echelon[s]
-                    rows = tuple(tuple(
-                        (xr[c] - sum(r[c] * xr[pc] for r, pc in
-                                     zip(red, pivots))) % p
-                        for c in free[s]) for xr in rows)
-                mats.append(Mat(rows, len(free[t]), len(free[s])))
+                if t in echelon:
+                    x = Mat(tuple(x.rows[f] for f in free[t]), len(free[t]),
+                            x.ncols)
+                mats.append(mat_mul(field, x, kernel[s]) if s in kernel
+                            else x)
             yield RepModule(m.algebra, field, tuple(map(len, free)),
                             tuple(mats)), weight
 
@@ -297,7 +277,6 @@ def _quotient_kernels(m: RepModule, simple: RepModule):
 # counts per class.  Class ids come from a counter and are never reused.
 _class_ids = itertools.count()
 _class_buckets = memo.table()  # isomorphism invariants -> [(id, rep), ...]
-_flag_counts = memo.table()    # (id, remaining type, simple keys) -> count
 
 
 @memo.cached(lambda m: m.key())
@@ -337,6 +316,18 @@ def _class_children_of(cid, rep: RepModule, simple: RepModule):
     return tuple(tuple(v) for v in mult.values())
 
 
+@memo.cached(lambda cid, rep, jseq, simples, skeys: (cid, jseq, skeys))
+def _chains(cid, rep: RepModule, jseq: Tuple[int, ...],
+            simples: Sequence[RepModule], skeys: tuple) -> int:
+    """Number of flags of type ``jseq`` of the class ``cid``, whose
+    representative is ``rep``, over the simples with keys ``skeys``."""
+    if not jseq:
+        return 1
+    return sum(mult * _chains(ccid, crep, jseq[1:], simples, skeys)
+               for ccid, crep, mult in
+               _class_children_of(cid, rep, simples[jseq[0]]))
+
+
 def count_flags(m: RepModule, jseq: Sequence[int],
                 simples: Sequence[RepModule]) -> int:
     """Number of chains of submodules M = M_0 > M_1 > ... > 0 whose step k
@@ -372,20 +363,7 @@ def count_flags(m: RepModule, jseq: Sequence[int],
         raise CountError(
             f"flag type drops {dropped}, module has dimension vector {m.dims}")
     skeys = tuple(s.key() for s in simples)
-
-    def rec(cid, rep: RepModule, k: int) -> int:
-        if k == len(jseq):
-            return 1
-        key = (cid, jseq[k:], skeys)
-        cached = _flag_counts.get(key)
-        if cached is None:
-            cached = memo.remember(
-                _flag_counts, key,
-                sum(mult * rec(ccid, crep, k + 1) for ccid, crep, mult in
-                    _class_children_of(cid, rep, simples[jseq[k]])))
-        return cached
-
-    return rec(*_module_class(m), 0)
+    return _chains(*_module_class(m), jseq, simples, skeys)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +393,9 @@ def stratify_ext_classes(m: RepModule, n: RepModule,
         if c.dims == mid_dims:
             counts[lab] = 0
             names.setdefault(_module_class(c)[0], lab)
-    for line in _lines(space.dim, q):
-        label = names.get(_module_class(middle_term(space, line)[0])[0])
+    for line in enumerate_subspaces(space.dim, 1, q):
+        label = names.get(
+            _module_class(middle_term(space, line.mat.rows[0])[0])[0])
         if label is None:
             raise CountError(
                 f"catalog incomplete: no entry matches a middle term with "

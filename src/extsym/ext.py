@@ -20,8 +20,8 @@ from typing import Sequence, Tuple
 
 from . import memo
 from .linalg import (Mat, Subspace, coords_in, identity, kernel_basis,
-                     mat_mul, mat_vec, quotient_projection, rref, span,
-                     transpose)
+                     mat_mul, mat_vec, normalised, quotient_projection, rref,
+                     span, transpose)
 from .modules import RepModule, _hom_system, check_module
 
 
@@ -77,7 +77,6 @@ def ext1_equations(x: RepModule, y: RepModule) -> Mat:
     P = Y_{a1..a(k-1)} and S = X_{a(k+1)..am}; a vertex path adds nothing.
     """
     field = x.field
-    p = field.char
     q = x.algebra.quiver
     layout, total = _tuple_layout(x, y)
     rows = []
@@ -104,8 +103,8 @@ def ext1_equations(x: RepModule, y: RepModule) -> Mat:
                             row = block[i * nc + j]
                             for v in range(cc):
                                 row[base + v] += cp * suf[v][j]
-        rows.extend(tuple(v % p for v in r) if p else tuple(r) for r in block)
-    return Mat(tuple(rows), len(rows), total)
+        rows.extend(block)
+    return normalised(field, rows, total)
 
 
 class ExtSpace:
@@ -154,9 +153,6 @@ class ExtSpace:
         if coords is None:
             raise ExtError("tuple not in D(X, Y)")
         return mat_vec(field, self.readout, coords)
-
-    def zero_class(self) -> Tuple:
-        return tuple(self.field.zero for _ in range(self.dim))
 
 
 @memo.cached(lambda x, y: (x.key(), y.key()))
@@ -297,12 +293,9 @@ def pushed_kernel_dim(field, push: Mat, pull: Mat) -> int:
 
 
 class SymmetryRow:
-    __slots__ = ("left_label", "right_label", "dim_mn", "dim_nm")
+    __slots__ = ("dim_mn", "dim_nm")
 
-    def __init__(self, left_label: str, right_label: str, dim_mn: int,
-                 dim_nm: int):
-        self.left_label = left_label
-        self.right_label = right_label
+    def __init__(self, dim_mn: int, dim_nm: int):
         self.dim_mn = dim_mn
         self.dim_nm = dim_nm
 
@@ -325,10 +318,7 @@ class SymmetryReport:
         return [r for r in self.rows if not r.symmetric]
 
 
-def ext_symmetry_audit(pairs, labels=None) -> SymmetryReport:
+def ext_symmetry_audit(pairs) -> SymmetryReport:
     """Dimension-level Ext-symmetry audit over (M, N) module pairs."""
-    rows = []
-    for idx, (m, n) in enumerate(pairs):
-        lab = labels[idx] if labels else (f"pair{idx}.M", f"pair{idx}.N")
-        rows.append(SymmetryRow(lab[0], lab[1], ext_dim(m, n), ext_dim(n, m)))
-    return SymmetryReport(tuple(rows))
+    return SymmetryReport(tuple(SymmetryRow(ext_dim(m, n), ext_dim(n, m))
+                                for m, n in pairs))

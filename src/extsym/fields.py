@@ -4,9 +4,9 @@ Elements of the rationals are `fractions.Fraction` (or ints); elements
 of F_p are plain ints in range(p).  A field carries its characteristic
 ``char``, its ``zero`` and ``one``, the inverse ``inv`` and the conversion
 ``from_fraction``, and no entry arithmetic: callers add and multiply
-normalised elements with the native ``+ - *`` and, over F_p, reduce the
-result mod ``char``.  Field objects are stateless and hashable, so they
-can key caches.
+normalised elements with the native ``+ - *``, and ``linalg`` reduces the
+results mod ``char`` over F_p.  Field objects are stateless and hashable,
+so they can key caches.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ Fractions or ints over Q, so a zero entry is exactly a falsy one.  Each
 product and elimination is one loop for both fields.  It uses the native
 ``+ - *`` and, when ``field.char`` is p, reduces each output entry once
 with ``% p``; a pivot's inverse comes from ``field.inv``, once per pivot,
-so int-valued input over Q stays exact.
+so int-valued input over Q stays exact.  Rows accumulated elsewhere with
+the native operations become a matrix through ``normalised``.  Field
+entries are reduced mod p here and in ``fields`` only.
 """
 
 from __future__ import annotations
@@ -78,6 +80,15 @@ def identity(field, n: int) -> Mat:
                      for i in range(n)), n, n)
 
 
+def normalised(field, rows: Sequence[Sequence], ncols: int) -> Mat:
+    """The matrix of rows accumulated with the native ``+ - *``, each
+    entry reduced mod p over GF(p) and kept as it is over Q."""
+    p = field.char
+    rows = tuple(tuple(v % p for v in r) for r in rows) if p \
+        else tuple(map(tuple, rows))
+    return Mat(rows, len(rows), ncols)
+
+
 def mat_from_fractions(field, rows: Sequence[Sequence[Fraction]],
                        ncols: Optional[int] = None) -> Mat:
     conv = field.from_fraction
@@ -94,7 +105,7 @@ def mat_mul(field, a: Mat, b: Mat) -> Mat:
         raise LinAlgError(f"shape mismatch {a.nrows}x{a.ncols} * {b.nrows}x{b.ncols}")
     if a.nrows == 0 or b.ncols == 0 or a.ncols == 0:
         return zeros(field, a.nrows, b.ncols)
-    p, m = field.char, b.ncols
+    m = b.ncols
     out = []
     for ar in a.rows:
         row = [0] * m
@@ -102,8 +113,8 @@ def mat_mul(field, a: Mat, b: Mat) -> Mat:
             if x:
                 for j in range(m):
                     row[j] += x * br[j]
-        out.append(tuple(v % p for v in row) if p else tuple(row))
-    return Mat(tuple(out), a.nrows, b.ncols)
+        out.append(row)
+    return normalised(field, out, m)
 
 
 def mat_add(field, a: Mat, b: Mat) -> Mat:

@@ -16,7 +16,8 @@ from . import memo
 from .algebra import AlgebraPresentation, evaluate_relation
 from .fields import GF, QQ
 from .linalg import (Mat, Subspace, coords_in, kernel_basis, mat_from_fractions,
-                     mat_mul, mat_vec, quotient_projection, rank, span, zeros)
+                     mat_mul, mat_vec, normalised, quotient_projection, rank,
+                     span, zeros)
 
 
 class ModuleError(ValueError):
@@ -249,7 +250,6 @@ def _hom_system(m: RepModule, n: RepModule) -> Tuple[Mat, List[Tuple[int, int, i
     Returns the system and the unknown layout [(vertex, rows, cols)].
     """
     q = m.algebra.quiver
-    p = m.field.char
     layout = []
     offsets = []
     total = 0
@@ -274,9 +274,8 @@ def _hom_system(m: RepModule, n: RepModule) -> Tuple[Mat, List[Tuple[int, int, i
                 # - xn[i,k] * phi_s[k,j]
                 for k in range(n.dims[s]):
                     row[offsets[s] + k * m.dims[s] + j] -= xn.rows[i][k]
-                rows.append(tuple(v % p for v in row) if p else tuple(row))
-    mat = Mat(tuple(rows), len(rows), total)
-    return mat, layout
+                rows.append(row)
+    return normalised(m.field, rows, total), layout
 
 
 def _unpack_hom(field, vec: Sequence, layout) -> Tuple[Mat, ...]:
@@ -313,7 +312,6 @@ def hom_dim(m: RepModule, n: RepModule) -> int:
 
 def hom_combination(field, basis: Sequence[Tuple[Mat, ...]], coeffs: Sequence):
     """Per-vertex matrices of sum_k coeffs[k] * basis[k]."""
-    p = field.char
     out = []
     for v, proto in enumerate(basis[0]):
         rows = [[0] * proto.ncols for _ in range(proto.nrows)]
@@ -322,8 +320,7 @@ def hom_combination(field, basis: Sequence[Tuple[Mat, ...]], coeffs: Sequence):
                 for row, mr in zip(rows, phis[v].rows):
                     for j, y in enumerate(mr):
                         row[j] += c * y
-        out.append(Mat(tuple(tuple(x % p for x in r) if p else tuple(r)
-                             for r in rows), proto.nrows, proto.ncols))
+        out.append(normalised(field, rows, proto.ncols))
     return tuple(out)
 
 
@@ -333,7 +330,7 @@ def hom_combination(field, basis: Sequence[Tuple[Mat, ...]], coeffs: Sequence):
 
 def _grid_values(field, side: int):
     if isinstance(field, GF):
-        return [x % field.p for x in range(min(side, field.p))]
+        return list(range(min(side, field.p)))
     return [Fraction(x) for x in range(side)]
 
 

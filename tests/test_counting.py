@@ -597,6 +597,34 @@ class TestFlagsByClass:
                 {(0, 0, 0): 2 * p + 1}
         assert calls
 
+    def test_conjugate_reads_the_cached_count(self, a2, monkeypatch,
+                                              cold_classes):
+        """Counts are cached by class, flag type and simples: the same type
+        of a conjugate presentation builds no children, and another list
+        of simples counts again."""
+        calls = []
+        children = counting._class_children_of
+
+        def counted(*args):
+            calls.append(args)
+            return children(*args)
+
+        monkeypatch.setattr(counting, "_class_children_of", counted)
+        _, mods = a2
+        m = reduce_module(direct_sum(mods["P1"], mods["S1"]), 3)
+        simples = [reduce_module(mods["S1"], 3), reduce_module(mods["S2"], 3)]
+        field = m.field
+        twisted = conjugate(m, (mat_from_fractions(field, [[1, 1], [1, 2]]),
+                                mat_from_fractions(field, [[2]])))
+        assert twisted.key() != m.key()
+        first = count_flags(m, (0, 0, 1), simples)
+        assert first > 0 and calls
+        calls.clear()
+        assert count_flags(twisted, (0, 0, 1), simples) == first
+        assert calls == []
+        assert count_flags(twisted, (0, 0, 1), simples + simples) == first
+        assert calls
+
     @pytest.mark.parametrize("limit", [1, 2, 5])
     def test_counts_survive_clearing_at_a_small_bound(
             self, a2, two_loop, monkeypatch, cold_classes, limit):

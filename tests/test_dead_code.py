@@ -1,7 +1,9 @@
 """Every top-level function and class of the library is used: referenced
 by name in library code or docstrings outside its own definition, a click
-command or group, or exported by ``extsym/__init__.py``.  Code that only
-tests call belongs in ``tests/oracle.py``."""
+command or group, or exported by ``extsym/__init__.py``.  Every method and
+property of a library class, dunders aside, is read as an attribute by
+library code outside its own definition.  Code that only tests call
+belongs in ``tests/oracle.py``."""
 
 import ast
 import collections
@@ -31,9 +33,19 @@ def _is_click_command(node):
                for f in [d.func if isinstance(d, ast.Call) else d])
 
 
+def _trees():
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _attribute_reads(node):
+    return collections.Counter(
+        n.attr for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
 def test_every_definition_is_used():
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     exported = {alias.asname or alias.name
                 for node in trees["__init__.py"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -45,4 +57,16 @@ def test_every_definition_is_used():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in exported and not _is_click_command(node)
               and readers[node.name] == (node.name in _names(node))]
+    assert unused == []
+
+
+def test_every_method_is_read():
+    trees = _trees()
+    reads = sum(map(_attribute_reads, trees.values()), collections.Counter())
+    unused = [f"{fname}:{cls.name}.{fn.name}"
+              for fname, tree in trees.items() for cls in tree.body
+              if isinstance(cls, ast.ClassDef) for fn in cls.body
+              if isinstance(fn, ast.FunctionDef)
+              and not (fn.name.startswith("__") and fn.name.endswith("__"))
+              and reads[fn.name] == _attribute_reads(fn)[fn.name]]
     assert unused == []

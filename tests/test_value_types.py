@@ -33,7 +33,7 @@ FIELDS = [
     (modules.HomBasis, ("source", "target", "basis")),
     (ext.ExtSpace, ("x", "y", "d_basis", "d_pivots", "trivial", "compl",
                     "readout", "layout", "total")),
-    (ext.SymmetryRow, ("left_label", "right_label", "dim_mn", "dim_nm")),
+    (ext.SymmetryRow, ("dim_mn", "dim_nm")),
     (ext.SymmetryReport, ("rows",)),
     (counting.CountSeries, ("label", "samples", "degree_bound")),
     (euler.EulerValue, ("value", "coeffs", "samples", "degree_bound",
