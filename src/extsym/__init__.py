@@ -10,9 +10,8 @@ evaluation forms.
 from .algebra import (AlgebraError, AlgebraPresentation, Arrow, Path, Quiver,
                       Relation, arrow_path, build_preprojective,
                       double_quiver, make_quiver, relation, vertex_path)
-from .counting import (CountError, CountSeries, count_efg, count_flags,
-                       count_grassmannian, good_prime, iter_submodules,
-                       stratify_ext_classes)
+from .counting import (CountError, count_efg, count_flags, count_grassmannian,
+                       good_prime, iter_submodules, stratify_ext_classes)
 from .delta import (DeltaSignature, check_delta_multiplicativity,
                     delta_signature, enumerate_flag_types,
                     stratify_by_signature)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .linalg import Mat, identity, mat_add, mat_mul, mat_scale, zeros
-
 
 class AlgebraError(ValueError):
     pass
@@ -204,38 +202,6 @@ def validate_presentation(quiver: Quiver, relations: Sequence[Relation],
     for rel in relations:
         rel.endpoints(quiver)          # raises on mixed endpoints
     return AlgebraPresentation(quiver, tuple(relations), label)
-
-
-# ---------------------------------------------------------------------------
-# Path evaluation
-
-
-def evaluate_path(field, quiver: Quiver, dims: Dict[str, int],
-                  matrices: Dict[str, Mat], path: Path) -> Mat:
-    """x_p = x_{a1} ... x_{am}; identity of size d_v for a vertex path at v."""
-    src, tgt = path.endpoints(quiver)
-    if path.is_vertex:
-        return identity(field, dims[path.vertex])
-    result = None
-    for name in path.arrows:
-        a = quiver.arrow(name)
-        m = matrices[name]
-        if (m.nrows, m.ncols) != (dims[a.target], dims[a.source]):
-            raise AlgebraError(
-                f"matrix for {name!r} has shape {m.nrows}x{m.ncols}, "
-                f"expected {dims[a.target]}x{dims[a.source]}")
-        result = m if result is None else mat_mul(field, result, m)
-    return result
-
-
-def evaluate_relation(field, quiver: Quiver, dims: Dict[str, int],
-                      matrices: Dict[str, Mat], rel: Relation) -> Mat:
-    src, tgt = rel.endpoints(quiver)
-    acc = zeros(field, dims[tgt], dims[src])
-    for coeff, path in rel.terms:
-        val = evaluate_path(field, quiver, dims, matrices, path)
-        acc = mat_add(field, acc, mat_scale(field, field.from_fraction(coeff), val))
-    return acc
 
 
 # ---------------------------------------------------------------------------

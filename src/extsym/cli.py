@@ -328,13 +328,13 @@ def verify_f2(algebra_file, module_files, catalog_file, simples_arg,
 @json_opt
 def selftest(as_json):
     """Quick internal sanity run (interpolation, ext dims, one identity)."""
-    from .counting import CountSeries
-    from .euler import interpolate_euler
+    from .euler import euler_of
     from . import instances as inst
     results = []
     try:
-        ev = interpolate_euler(CountSeries("line", ((2, 3), (3, 4), (5, 6)), 1))
-        results.append(("projective line chi = 2", ev.value == 2))
+        line = euler_of("projective line", lambda q, keys: {"points": q + 1},
+                        {"points": 1}, (2, 3, 5))["points"]
+        results.append(("projective line chi = 2", line.value == 2))
         alg = inst.a2_preprojective()
         mods = inst.a2_modules(alg)
         results.append(("ext dims doubled arrow",

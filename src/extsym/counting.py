@@ -29,25 +29,6 @@ class CountError(ValueError):
     pass
 
 
-class CountSeries:
-    """Point counts of one family over several primes."""
-
-    __slots__ = ("label", "samples", "degree_bound")
-
-    def __init__(self, label: str, samples: Tuple[Tuple[int, int], ...],
-                 degree_bound: int):
-        qs = [q for q, _ in samples]
-        if len(set(qs)) != len(qs):
-            raise CountError("duplicate sample primes")
-        if any(c < 0 for _, c in samples):
-            raise CountError("negative count")
-        if degree_bound < 0:
-            raise CountError(f"negative degree bound {degree_bound}")
-        self.label = label
-        self.samples = samples        # (prime, count)
-        self.degree_bound = degree_bound
-
-
 def _prime(field, what: str) -> int:
     """The characteristic of a prime field; a ``CountError`` over Q."""
     if not field.char:
@@ -395,7 +376,7 @@ def stratify_ext_classes(m: RepModule, n: RepModule,
             names.setdefault(_module_class(c)[0], lab)
     for line in enumerate_subspaces(space.dim, 1, q):
         label = names.get(
-            _module_class(middle_term(space, line.mat.rows[0])[0])[0])
+            _module_class(middle_term(space, line.mat.rows[0]))[0])
         if label is None:
             raise CountError(
                 f"catalog incomplete: no entry matches a middle term with "

@@ -114,7 +114,6 @@ def delta_signature(m_rat: RepModule, mode: str,
     tuple(s.key() for s in simples) if mode == "flag" else None,
     tuple(primes) if primes is not None else None))
 def _signature(m_rat, mode, simples, label, primes):
-    # one screen for every slot: each takes the first bound + 2 primes
     if mode != "flag":
         slots = all_dim_vectors(m_rat.dims)
     else:
@@ -125,11 +124,8 @@ def _signature(m_rat, mode, simples, label, primes):
                 f"{label or 'module'} of dimension vector {m_rat.dims} has "
                 f"no flag type: no sequence of the simples' dimension "
                 f"vectors ({vecs}) sums to it")
-    bounds = [_slot_bound(m_rat, mode, slot) for slot in slots]
-    ps = _screen(m_rat, mode, simples, max(bounds, default=0), primes)
     return DeltaSignature(label, mode, tuple(
-        (slot, _evaluate(m_rat, mode, slot, simples, label, bound, ps))
-        for slot, bound in zip(slots, bounds)))
+        _fit(m_rat, mode, slots, simples, label, primes).items()))
 
 
 def slot_value(m_rat: RepModule, mode: str, slot: Sequence[int],
@@ -140,36 +136,33 @@ def slot_value(m_rat: RepModule, mode: str, slot: Sequence[int],
     submodules of one dimension vector (grassmann mode), counted at
     primes screened for this slot's degree bound alone."""
     slot = tuple(slot)
-    bound = _slot_bound(m_rat, mode, slot)
-    ps = _screen(m_rat, mode, simples, bound, primes)
-    return _evaluate(m_rat, mode, slot, simples, "", bound, ps)
+    return _fit(m_rat, mode, [slot], simples, "", primes)[slot]
 
 
-def _slot_bound(m_rat, mode, slot) -> int:
+def _fit(m_rat, mode, slots, simples, label,
+         primes) -> Dict[tuple, EulerValue]:
+    """Euler characteristic of each slot, in order.  The primes are
+    screened once for the largest slot bound, with the simples as
+    auxiliary modules in flag mode; each slot is fitted on the first
+    bound + 2 of them."""
     if mode == "flag":
-        return flag_degree_bound(m_rat.dims)
-    if mode == "grassmann":
-        return grassmannian_degree_bound(m_rat.dims, slot)
-    raise DeltaError(f"unknown signature mode {mode!r}")
+        bounds = dict.fromkeys(slots, flag_degree_bound(m_rat.dims))
+    elif mode == "grassmann":
+        bounds = {e: grassmannian_degree_bound(m_rat.dims, e) for e in slots}
+    else:
+        raise DeltaError(f"unknown signature mode {mode!r}")
+    ps = select_primes(m_rat, zero_module(m_rat.algebra, m_rat.field),
+                       simples if mode == "flag" else (),
+                       max(bounds.values()) + 2, primes)
 
-
-def _screen(m_rat, mode, simples, bound, primes):
-    """The first bound + 2 primes good for the module, with the simples as
-    auxiliary modules in flag mode."""
-    return select_primes(m_rat, zero_module(m_rat.algebra, m_rat.field),
-                         simples if mode == "flag" else (), bound + 2,
-                         primes)
-
-
-def _evaluate(m_rat, mode, slot, simples, label, bound, primes):
-    def counter(p):
+    def counter(p, keys):
+        m = reduce_module(m_rat, p)
         if mode == "grassmann":
-            return count_grassmannian(reduce_module(m_rat, p), slot)
-        return count_flags(reduce_module(m_rat, p), slot,
-                           [reduce_module(s, p) for s in simples])
+            return {e: count_grassmannian(m, e) for e in keys}
+        ss = [reduce_module(s, p) for s in simples]
+        return {j: count_flags(m, j, ss) for j in keys}
     what = "chains" if mode == "flag" else "submodules"
-    return euler_of(f"{label or 'module'} {what} {slot}", counter, bound,
-                    primes)
+    return euler_of(f"{label or 'module'} {what}", counter, bounds, ps)
 
 
 def convolve(mode: str, a: Dict[tuple, int],

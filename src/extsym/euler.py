@@ -4,15 +4,17 @@ The counted sets have point counts over GF(p) agreeing with an integer
 polynomial in q of known degree bound.  We sample at degree bound + 2
 primes, fit the polynomial exactly over the rationals to all but the last
 sample, cross-check the last one against it, and evaluate at q = 1.
+Every value is fitted by ``euler_of``, one table of counts at a time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
-from .counting import CountSeries, good_prime
+from .counting import good_prime
 from .fields import _is_prime
 
 
@@ -23,14 +25,6 @@ class EulerError(ValueError):
 # The largest prime that automatic selection scans to and that a caller
 # may supply: primality is tested by trial division.
 PRIME_LIMIT = 10000
-
-
-def primes_from(start: int = 2) -> Iterator[int]:
-    n = max(2, start)
-    while True:
-        if _is_prime(n):
-            yield n
-        n += 1
 
 
 def polynomial_coeffs(samples: Sequence[Tuple[int, int]]) -> Tuple[Fraction, ...]:
@@ -78,46 +72,66 @@ class EulerValue:
                 "samples": [list(s) for s in self.samples]}
 
 
-def interpolate_euler(series: CountSeries) -> EulerValue:
-    """Fit the count polynomial of a series once and evaluate at q = 1.
+def interpolate_euler(label: str, samples: Sequence[Tuple[int, int]],
+                      degree_bound: int) -> EulerValue:
+    """Fit the count polynomial of (prime, count) samples once and
+    evaluate at q = 1.
 
-    Needs degree_bound + 2 samples: the first degree_bound + 1 fix the
-    coefficients, the surplus ones are checked against them, and the
-    value at 1 is their sum.  Raises EulerError when a check fails or the
-    value at 1 is not an integer.
+    Needs degree_bound + 2 samples at distinct primes: the first
+    degree_bound + 1 fix the coefficients, the surplus ones are checked
+    against them, and the value at 1 is their sum.  Raises EulerError on a
+    repeated prime, a negative count or a negative bound, when a check
+    fails or when the value at 1 is not an integer.
     """
-    need = series.degree_bound + 2
-    if len(series.samples) < need:
+    samples = tuple(samples)
+    if len({q for q, _ in samples}) != len(samples):
+        raise EulerError(f"{label}: duplicate sample primes")
+    if any(c < 0 for _, c in samples):
+        raise EulerError(f"{label}: negative count")
+    if degree_bound < 0:
+        raise EulerError(f"{label}: negative degree bound {degree_bound}")
+    need = degree_bound + 2
+    if len(samples) < need:
         raise EulerError(
-            f"{series.label}: need {need} samples for degree bound "
-            f"{series.degree_bound}, got {len(series.samples)}")
-    coeffs = polynomial_coeffs(series.samples[:series.degree_bound + 1])
-    for q, cnt in series.samples[series.degree_bound + 1:]:
+            f"{label}: need {need} samples for degree bound "
+            f"{degree_bound}, got {len(samples)}")
+    coeffs = polynomial_coeffs(samples[:degree_bound + 1])
+    for q, cnt in samples[degree_bound + 1:]:
         predicted = Fraction(0)
         for c in reversed(coeffs):
             predicted = predicted * q + c
         if predicted != cnt:
             raise EulerError(
-                f"{series.label}: count at q={q} is {cnt}, interpolation "
-                f"predicts {predicted}; degree bound {series.degree_bound} "
+                f"{label}: count at q={q} is {cnt}, interpolation "
+                f"predicts {predicted}; degree bound {degree_bound} "
                 f"violated or a bad prime slipped through")
     val = sum(coeffs)
     if val.denominator != 1:
         raise EulerError(
-            f"{series.label}: value at q=1 is non-integral: {val}")
-    return EulerValue(int(val), coeffs, series.samples,
-                      series.degree_bound, "verified")
+            f"{label}: value at q=1 is non-integral: {val}")
+    return EulerValue(int(val), coeffs, samples, degree_bound, "verified")
 
 
-def euler_of(label: str, counter: Callable[[int], int], degree_bound: int,
-             primes: Sequence[int]) -> EulerValue:
-    """Count at the first degree bound + 2 primes and interpolate."""
-    need = degree_bound + 2
+def euler_of(label: str, counter: Callable[[int, List], Mapping],
+             bounds: Mapping[Hashable, int],
+             primes: Sequence[int]) -> Dict[Hashable, EulerValue]:
+    """Euler characteristic of every key of a table of point counts.
+
+    ``bounds`` maps each key to its degree bound, and key k is fitted on
+    the first bounds[k] + 2 primes.  ``counter(p, keys)`` is called at
+    each of those primes in turn with the keys that still need p, and
+    returns a mapping that holds their counts at p.  Key k is labelled
+    "label k" in errors.
+    """
+    need = max(bounds.values(), default=-2) + 2
     if len(primes) < need:
         raise EulerError(
             f"{label}: need {need} primes, got {len(primes)}")
-    return interpolate_euler(CountSeries(
-        label, tuple((p, counter(p)) for p in primes[:need]), degree_bound))
+    tables = [counter(primes[i], [k for k, b in bounds.items() if i < b + 2])
+              for i in range(need)]
+    return {k: interpolate_euler(f"{label} {k}", tuple(
+        (p, t[k]) for p, t in zip(primes, tables[:b + 2])), b)
+        for k, b in bounds.items()}
 
 
 # Standard degree bounds ----------------------------------------------------
@@ -147,19 +161,17 @@ def projective_space_degree_bound(ext_dim: int) -> int:
     return max(ext_dim - 1, 0)
 
 
-def good_primes(pred: Callable[[int], bool], count: int,
-                start: int = 2, limit: int = PRIME_LIMIT) -> List[int]:
-    """First ``count`` primes satisfying a screening predicate."""
+def good_primes(pred: Callable[[int], bool], count: int) -> List[int]:
+    """First ``count`` primes up to ``PRIME_LIMIT`` satisfying a screening
+    predicate."""
     out = []
-    for p in primes_from(start):
-        if p > limit:
-            raise EulerError(
-                f"could not find {count} usable primes below {limit}")
-        if pred(p):
+    for p in range(2, PRIME_LIMIT + 1):
+        if _is_prime(p) and pred(p):
             out.append(p)
             if len(out) == count:
                 return out
-    raise EulerError("prime stream exhausted")
+    raise EulerError(
+        f"could not find {count} usable primes below {PRIME_LIMIT}")
 
 
 def select_primes(m, n, extra: Sequence, count: int,

@@ -19,10 +19,10 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from . import memo
-from .linalg import (Mat, Subspace, coords_in, identity, kernel_basis,
-                     mat_mul, mat_vec, normalised, quotient_projection, rref,
-                     span, transpose)
-from .modules import RepModule, _hom_system, check_module
+from .linalg import (Mat, Subspace, coords_in, kernel_basis, mat_mul,
+                     mat_vec, normalised, quotient_projection, rref, span,
+                     transpose)
+from .modules import RepModule, _hom_system, _path_matrix, check_module
 
 
 class ExtError(ValueError):
@@ -54,17 +54,6 @@ def _pack_tuple(mats):
     """Tuple coordinates of arrow matrices: the layout's blocks follow
     each other in arrow order, so the entries concatenate row by row."""
     return tuple(x for m in mats for row in m.rows for x in row)
-
-
-def _path_matrix(field, m: RepModule, names, n: int) -> Mat:
-    """m_{a1} ... m_{ak} for arrow names a1..ak; the n x n identity when
-    there are none."""
-    if not names:
-        return identity(field, n)
-    acc = m.mat(names[0])
-    for nm in names[1:]:
-        acc = mat_mul(field, acc, m.mat(nm))
-    return acc
 
 
 def ext1_equations(x: RepModule, y: RepModule) -> Mat:
@@ -108,7 +97,7 @@ def ext1_equations(x: RepModule, y: RepModule) -> Mat:
 
 
 class ExtSpace:
-    """D(X, Y) with its trivial part and a deterministic complement.
+    """D(X, Y) with a deterministic complement of its trivial part.
 
     All bases are rows in tuple coordinates; ``compl`` identifies
     Ext^1(X, Y).  The D-coordinates of a tuple in D(X, Y) are its entries
@@ -116,17 +105,16 @@ class ExtSpace:
     class coordinates.
     """
 
-    __slots__ = ("x", "y", "d_basis", "d_pivots", "trivial", "compl",
-                 "readout", "layout", "total")
+    __slots__ = ("x", "y", "d_basis", "d_pivots", "compl", "readout",
+                 "layout", "total")
 
     def __init__(self, x: RepModule, y: RepModule, d_basis: Mat,
-                 d_pivots: tuple, trivial: Mat, compl: Mat, readout: Mat,
-                 layout: tuple, total: int):
+                 d_pivots: tuple, compl: Mat, readout: Mat, layout: tuple,
+                 total: int):
         self.x = x
         self.y = y
         self.d_basis = d_basis    # RREF basis of D(X, Y)
         self.d_pivots = d_pivots  # pivots of d_basis
-        self.trivial = trivial    # RREF basis of Ker pi (image of Hom map)
         self.compl = compl        # complement: rows of d_basis not absorbed
         self.readout = readout    # D-coordinates -> class coordinates
         self.layout = layout
@@ -177,7 +165,7 @@ def ext1_space(x: RepModule, y: RepModule) -> ExtSpace:
     compl = Mat(tuple(r for j, r in enumerate(d_basis.rows)
                       if j not in triv.pivots),
                 d_basis.nrows - triv.dim, total)
-    return ExtSpace(x, y, d_basis, d_pivots, trivial, compl,
+    return ExtSpace(x, y, d_basis, d_pivots, compl,
                     quotient_projection(field, triv), tuple(layout), total)
 
 
@@ -189,8 +177,8 @@ def ext_dim(x: RepModule, y: RepModule) -> int:
 # Middle terms
 
 
-def middle_term(space: ExtSpace, coords: Sequence):
-    """Module L of the class, with inclusion Y -> L and projection L -> X.
+def middle_term(space: ExtSpace, coords: Sequence) -> RepModule:
+    """Module L of the class 0 -> Y -> L -> X -> 0.
 
     Per-vertex basis order: Y coordinates first, then X.
     """
@@ -213,18 +201,7 @@ def middle_term(space: ExtSpace, coords: Sequence):
             rows.append(tuple(field.zero for _ in range(y.dims[s]))
                         + tuple(xa.rows[i]))
         mats[arr.name] = Mat(tuple(rows), dims[arr.target], dims[arr.source])
-    L = check_module(x.algebra, field, dims, mats)
-    incl = []
-    proj = []
-    for i in range(len(q.vertices)):
-        dy, dx = y.dims[i], x.dims[i]
-        incl.append(Mat(tuple(tuple(field.one if r == c else field.zero
-                                    for c in range(dy))
-                              for r in range(dy + dx)), dy + dx, dy))
-        proj.append(Mat(tuple(tuple(field.one if c == dy + r else field.zero
-                                    for c in range(dy + dx))
-                              for r in range(dx)), dx, dy + dx))
-    return L, tuple(incl), tuple(proj)
+    return check_module(x.algebra, field, dims, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -117,21 +117,6 @@ def mat_mul(field, a: Mat, b: Mat) -> Mat:
     return normalised(field, out, m)
 
 
-def mat_add(field, a: Mat, b: Mat) -> Mat:
-    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-        raise LinAlgError("shape mismatch in add")
-    p = field.char
-    return Mat(tuple(tuple((x + y) % p if p else x + y
-                           for x, y in zip(ra, rb))
-                     for ra, rb in zip(a.rows, b.rows)), a.nrows, a.ncols)
-
-
-def mat_scale(field, c, a: Mat) -> Mat:
-    p = field.char
-    return Mat(tuple(tuple(c * x % p if p else c * x for x in r)
-                     for r in a.rows), a.nrows, a.ncols)
-
-
 def mat_vec(field, a: Mat, v: Sequence) -> tuple:
     if a.ncols != len(v):
         raise LinAlgError("shape mismatch in mat_vec")

@@ -13,11 +13,11 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from . import memo
-from .algebra import AlgebraPresentation, evaluate_relation
+from .algebra import AlgebraPresentation
 from .fields import GF, QQ
-from .linalg import (Mat, Subspace, coords_in, kernel_basis, mat_from_fractions,
-                     mat_mul, mat_vec, normalised, quotient_projection, rank,
-                     span, zeros)
+from .linalg import (Mat, Subspace, coords_in, identity, kernel_basis,
+                     mat_from_fractions, mat_mul, mat_vec, normalised,
+                     quotient_projection, rank, span, zeros)
 
 
 class ModuleError(ValueError):
@@ -84,9 +84,22 @@ class RepModule:
         return cached
 
 
+def _path_matrix(field, m: RepModule, names, n: int) -> Mat:
+    """m_{a1} ... m_{ak} for arrow names a1..ak; the n x n identity when
+    there are none."""
+    if not names:
+        return identity(field, n)
+    acc = m.mat(names[0])
+    for nm in names[1:]:
+        acc = mat_mul(field, acc, m.mat(nm))
+    return acc
+
+
 def check_module(algebra: AlgebraPresentation, field, dims: Dict[str, int],
                  matrices: Dict[str, Mat]) -> RepModule:
-    """Validate shapes and all relation residues; return the module."""
+    """Validate shapes and all relation residues; return the module.  A
+    residue is the sum of coeff * x_p over the relation's terms, each
+    path product read by ``_path_matrix``."""
     q = algebra.quiver
     dim_list = []
     for v in q.vertices:
@@ -105,16 +118,21 @@ def check_module(algebra: AlgebraPresentation, field, dims: Dict[str, int],
                 f"matrix for arrow {a.name!r}: shape {m.nrows}x{m.ncols}, "
                 f"expected {want[0]}x{want[1]}")
         mat_list.append(m)
-    mdict = {a.name: m for a, m in zip(q.arrows, mat_list)}
-    ddict = dict(zip(q.vertices, dim_list))
+    mod = RepModule(algebra, field, tuple(dim_list), tuple(mat_list))
     for idx, rel in enumerate(algebra.relations):
-        residue = evaluate_relation(field, q, ddict, mdict, rel)
-        for i, row in enumerate(residue.rows):
+        src, tgt = rel.endpoints(q)
+        nr, nc = mod.dim(tgt), mod.dim(src)
+        terms = [(field.from_fraction(coeff),
+                  _path_matrix(field, mod, path.arrows, nr).rows)
+                 for coeff, path in rel.terms]
+        residue = [[sum(c * x[i][j] for c, x in terms) for j in range(nc)]
+                   for i in range(nr)]
+        for i, row in enumerate(normalised(field, residue, nc).rows):
             for j, x in enumerate(row):
                 if x:
                     raise ModuleError(
                         f"relation {idx} violated: residue[{i}][{j}] = {x}")
-    return RepModule(algebra, field, tuple(dim_list), tuple(mat_list))
+    return mod
 
 
 def module_from_fractions(algebra: AlgebraPresentation, field,

@@ -12,12 +12,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import memo
-from .counting import (CountError, CountSeries, _named_sums, count_efg,
-                       named_summands, stratify_ext_classes)
+from .counting import (CountError, _named_sums, count_efg, named_summands,
+                       stratify_ext_classes)
 from .delta import (all_dim_vectors, convolve, enumerate_flag_types,
                     evaluation_form, stratify_by_signature)
-from .euler import (interpolate_euler, projective_space_degree_bound,
-                    select_primes)
+from .euler import euler_of, projective_space_degree_bound, select_primes
 from .ext import ext_dim, ext_symmetry_audit
 from .modules import (RepModule, composition_series, named_indecomposables,
                       reduce_catalog, reduce_module)
@@ -100,20 +99,6 @@ def _advisory_symmetry(m, n, simples, allow_asymmetric: bool) -> bool:
     return report.passed
 
 
-def _fit_tables(label, counter, bound, primes) -> Dict:
-    """Euler characteristic of every key of a table of point counts,
-    counted once per prime (``counter(p)``, the same keys at each) at the
-    first bound + 2 primes and fitted key by key at one degree bound."""
-    use = primes[:bound + 2]
-    tables = [counter(p) for p in use]
-    out = {}
-    for key in tables[0]:
-        samples = tuple((p, t[key]) for p, t in zip(use, tables))
-        out[key] = interpolate_euler(
-            CountSeries(f"{label} {key}", samples, bound)).value
-    return out
-
-
 def _strata_chi(m, n, catalog, primes, direction_label) -> Dict[str, int]:
     """chi of each middle-term stratum of the projectivized extension
     space, per catalog entry of the middle term's dimension vector (zero
@@ -187,18 +172,26 @@ def _line_strata(x: RepModule, y: RepModule, targets, primes,
     The lines are matched by ``stratify_ext_classes`` against the targets,
     at primes screened for (X, Y) and the targets.  A stratum without
     points at any of the primes is left out."""
-    bound = projective_space_degree_bound(ext_dim(x, y))
+    dim = ext_dim(x, y)
+    bound = projective_space_degree_bound(dim)
     ps = select_primes(x, y, list(targets.values()), bound + 2, primes)
+    if dim and not targets:
+        # an empty table is fitted without a count: refuse it here, as
+        # stratify_ext_classes refuses a line that no target matches
+        d = tuple(a + b for a, b in zip(x.dims, y.dims))
+        raise CountError(
+            f"catalog incomplete: no entry matches a middle term with "
+            f"dimension vector {d}, or an isomorphism test was undecidable")
     seen = set()
 
-    def counter(p):
+    def counter(p, keys):
         counts = stratify_ext_classes(reduce_module(x, p),
                                       reduce_module(y, p),
                                       reduce_catalog(targets, p))
         seen.update(k for k, v in counts.items() if v)
         return counts
-    chi = _fit_tables(label, counter, bound, ps)
-    return {k: v for k, v in chi.items() if k in seen}
+    chi = euler_of(label, counter, dict.fromkeys(targets, bound), ps)
+    return {k: v.value for k, v in chi.items() if k in seen}
 
 
 def _details(catalog) -> Dict[str, object]:
@@ -326,16 +319,17 @@ def verify_formula1(m: RepModule, n: RepModule,
     # vanishes with Ext(N, M), whose classes it counts
     lhs_gr = convolve("grassmann", submodules(m, "first module"),
                       submodules(n, "second module")) if dim_e else {}
-    efg = _fit_tables(
+    slots = all_dim_vectors(d)
+    efg = euler_of(
         "correction",
-        lambda p: count_efg([reduce_module(x, p) for x in n_parts],
-                            [reduce_module(x, p) for x in m_parts]),
-        efg_bound, ps) if dim_nm else {}
+        lambda p, keys: count_efg([reduce_module(x, p) for x in n_parts],
+                                  [reduce_module(x, p) for x in m_parts]),
+        dict.fromkeys(slots, efg_bound), ps) if dim_nm else {}
     rows = []
     efg_table: Dict[str, int] = {}
-    for e in all_dim_vectors(d):
+    for e in slots:
         lhs = dim_e * lhs_gr.get(e, 0)
-        efg_table[str(e)] = efg.get(e, 0)
+        efg_table[str(e)] = efg[e].value if dim_nm else 0
         rhs = sum(c1 * gr[e] for c1, gr in class_chi) + efg_table[str(e)]
         rows.append((e, lhs, rhs))
 

@@ -5,10 +5,11 @@ plain lists and Fractions (or ints mod p), without importing the
 package's linear algebra, so the test suite can cross-check the library
 against a second, slower computation of the same quantities.  The last
 three sections keep a linear solve, the base change and submodule
-witnesses that tests build modules with; the correction count that
-enumerates every submodule pair, the reference for the library's count on
-block pairs; and the maps of the dimension lemma a + b = dim Ext^1(M, N),
-beta' and the flag maps, the reference of the lemma tests.
+witnesses that tests build modules with, and the fit of a single count;
+the correction count that enumerates every submodule pair, the
+reference for the library's count on block pairs; and the maps of the
+dimension lemma a + b = dim Ext^1(M, N), beta' and the flag maps, the
+reference of the lemma tests.
 """
 
 from __future__ import annotations
@@ -285,8 +286,8 @@ def count_extension_tuples(xdims, ydims, arrows, relations, p):
 
 
 # ---------------------------------------------------------------------------
-# A linear solve, base change and submodule witnesses, on the package's
-# linear algebra.
+# A linear solve, base change, submodule witnesses and the fit of a single
+# count, on the package's linear algebra and fitter.
 
 
 def mat_inv(field, a):
@@ -346,6 +347,14 @@ def witness_from_rows(m, rows_by_vertex):
     from extsym.linalg import span
     return tuple(span(m.field, rows, m.dims[i])
                  for i, rows in enumerate(rows_by_vertex))
+
+
+def fit_count(label, counter, bound, primes):
+    """The Euler characteristic of one count ``counter(q)`` of the given
+    degree bound: ``euler.euler_of`` on a table of one key."""
+    from extsym.euler import euler_of
+    return euler_of(label, lambda q, keys: {"count": counter(q)},
+                    {"count": bound}, primes)["count"]
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +423,10 @@ def efg_degree_bound(m_dims, n_dims, ext_nm_dim):
 def _transport(x, y, x2, y2, maps, side, sign=1):
     """sign times the transport from Ext^1(x, y) to Ext^1(x2, y2)."""
     from extsym.ext import ext1_space, transport_matrix
-    from extsym.linalg import mat_scale
-    return mat_scale(x.field, sign, transport_matrix(
-        ext1_space(x, y), ext1_space(x2, y2), maps, side))
+    from extsym.linalg import normalised
+    t = transport_matrix(ext1_space(x, y), ext1_space(x2, y2), maps, side)
+    return normalised(x.field, [[sign * v for v in r] for r in t.rows],
+                      t.ncols)
 
 
 def kernel_projection_dim(field, matrix, first_block):

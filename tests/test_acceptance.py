@@ -17,9 +17,8 @@ from extsym.counting import (count_flags, count_grassmannian,
 from extsym.delta import check_delta_multiplicativity
 from extsym.ext import (beta_map, ext1_space, ext_dim, ext_symmetry_audit,
                         middle_term, pushed_kernel_dim)
-from extsym.euler import (EulerError, euler_of, interpolate_euler,
+from extsym.euler import (EulerError, interpolate_euler,
                           projective_space_degree_bound)
-from extsym.counting import CountSeries
 from extsym.fields import RATIONALS
 from extsym.instances import (a2_catalog, a2_modules, a2_preprojective,
                               a2_sums)
@@ -30,7 +29,7 @@ from extsym.verify import (VerifyError, run_audit_suite, verify_formula1,
                            verify_formula2)
 
 from oracle import (conjugate, count_efg_pairs, efg_degree_bound,
-                    lemma_dims, witness_from_rows)
+                    fit_count, lemma_dims, witness_from_rows)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "worked_instance.json")
@@ -112,10 +111,10 @@ def test_2_symmetry_audits_across_instances(a2, two_loop, three_vertex):
         # the doubled edge, total dimension <= 3
         alg3, s = three_vertex
         s2, s3 = s["S2"], s["S3"]
-        l23, _, _ = middle_term(ext1_space(s2, s3),
-                                (ext1_space(s2, s3).field.one,))
-        l32, _, _ = middle_term(ext1_space(s3, s2),
-                                (ext1_space(s3, s2).field.one,))
+        l23 = middle_term(ext1_space(s2, s3),
+                          (ext1_space(s2, s3).field.one,))
+        l32 = middle_term(ext1_space(s3, s2),
+                          (ext1_space(s3, s2).field.one,))
         bricks = [s2, s3, l23, l32]
         members = []
         for r in range(1, 4):
@@ -134,19 +133,19 @@ def test_3_euler_engine_classical_values():
     import math
     with Budget(5):
         for n in range(5):
-            ev = euler_of(
+            ev = fit_count(
                 f"proj{n}", lambda q, n=n: (q ** (n + 1) - 1) // (q - 1),
                 projective_space_degree_bound(n + 1), PRIMES)
             assert ev.value == n + 1
         for n in range(1, 5):
-            assert euler_of(f"aff{n}", lambda q, n=n: q ** n, n,
-                            PRIMES).value == 1
+            assert fit_count(f"aff{n}", lambda q, n=n: q ** n, n,
+                             PRIMES).value == 1
         alg = a2_preprojective()
         mods = a2_modules(alg)
         for d in range(1, 5):
             big = direct_sum_many(alg, RATIONALS, [mods["S1"]] * d)
             for k in range(d + 1):
-                ev = euler_of(
+                ev = fit_count(
                     f"gr{d},{k}",
                     lambda q, k=k: count_grassmannian(reduce_module(big, q),
                                                       (k, 0)),
@@ -331,14 +330,14 @@ def test_7_consistency_check_catches_corruption(a2):
     alg, mods = a2
 
     # a clean series passes and reports the consistency verdict
-    good = euler_of("clean", lambda q: q + 1, 1, PRIMES)
+    good = fit_count("clean", lambda q: q + 1, 1, PRIMES)
     assert good.consistency == "verified"
 
     # corrupt one sample of the same series: detected
     samples = [(q, q + 1) for q in PRIMES[:4]]
     samples[-1] = (samples[-1][0], samples[-1][1] + 1)
     with pytest.raises(EulerError, match="interpolation predicts"):
-        interpolate_euler(CountSeries("corrupted", tuple(samples), 1))
+        interpolate_euler("corrupted", samples, 1)
 
     # corrupting a prime-field count inside the pipeline is also caught:
     # lie about the submodule count at the largest prime
@@ -349,7 +348,7 @@ def test_7_consistency_check_catches_corruption(a2):
         return true + (1 if q >= 7 else 0)
 
     with pytest.raises(EulerError):
-        euler_of("lying", lying_counter, 2, [2, 3, 5, 7, 11])
+        fit_count("lying", lying_counter, 2, [2, 3, 5, 7, 11])
 
 
 def test_10_dimension_six_pair_within_budget(a2):
@@ -397,12 +396,12 @@ def test_11_correction_row_degree_bound(a2):
 
         assert row(2) == count_efg_pairs(reduce_module(n, 2),
                                          reduce_module(m, 2))[(1, 1)]
-        ev = euler_of("correction (1, 1)", row, 6, PRIMES)
+        ev = fit_count("correction (1, 1)", row, 6, PRIMES)
         assert ev.value == 12
         assert len(ev.coeffs) - 1 == 5
         with pytest.raises(EulerError, match="count at q=13 is 435540, "
                                              "interpolation predicts 424980"):
-            interpolate_euler(CountSeries("old bound", ev.samples[:6], 4))
+            interpolate_euler("old bound", ev.samples[:6], 4)
 
 
 def test_13_dimension_six_symmetric_identity_within_budget(a2):

@@ -433,6 +433,9 @@ class TestVerify:
         ("no P1", "catalog incomplete: no entry matches a middle term with "
                   "dimension vector (1, 1), or an isomorphism test was "
                   "undecidable"),
+        ("plain, no (1, 1)", "catalog incomplete: no entry matches a "
+                             "middle term with dimension vector (1, 1), or "
+                             "an isomorphism test was undecidable"),
         ("twin", "catalog entries S1+S2 and S2+S1 are both the direct sum "
                  "S1+S2 of named indecomposables")])
     def test_named_catalog_refused(self, files, tmp_path, which, change,
@@ -444,6 +447,8 @@ class TestVerify:
         if change == "no P1":
             cat = Catalog({k: c for k, c in full.items() if k != "P1"},
                           ("S1", "S2", "P2"))
+        elif change == "plain, no (1, 1)":
+            cat = {k: full[k] for k in ("S1", "S2")}
         else:
             mods = a2_modules(alg)
             cat = Catalog({**full, "S2+S1": direct_sum(mods["S2"],

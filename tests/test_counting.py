@@ -11,7 +11,7 @@ import pytest
 
 from extsym import counting, memo
 from extsym.algebra import AlgebraPresentation, make_quiver
-from extsym.counting import (CountError, CountSeries, count_efg, count_flags,
+from extsym.counting import (CountError, count_efg, count_flags,
                              count_grassmannian, good_prime,
                              good_prime_for_pairs, iter_submodules,
                              stratify_ext_classes)
@@ -144,7 +144,7 @@ def _walk_families(a2):
                     for i in range(space.dim):
                         coords = [space.field.zero] * space.dim
                         coords[i] = space.field.one
-                        out.append(middle_term(space, coords)[0])
+                        out.append(middle_term(space, coords))
         return out
 
     length2 = extended_by_simples(simples)
@@ -519,7 +519,7 @@ class TestFlagsByClass:
             for i in range(space.dim):
                 coords = [space.field.zero] * space.dim
                 coords[i] = space.field.one
-                bricks.append(middle_term(space, coords)[0])
+                bricks.append(middle_term(space, coords))
         assert len(bricks) > len(simples)
         sums = [direct_sum_many(alg, RATIONALS, list(combo))
                 for r in range(1, 5)
@@ -737,7 +737,7 @@ class TestStrataAgainstBruteForce:
         keys = {c.key() for c in cat.values()}
         as_entries = 0
         for line in lines:
-            mid = middle_term(space, line)[0]
+            mid = middle_term(space, line)
             as_entries += mid.key() in keys
             counts[next(lab for lab in counts if modules_isomorphic_bruteforce(
                 list(dims), _arrow_data(mid), _arrow_data(cat[lab]), p))] += 1
@@ -869,6 +869,18 @@ class TestHomRankStrata:
                 verify(mods["S1"], mods["S2"], [mods["S1"], mods["S2"]],
                        twin)
 
+    def test_plain_catalog_without_middle_terms_refused(self, a2):
+        """A plain catalog with no entry of the middle terms' dimension
+        vector leaves every line of Ext^1(S1, S2) unmatched."""
+        _, mods = a2
+        cat = {lab: mods[lab] for lab in ("S1", "S2")}
+        for verify in (verify_formula2, verify_formula1):
+            with pytest.raises(CountError, match=r"^catalog incomplete: no "
+                               r"entry matches a middle term with dimension "
+                               r"vector \(1, 1\)"):
+                verify(mods["S1"], mods["S2"], [mods["S1"], mods["S2"]],
+                       cat)
+
     def test_first_line_of_a_stratum_confirmed(self, a2, monkeypatch):
         """A line whose middle term is presented otherwise than its entry
         is matched by isomorphism, the first of each stratum included,
@@ -906,7 +918,7 @@ class TestHomRankStrata:
         monkeypatch.setattr(counting, "is_isomorphic", refused)
         assert stratify_ext_classes(m, n, cat)["P1"] == 1
         space = ext1_space(m, n)
-        assert middle_term(space, (1,))[0].key() == cat["P1"].key()
+        assert middle_term(space, (1,)).key() == cat["P1"].key()
 
     def test_unconfirmed_decomposition_refused(self, a2, monkeypatch):
         # P1+S1 is not presented as the direct sum S1+P1 of its named
@@ -1123,10 +1135,10 @@ class TestCorrectionCount:
             ps = select_primes(m, n, [], bound + 2, None)
             tables = [count_efg_pairs(reduce_module(n, p),
                                       reduce_module(m, p)) for p in ps]
-            want = {str(e): interpolate_euler(CountSeries(
-                        f"{a}, {b} at {e}", tuple(
-                            (p, t[e]) for p, t in zip(ps, tables)),
-                        bound)).value for e in tables[0]}
+            want = {str(e): interpolate_euler(
+                        f"{a}, {b} at {e}",
+                        [(p, t[e]) for p, t in zip(ps, tables)],
+                        bound).value for e in tables[0]}
             for c in (cat, dict(cat)):
                 assert verify_formula1(m, n, simples, c).efg == want, (a, b)
 

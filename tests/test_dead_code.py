@@ -2,8 +2,9 @@
 by name in library code or docstrings outside its own definition, a click
 command or group, or exported by ``extsym/__init__.py``.  Every method and
 property of a library class, dunders aside, is read as an attribute by
-library code outside its own definition.  Code that only tests call
-belongs in ``tests/oracle.py``."""
+library code outside its own definition, and so is every ``__slots__``
+entry.  Code and state that only tests read belong in
+``tests/oracle.py``."""
 
 import ast
 import collections
@@ -70,3 +71,22 @@ def test_every_method_is_read():
               and not (fn.name.startswith("__") and fn.name.endswith("__"))
               and reads[fn.name] == _attribute_reads(fn)[fn.name]]
     assert unused == []
+
+
+def _slots(cls):
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    return ()
+
+
+def test_every_slot_is_read():
+    trees = _trees()
+    reads = sum(map(_attribute_reads, trees.values()), collections.Counter())
+    unread = [f"{fname}:{cls.name}.{slot}"
+              for fname, tree in trees.items() for cls in tree.body
+              if isinstance(cls, ast.ClassDef) for slot in _slots(cls)
+              if not reads[slot]]
+    assert unread == []

@@ -13,7 +13,7 @@ from extsym.counting import CountError, count_flags, named_summands
 from extsym.delta import (DeltaError, all_dim_vectors,
                           check_delta_multiplicativity, convolve,
                           delta_signature, enumerate_flag_types,
-                          evaluation_form, stratify_by_signature)
+                          evaluation_form, slot_value, stratify_by_signature)
 from extsym.euler import PRIME_LIMIT, EulerError, select_primes
 from extsym.instances import a2_catalog, a2_sums
 from extsym.modules import (Catalog, ModuleError, direct_sum,
@@ -93,6 +93,20 @@ class TestSignatures:
                               primes=PRIMES)
         # only the zero, the socle line and the whole module are submodules
         assert sig.values() == {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 1}
+
+    @pytest.mark.parametrize("label", ["S1+S1+S1", "S1+S1+P1"])
+    def test_grassmann_slots_equal_slots_fitted_alone(self, a2, label):
+        """The slots of a grassmann form have unequal degree bounds.  Each
+        is fitted on the first bound + 2 primes of the form's screen, so
+        its value, polynomial and samples are those of the slot screened
+        and fitted alone."""
+        alg, _ = a2
+        m = a2_sums(alg, 4)[label]
+        table = delta_signature(m, "grassmann", []).table
+        assert len({ev.degree_bound for _, ev in table}) > 1
+        for slot, ev in table:
+            assert ev.as_dict() == \
+                slot_value(m, "grassmann", slot).as_dict(), slot
 
     def test_unknown_mode(self, a2):
         _, mods = a2

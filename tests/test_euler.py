@@ -7,45 +7,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsym.counting import (CountError, CountSeries, count_flags,
-                             count_grassmannian)
-from extsym.euler import (EulerError, euler_of, flag_degree_bound,
-                          good_primes, grassmannian_degree_bound,
-                          interpolate_euler, polynomial_coeffs, primes_from,
-                          projective_space_degree_bound)
+from extsym.counting import count_flags, count_grassmannian
+from extsym.euler import (PRIME_LIMIT, EulerError, euler_of,
+                          flag_degree_bound, good_primes,
+                          grassmannian_degree_bound, interpolate_euler,
+                          polynomial_coeffs, projective_space_degree_bound)
 from extsym.instances import a2_modules, a2_preprojective
 from extsym.modules import direct_sum_many, reduce_module
 from extsym.fields import RATIONALS
 from extsym.linalg import Mat
 
-from oracle import efg_degree_bound, solve
+from oracle import efg_degree_bound, fit_count, solve
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 class TestInterpolation:
     def test_linear_example(self):
-        s = CountSeries("line", ((2, 3), (3, 4), (5, 6)), 1)
-        ev = interpolate_euler(s)
+        ev = interpolate_euler("line", ((2, 3), (3, 4), (5, 6)), 1)
         assert ev.value == 2
         assert ev.coeffs == (Fraction(1), Fraction(1))
         assert ev.consistency == "verified"
 
     def test_too_few_samples(self):
         with pytest.raises(EulerError, match="need 3 samples"):
-            interpolate_euler(CountSeries("short", ((2, 3), (3, 4)), 1))
+            interpolate_euler("short", ((2, 3), (3, 4)), 1)
 
     def test_corrupted_sample_detected(self):
         # q + 1 at q = 2, 3 but the surplus check value is off by one
-        s = CountSeries("bad", ((2, 3), (3, 4), (5, 7)), 1)
         with pytest.raises(EulerError, match="interpolation predicts"):
-            interpolate_euler(s)
+            interpolate_euler("bad", ((2, 3), (3, 4), (5, 7)), 1)
 
     def test_degree_bound_violation_detected(self):
         # samples of q^2 with a claimed degree bound of 1
-        s = CountSeries("quad", ((2, 4), (3, 9), (5, 25)), 1)
         with pytest.raises(EulerError):
-            interpolate_euler(s)
+            interpolate_euler("quad", ((2, 4), (3, 9), (5, 25)), 1)
 
     @given(st.lists(st.integers(min_value=0, max_value=9),
                     min_size=1, max_size=4))
@@ -56,7 +52,7 @@ class TestInterpolation:
 
         deg = len(coeffs) - 1
         samples = tuple((p, poly(p)) for p in PRIMES[:deg + 2])
-        ev = interpolate_euler(CountSeries("rt", samples, deg))
+        ev = interpolate_euler("rt", samples, deg)
         assert ev.value == poly(1)
         got = list(ev.coeffs) + [Fraction(0)] * (len(coeffs) - len(ev.coeffs))
         assert got == [Fraction(c) for c in coeffs]
@@ -93,13 +89,13 @@ class TestGeometricValues:
         def counter(q):
             return (q ** (n + 1) - 1) // (q - 1)
 
-        ev = euler_of(f"P{n}", counter, projective_space_degree_bound(n + 1),
-                      PRIMES)
+        ev = fit_count(f"P{n}", counter,
+                       projective_space_degree_bound(n + 1), PRIMES)
         assert ev.value == n + 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_affine_space(self, n):
-        ev = euler_of(f"A{n}", lambda q: q ** n, n, PRIMES)
+        ev = fit_count(f"A{n}", lambda q: q ** n, n, PRIMES)
         assert ev.value == 1
 
     @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2), (4, 2)])
@@ -112,7 +108,7 @@ class TestGeometricValues:
             return count_grassmannian(reduce_module(big, q), (k, 0))
 
         bound = grassmannian_degree_bound(big.dims, (k, 0))
-        ev = euler_of(f"Gr({k},{d})", counter, bound, PRIMES)
+        ev = fit_count(f"Gr({k},{d})", counter, bound, PRIMES)
         # chi of a Grassmannian is the ordinary binomial coefficient
         assert ev.value == math.comb(d, k)
 
@@ -126,7 +122,7 @@ class TestGeometricValues:
             return count_flags(reduce_module(plane, q), (1, 1),
                                [reduce_module(s, q) for s in simples])
 
-        ev = euler_of("fl", counter, flag_degree_bound(plane.dims), PRIMES)
+        ev = fit_count("fl", counter, flag_degree_bound(plane.dims), PRIMES)
         assert ev.value == 2
 
     @pytest.mark.parametrize("edims", [(2, 0), (0, 1), (1,), (1, 0, 0),
@@ -140,8 +136,40 @@ class TestGeometricValues:
     def test_negative_degree_bound_rejected(self):
         # a negative bound would ask for fewer than two samples and
         # "verify" an interpolation on none
-        with pytest.raises(CountError, match="negative degree bound -20"):
-            CountSeries("empty", (), -20)
+        with pytest.raises(EulerError, match="negative degree bound -20"):
+            interpolate_euler("empty", (), -20)
+        with pytest.raises(EulerError, match="negative degree bound -20"):
+            euler_of("empty", lambda q, keys: {}, {"x": -20}, PRIMES)
+
+
+class TestTableFit:
+    """``euler_of`` fits each key of a table at its own degree bound."""
+
+    def test_each_key_is_counted_at_its_own_primes(self):
+        asked = []
+
+        def counter(q, keys):
+            asked.append((q, tuple(keys)))
+            # a key outside the table is never read: its count would fail
+            return {"a": 1, "b": q * q + 1, "unasked": -1}
+
+        got = euler_of("table", counter, {"a": 0, "b": 2}, PRIMES)
+        assert asked == [(2, ("a", "b")), (3, ("a", "b")), (5, ("b",)),
+                         (7, ("b",))]
+        assert got["a"].samples == ((2, 1), (3, 1))
+        assert got["b"].samples == ((2, 5), (3, 10), (5, 26), (7, 50))
+        assert (got["a"].value, got["b"].value) == (1, 2)
+        assert list(got) == ["a", "b"]
+
+    def test_too_few_primes_for_the_largest_bound(self):
+        with pytest.raises(EulerError, match="table: need 4 primes, got 3"):
+            euler_of("table", lambda q, keys: dict.fromkeys(keys, 1),
+                     {"a": 0, "b": 2}, PRIMES[:3])
+
+    def test_a_failed_key_is_named(self):
+        with pytest.raises(EulerError, match="^table b: count at q=5"):
+            euler_of("table", lambda q, keys: {"a": q + 1, "b": q % 3},
+                     {"a": 1, "b": 1}, PRIMES)
 
 
 class TestCorrectionBound:
@@ -160,14 +188,21 @@ class TestCorrectionBound:
 
 
 class TestPrimeStream:
-    def test_primes_from(self):
-        it = primes_from(10)
-        assert [next(it) for _ in range(4)] == [11, 13, 17, 19]
+    def test_good_primes_scans_every_prime_from_two(self):
+        assert good_primes(lambda p: True, 8) == [2, 3, 5, 7, 11, 13, 17,
+                                                   19]
 
     def test_good_primes_filters(self):
         ps = good_primes(lambda p: p % 3 == 1, 3)
         assert ps == [7, 13, 19]
 
     def test_good_primes_exhaustion(self):
-        with pytest.raises(EulerError):
-            good_primes(lambda p: False, 1, limit=100)
+        scanned = []
+
+        def never(p):
+            scanned.append(p)
+            return False
+        with pytest.raises(EulerError, match=f"below {PRIME_LIMIT}"):
+            good_primes(never, 1)
+        # every prime was tried, up to the largest below the limit
+        assert scanned[:4] == [2, 3, 5, 7] and scanned[-1] == 9973

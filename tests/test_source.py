@@ -1,5 +1,6 @@
-"""Rules on the source text: one F_p code path in the library, and the
-grammar of the oldest Python that ``pyproject.toml`` accepts."""
+"""Rules on the source text: one F_p code path and one fitter of Euler
+characteristics in the library, and the grammar of the oldest Python
+that ``pyproject.toml`` accepts."""
 
 import ast
 import pathlib
@@ -31,6 +32,21 @@ def test_only_linalg_and_fields_reduce_mod_p():
                       for n in ast.walk(top) if _is_mod(n)
                       and (path.name, owner) not in NOT_FIELD_ARITHMETIC]
     assert found == []
+
+
+def test_only_euler_of_interpolates():
+    """Every Euler characteristic is fitted by ``euler.euler_of``: no
+    other module calls ``interpolate_euler``."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Call):
+                f = n.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    getattr(f, "attr", None)
+                if name == "interpolate_euler":
+                    callers.add(path.name)
+    assert callers == {"euler.py"}
 
 
 def test_every_file_parses_as_python_3_10():

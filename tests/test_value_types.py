@@ -9,10 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from extsym import algebra, counting, delta, euler, ext, linalg, modules, \
-    verify
+from extsym import algebra, delta, euler, ext, linalg, modules, verify
 from extsym.algebra import AlgebraError, Path, Quiver, Relation
-from extsym.counting import CountError, CountSeries
+from extsym.euler import EulerError, interpolate_euler
 from extsym.fields import GF, RATIONALS
 from extsym.instances import a2_preprojective
 from extsym.linalg import Mat, Subspace, span
@@ -31,11 +30,10 @@ FIELDS = [
     (algebra.AlgebraPresentation, ("quiver", "relations", "label")),
     (modules.RepModule, ("algebra", "field", "dims", "matrices")),
     (modules.HomBasis, ("source", "target", "basis")),
-    (ext.ExtSpace, ("x", "y", "d_basis", "d_pivots", "trivial", "compl",
-                    "readout", "layout", "total")),
+    (ext.ExtSpace, ("x", "y", "d_basis", "d_pivots", "compl", "readout",
+                    "layout", "total")),
     (ext.SymmetryRow, ("dim_mn", "dim_nm")),
     (ext.SymmetryReport, ("rows",)),
-    (counting.CountSeries, ("label", "samples", "degree_bound")),
     (euler.EulerValue, ("value", "coeffs", "samples", "degree_bound",
                         "consistency")),
     (delta.DeltaSignature, ("label", "mode", "table")),
@@ -56,8 +54,6 @@ def _valid_args(cls, names):
         Quiver: {"vertices": ("1", "2"), "arrows": (arrow,)},
         Path: {"vertex": None, "arrows": ("a",)},
         Relation: {"terms": ((Fraction(1), path),)},
-        CountSeries: {"label": "c", "samples": ((2, 3), (3, 4)),
-                      "degree_bound": 1},
     }.get(cls)
     if given is None:
         given = {n: object() for n in names}
@@ -97,9 +93,10 @@ def test_defaults():
     (lambda: Relation(()), AlgebraError, "empty relation"),
     (lambda: Relation(((Fraction(0), Path("1")),)), AlgebraError,
      "zero coefficient"),
-    (lambda: CountSeries("c", ((2, 1), (3, -1)), 1), CountError,
+    # the sample checks of interpolation
+    (lambda: interpolate_euler("c", ((2, 1), (3, -1)), 1), EulerError,
      "negative count"),
-    (lambda: CountSeries("c", ((2, 1), (2, 1)), 1), CountError,
+    (lambda: interpolate_euler("c", ((2, 1), (2, 1)), 1), EulerError,
      "duplicate sample primes"),
 ], ids=["no-vertex", "duplicate-vertex", "empty-path", "vertex-and-arrows",
         "empty-relation", "zero-coefficient", "negative-count",
