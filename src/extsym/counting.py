@@ -21,7 +21,7 @@ from .linalg import (Mat, Subspace, contains_vector, enumerate_subspaces,
                      integer_rank_minor, kernel_basis, mat_mul, mat_vec,
                      quotient_projection, rank, rref, span, transpose)
 from .modules import (Catalog, ModuleError, RepModule, UndecidableError,
-                      _hom_system, direct_sum, hom_basis, hom_dim,
+                      _hom_system, blocks, direct_sum, hom_basis, hom_dim,
                       is_isomorphic, reduce_module, submodule, zero_module)
 
 
@@ -553,6 +553,11 @@ def prime_certificate(x: RepModule, y: RepModule) -> int:
     rank E.  The certificate is the product of the lcm of all denominators
     (module entries and relation coefficients), the factors that scale the
     rows of H and E to integers, and one nonzero maximal minor of each.
+
+    When X or Y has several ``blocks``, it is the lcm of the denominators
+    times the product of the certificates of the pairs of blocks: a prime
+    that divides none of them reduces X and Y block by block and keeps the
+    dimensions of every pair of blocks, whose sums are those of (X, Y).
     """
     if not (isinstance(x.field, QQ) and isinstance(y.field, QQ)):
         return 0
@@ -561,6 +566,10 @@ def prime_certificate(x: RepModule, y: RepModule) -> int:
     dens += [c.denominator for rel in x.algebra.relations
              for c, _ in rel.terms]
     cert = math.lcm(*dens)
+    bx, by = blocks(x), blocks(y)
+    if len(bx) > 1 or len(by) > 1:
+        return cert * math.prod(prime_certificate(a, b)
+                                for a in bx for b in by)
     for mat in (_hom_system(x, y)[0], ext1_equations(x, y)):
         rows = []
         for row in mat.rows:

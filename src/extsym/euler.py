@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import (Callable, Dict, Hashable, List, Mapping, Optional,
                     Sequence, Tuple)
 
+from . import memo
 from .counting import good_prime
 from .fields import _is_prime
 
@@ -79,21 +80,32 @@ def interpolate_euler(label: str, samples: Sequence[Tuple[int, int]],
 
     Needs degree_bound + 2 samples at distinct primes: the first
     degree_bound + 1 fix the coefficients, the surplus ones are checked
-    against them, and the value at 1 is their sum.  Raises EulerError on a
-    repeated prime, a negative count or a negative bound, when a check
-    fails or when the value at 1 is not an integer.
+    against them, and the value at 1 is their sum.  Raises EulerError,
+    labelled ``label``, on a repeated prime, a negative count or a
+    negative bound, when a check fails or when the value at 1 is not an
+    integer.  Equal samples and bounds are fitted once and give one value,
+    whatever their label.
     """
-    samples = tuple(samples)
+    try:
+        return _fit(tuple(samples), degree_bound)
+    except EulerError as exc:
+        raise EulerError(f"{label}: {exc}") from None
+
+
+@memo.cached(lambda samples, degree_bound: (samples, degree_bound))
+def _fit(samples: Tuple[Tuple[int, int], ...],
+         degree_bound: int) -> EulerValue:
+    """The value of ``interpolate_euler``; its errors carry no label."""
     if len({q for q, _ in samples}) != len(samples):
-        raise EulerError(f"{label}: duplicate sample primes")
+        raise EulerError("duplicate sample primes")
     if any(c < 0 for _, c in samples):
-        raise EulerError(f"{label}: negative count")
+        raise EulerError("negative count")
     if degree_bound < 0:
-        raise EulerError(f"{label}: negative degree bound {degree_bound}")
+        raise EulerError(f"negative degree bound {degree_bound}")
     need = degree_bound + 2
     if len(samples) < need:
         raise EulerError(
-            f"{label}: need {need} samples for degree bound "
+            f"need {need} samples for degree bound "
             f"{degree_bound}, got {len(samples)}")
     coeffs = polynomial_coeffs(samples[:degree_bound + 1])
     for q, cnt in samples[degree_bound + 1:]:
@@ -102,13 +114,12 @@ def interpolate_euler(label: str, samples: Sequence[Tuple[int, int]],
             predicted = predicted * q + c
         if predicted != cnt:
             raise EulerError(
-                f"{label}: count at q={q} is {cnt}, interpolation "
+                f"count at q={q} is {cnt}, interpolation "
                 f"predicts {predicted}; degree bound {degree_bound} "
                 f"violated or a bad prime slipped through")
     val = sum(coeffs)
     if val.denominator != 1:
-        raise EulerError(
-            f"{label}: value at q=1 is non-integral: {val}")
+        raise EulerError(f"value at q=1 is non-integral: {val}")
     return EulerValue(int(val), coeffs, samples, degree_bound, "verified")
 
 

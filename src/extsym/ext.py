@@ -20,9 +20,10 @@ from typing import Sequence, Tuple
 
 from . import memo
 from .linalg import (Mat, Subspace, coords_in, kernel_basis, mat_mul,
-                     mat_vec, normalised, quotient_projection, rref, span,
+                     mat_vec, normalised, quotient_projection, span,
                      transpose)
-from .modules import RepModule, _hom_system, _path_matrix, check_module
+from .modules import (RepModule, _hom_system, _path_matrix, blocks,
+                      check_module)
 
 
 class ExtError(ValueError):
@@ -143,22 +144,28 @@ class ExtSpace:
         return mat_vec(field, self.readout, coords)
 
 
+def _same_ring(x: RepModule, y: RepModule) -> None:
+    if x.field != y.field or x.algebra.key() != y.algebra.key():
+        raise ExtError("modules over different algebras or fields")
+
+
 @memo.cached(lambda x, y: (x.key(), y.key()))
 def ext1_space(x: RepModule, y: RepModule) -> ExtSpace:
     """Ext^1(X, Y): classes of extensions 0 -> Y -> L -> X -> 0."""
     field = x.field
-    if x.field != y.field or x.algebra.key() != y.algebra.key():
-        raise ExtError("modules over different algebras or fields")
+    _same_ring(x, y)
     layout, total = _tuple_layout(x, y)
     d_basis = kernel_basis(field, ext1_equations(x, y))
 
     # trivial part: image of phi |-> (phi_t X_a - Y_a phi_s), whose matrix
     # is the transpose of the Hom system's (equation rows, Hom unknowns)
-    trivial = rref(field, transpose(_hom_system(x, y)[0]))[0]
+    trivial = transpose(_hom_system(x, y)[0])
 
     # complement: the rows of d_basis off the pivots of the trivial part in
     # D-coordinates; the class coordinates of a tuple are its D-coordinates
-    # modulo the trivial part, read at those rows
+    # modulo the trivial part, read at those rows.  The trivial tuples lie
+    # in D(X, Y), so their D-coordinates are their entries at d_pivots,
+    # and ``span`` reduces the rows as they come.
     d_pivots = tuple(row.index(1) for row in d_basis.rows)
     triv = span(field, [[row[pc] for pc in d_pivots] for row in trivial.rows],
                 d_basis.nrows)
@@ -169,8 +176,15 @@ def ext1_space(x: RepModule, y: RepModule) -> ExtSpace:
                     quotient_projection(field, triv), tuple(layout), total)
 
 
+@memo.cached(lambda x, y: (x.key(), y.key()))
 def ext_dim(x: RepModule, y: RepModule) -> int:
-    return ext1_space(x, y).dim
+    """dim Ext^1(X, Y); when X or Y has several ``blocks``, the sum over
+    the pairs of blocks, since Ext^1 is additive in both arguments."""
+    _same_ring(x, y)
+    bx, by = blocks(x), blocks(y)
+    if len(bx) == len(by) == 1:
+        return ext1_space(x, y).dim
+    return sum(ext_dim(a, b) for a in bx for b in by)
 
 
 # ---------------------------------------------------------------------------

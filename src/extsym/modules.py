@@ -190,6 +190,58 @@ def direct_sum_many(algebra, field, mods: Sequence[RepModule]) -> RepModule:
     return acc
 
 
+@memo.cached(lambda m: m.key())
+def blocks(m: RepModule) -> Tuple[RepModule, ...]:
+    """The blocks of a presentation: the modules on the connected
+    components of its basis vectors, two vectors linked by each nonzero
+    entry of an arrow matrix, in the order of their first vectors
+    (vertices in quiver order, then coordinates).
+
+    Ordering the basis at each vertex component by component makes every
+    arrow matrix block diagonal, so M equals the direct sum of its blocks
+    up to a permutation of its basis, and the blocks satisfy the
+    relations.  A presentation with at most one block gives ``(m,)``.
+    """
+    q = m.algebra.quiver
+    offsets = list(itertools.accumulate(m.dims, initial=0))
+    parent = list(range(offsets[-1]))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for arr, x in zip(q.arrows, m.matrices):
+        s = offsets[q.vertex_index(arr.source)]
+        t = offsets[q.vertex_index(arr.target)]
+        for i, row in enumerate(x.rows):
+            for j, v in enumerate(row):
+                if v:
+                    a, b = root(t + i), root(s + j)
+                    # the smaller index roots the union: a component's
+                    # root is its first vector
+                    parent[max(a, b)] = min(a, b)
+    comps: Dict[int, list] = {}
+    for i in range(offsets[-1]):
+        comps.setdefault(root(i), []).append(i)
+    if len(comps) < 2:
+        return (m,)
+    out = []
+    for comp in comps.values():
+        local = [[i - lo for i in comp if lo <= i < hi]
+                 for lo, hi in zip(offsets, offsets[1:])]
+        mats = []
+        for arr, x in zip(q.arrows, m.matrices):
+            rows = local[q.vertex_index(arr.target)]
+            cols = local[q.vertex_index(arr.source)]
+            mats.append(Mat(tuple(tuple(x.rows[i][j] for j in cols)
+                                  for i in rows), len(rows), len(cols)))
+        out.append(RepModule(m.algebra, m.field, tuple(map(len, local)),
+                             tuple(mats)))
+    return tuple(out)
+
+
 class Catalog(dict):
     """Modules keyed by label, which may name their indecomposables.
 
@@ -324,8 +376,15 @@ def hom_basis(m: RepModule, n: RepModule) -> HomBasis:
     return HomBasis(m, n, basis)
 
 
+@memo.cached(lambda m, n: (m.key(), n.key()))
 def hom_dim(m: RepModule, n: RepModule) -> int:
-    return hom_basis(m, n).dim
+    """dim Hom(M, N); when M or N has several ``blocks``, the sum over
+    the pairs of blocks, since Hom is additive in both arguments."""
+    _same_ring(m, n, "Hom")
+    bm, bn = blocks(m), blocks(n)
+    if len(bm) == len(bn) == 1:
+        return hom_basis(m, n).dim
+    return sum(hom_dim(x, y) for x in bm for y in bn)
 
 
 def hom_combination(field, basis: Sequence[Tuple[Mat, ...]], coeffs: Sequence):
@@ -364,12 +423,27 @@ def _lcg_tuples(nvals: int, h: int, count: int):
 
 
 def _basis_probes(field, h: int):
-    """The first probes of ``search_hom_space``: each basis element, then
-    the sum of all of them."""
+    """Each basis element, then the sum of all of them."""
     one, zero = field.one, field.zero
     yield from (tuple(one if i == k else zero for i in range(h))
                 for k in range(h))
     yield tuple(one for _ in range(h))
+
+
+# the scrambled tuples tried before the basis probes
+FIRST_SCRAMBLED = 3
+
+
+def _probes(field, h: int, values):
+    """The fast probes of ``search_hom_space``, in order: the first
+    ``FIRST_SCRAMBLED`` scrambled tuples over ``values``, the basis
+    probes, then the other scrambled tuples.  A combination with
+    multiplicities is rarely a basis element, so the scrambled ones come
+    first.  Lazy, so an early hit never pays for the later probes."""
+    scrambled = (tuple(values[i] for i in tup)
+                 for tup in _lcg_tuples(len(values), h, 400))
+    return itertools.chain(itertools.islice(scrambled, FIRST_SCRAMBLED),
+                           _basis_probes(field, h), scrambled)
 
 
 def search_hom_space(hb: HomBasis, predicate, degree: int):
@@ -379,7 +453,9 @@ def search_hom_space(hb: HomBasis, predicate, degree: int):
     degree <= ``degree`` in each coefficient (e.g. "all vertex blocks
     invertible", "full column rank"), so a full sweep of a grid with
     degree+1 values per coordinate is a sound decision procedure.  Fast
-    deterministic probes run first.
+    deterministic probes (``_probes``) run first.  Over GF(p) with
+    p <= degree the grid is all of GF(p), which decides only when it can
+    be swept whole.
 
     Returns the per-vertex matrices of a hit, or None.
     """
@@ -388,22 +464,11 @@ def search_hom_space(hb: HomBasis, predicate, degree: int):
     if h == 0:
         return None
     values = _grid_values(field, degree + 1)
-    exhaustive_ok = True
-    if isinstance(field, GF):
-        if field.p >= degree + 1:
-            pass                       # grid sweep sound
-        elif field.p ** h <= 400000:
-            values = list(range(field.p))   # full enumeration, exact
-        else:
-            exhaustive_ok = False
-    # fast probes: basis elements, all-ones, scrambled tuples (lazily,
-    # so an early hit never pays for the later probes)
     nv = len(values)
-    probes = itertools.chain(
-        _basis_probes(field, h),
-        (tuple(values[i] for i in tup) for tup in _lcg_tuples(nv, h, 400)))
+    exhaustive_ok = not (isinstance(field, GF) and field.p < degree + 1
+                         and field.p ** h > 400000)
     seen = set()
-    for coeffs in probes:
+    for coeffs in _probes(field, h, values):
         if coeffs in seen or not any(coeffs):
             continue
         seen.add(coeffs)
@@ -449,7 +514,10 @@ def is_isomorphic(m: RepModule, n: RepModule):
         return all(phi.nrows == phi.ncols and rank(field, phi) == phi.nrows
                    for phi in phis)
 
-    for coeffs in dict.fromkeys(_basis_probes(field, hb.dim)):
+    first = itertools.islice(
+        _probes(field, hb.dim, _grid_values(field, sum(m.dims) + 1)),
+        FIRST_SCRAMBLED + hb.dim + 1)
+    for coeffs in dict.fromkeys(first):
         phis = hom_combination(field, hb.basis, coeffs)
         if invertible(phis):
             return True, phis

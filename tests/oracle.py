@@ -57,6 +57,28 @@ def null_space_dim(rows, ncols, p=None):
     return ncols - gauss_rank(rows, ncols, p)
 
 
+def hom_equations(m, n):
+    """The equations phi_t X_a = Y_a phi_s of Hom(M, N) as plain rows,
+    with the number of unknowns: the entries of each phi_v (n_v x m_v,
+    row-major, vertices in quiver order)."""
+    q = m.algebra.quiver
+    off = [0]
+    for dm, dn in zip(m.dims, n.dims):
+        off.append(off[-1] + dn * dm)
+    rows = []
+    for arr, xm, xn in zip(q.arrows, m.matrices, n.matrices):
+        s, t = q.vertex_index(arr.source), q.vertex_index(arr.target)
+        for i in range(n.dims[t]):
+            for j in range(m.dims[s]):
+                row = [0] * off[-1]
+                for k in range(m.dims[t]):
+                    row[off[t] + i * m.dims[t] + k] += xm.rows[k][j]
+                for k in range(n.dims[s]):
+                    row[off[s] + k * m.dims[s] + j] -= xn.rows[i][k]
+                rows.append(row)
+    return rows, off[-1]
+
+
 # ---------------------------------------------------------------------------
 # Brute-force subspaces of F_p^n, represented as frozensets of vectors
 

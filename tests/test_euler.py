@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extsym import memo
 from extsym.counting import count_flags, count_grassmannian
 from extsym.euler import (PRIME_LIMIT, EulerError, euler_of,
                           flag_degree_bound, good_primes,
@@ -56,6 +57,39 @@ class TestInterpolation:
         assert ev.value == poly(1)
         got = list(ev.coeffs) + [Fraction(0)] * (len(coeffs) - len(ev.coeffs))
         assert got == [Fraction(c) for c in coeffs]
+
+
+class TestMemoisedFit:
+    """Equal samples and bounds are fitted once; the label is only the
+    caller's."""
+
+    BAD = ((2, 3), (3, 4), (5, 7))
+
+    def test_a_failing_fit_raises_with_each_callers_label_every_time(self):
+        for _ in range(2):
+            for label in ("first", "second"):
+                with pytest.raises(EulerError, match=(
+                        f"^{label}: count at q=5 is 7, interpolation "
+                        "predicts 6;")):
+                    interpolate_euler(label, self.BAD, 1)
+        for label in ("first", "second"):
+            with pytest.raises(EulerError,
+                               match=f"^{label}: duplicate sample primes$"):
+                interpolate_euler(label, ((2, 1), (2, 1), (3, 1)), 1)
+
+    def test_a_shared_fit_gives_one_value_with_its_evidence(self):
+        memo.clear_all()
+        samples = ((2, 7), (3, 13), (5, 31), (7, 57), (11, 133))  # q^2+q+1
+        first = interpolate_euler("first", samples, 2)
+        second = interpolate_euler("second", list(samples), 2)
+        want = {"value": 3, "polynomial": ["1", "1", "1"],
+                "degree_bound": 2, "consistency": "verified",
+                "samples": [[2, 7], [3, 13], [5, 31], [7, 57], [11, 133]]}
+        assert first is second
+        assert first.as_dict() == want
+        # another bound is another fit
+        assert interpolate_euler("first", samples, 3).as_dict() == \
+            dict(want, degree_bound=3)
 
 
 def vandermonde_coeffs(samples):
