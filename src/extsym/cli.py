@@ -29,25 +29,32 @@ _ERRORS = (AlgebraError, ModuleError, CountError, DeltaError, EulerError,
            json.JSONDecodeError)
 
 
-def _fail(msg: str, as_json: bool) -> None:
+def _fail(msg: str, as_json: bool, status: int = 1) -> None:
     if as_json:
         click.echo(json.dumps({"verdict": "error", "message": msg}))
     else:
         click.echo(f"error: {msg}", err=True)
-    sys.exit(1)
+    sys.exit(status)
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
     click.echo(json.dumps(payload, indent=2) if as_json else text)
 
 
-def _parse_int_list(s: Optional[str]) -> Optional[List[int]]:
+def _parse_int_list(s: Optional[str],
+                    as_json: bool) -> Optional[List[int]]:
+    """The integers of a comma list.  A malformed list is a usage error,
+    exit status 2: click's usage message, or the error object under
+    ``--json``."""
     if s is None:
         return None
     try:
         return [int(x) for x in s.split(",")]
     except ValueError:
-        raise click.BadParameter(f"not a comma-separated integer list: {s}")
+        msg = f"not a comma-separated integer list: {s}"
+        if as_json:
+            _fail(msg, True, 2)
+        raise click.BadParameter(msg)
 
 
 def _load(algebra_file, module_files=(), catalog_file=None,
@@ -156,8 +163,8 @@ def grassmann_chi(algebra_file, module_files, edims, primes_arg, as_json):
         _fail("grassmann chi needs exactly one --module", as_json)
     try:
         _, (m,), _, _ = _load(algebra_file, module_files)
-        ev = slot_value(m, "grassmann", _parse_int_list(edims),
-                        primes=_parse_int_list(primes_arg))
+        ev = slot_value(m, "grassmann", _parse_int_list(edims, as_json),
+                        primes=_parse_int_list(primes_arg, as_json))
     except _ERRORS as exc:
         _fail(str(exc), as_json)
     _emit({"chi": ev.value, **ev.as_dict()}, as_json, f"chi = {ev.value}")
@@ -187,8 +194,8 @@ def flag_chi(algebra_file, module_files, catalog_file, simples_arg,
                                           catalog_file, simples_arg)
         if not simples:
             _fail("flag chi needs --simples", as_json)
-        ev = slot_value(m, "flag", _parse_int_list(type_arg), simples,
-                        _parse_int_list(primes_arg))
+        ev = slot_value(m, "flag", _parse_int_list(type_arg, as_json),
+                        simples, _parse_int_list(primes_arg, as_json))
     except _ERRORS as exc:
         _fail(str(exc), as_json)
     _emit({"chi": ev.value, **ev.as_dict()}, as_json, f"chi = {ev.value}")
@@ -214,7 +221,7 @@ def delta_cmd(algebra_file, module_files, catalog_file, simples_arg, mode,
         if mode == "flag" and not simples:
             _fail("flag mode needs --simples", as_json)
         sig = delta_signature(m, mode, simples or [],
-                              primes=_parse_int_list(primes_arg))
+                              primes=_parse_int_list(primes_arg, as_json))
     except _ERRORS as exc:
         _fail(str(exc), as_json)
     vals = sig.values()
@@ -240,8 +247,9 @@ def stratify_cmd(algebra_file, catalog_file, simples_arg, mode, primes_arg,
             _fail("stratify needs --catalog", as_json)
         if mode == "flag" and not simples:
             _fail("flag mode needs --simples", as_json)
-        classes = stratify_by_signature(catalog, simples or [], mode,
-                                        primes=_parse_int_list(primes_arg))
+        classes = stratify_by_signature(
+            catalog, simples or [], mode,
+            primes=_parse_int_list(primes_arg, as_json))
     except _ERRORS as exc:
         _fail(str(exc), as_json)
     _emit({"classes": classes}, as_json,
@@ -283,7 +291,7 @@ def _verify_common(algebra_file, module_files, catalog_file, simples_arg,
             _fail("verification needs --simples", as_json)
         fn = verify_formula1 if which == "f1" else verify_formula2
         report = fn(m, n, simples, catalog,
-                    primes=_parse_int_list(primes_arg),
+                    primes=_parse_int_list(primes_arg, as_json),
                     allow_asymmetric=allow_asymmetric)
     except _ERRORS as exc:
         _fail(str(exc), as_json)

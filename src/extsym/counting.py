@@ -17,12 +17,13 @@ from .ext import (beta_map, ext1_equations, ext1_space, ext_dim,
                   middle_term, pushed_kernel_dim)
 from .fields import QQ, FieldError
 from .linalg import (Mat, Subspace, contains_vector, enumerate_subspaces,
-                     gaussian_binomial, hstack, identity,
-                     integer_rank_minor, kernel_basis, mat_mul, mat_vec,
+                     gaussian_binomial, identity, integer_rank_minor,
+                     kernel_basis, mat_mul, mat_vec, normalised,
                      quotient_projection, rank, rref, span, transpose)
 from .modules import (Catalog, ModuleError, RepModule, UndecidableError,
                       _hom_system, blocks, direct_sum, hom_basis, hom_dim,
-                      is_isomorphic, reduce_module, submodule, zero_module)
+                      hom_combination, is_isomorphic, reduce_module,
+                      submodule, zero_module)
 
 
 class CountError(ValueError):
@@ -158,99 +159,138 @@ def count_grassmannian(m: RepModule, edims: Sequence[int]) -> int:
 # Flags with prescribed simple quotients
 
 
+def _kernel_module(m: RepModule, cut) -> RepModule:
+    """The submodule of M that ``cut`` gives at some vertices, as
+    {vertex: (free columns, basis)}: the columns of ``basis`` span it
+    there, and a vector of it has as coordinates its entries at the free
+    columns.  So an arrow into such a vertex keeps the rows at its free
+    columns, an arrow out of one is multiplied by its basis, and the other
+    vertices keep all of M."""
+    field = m.field
+    q = m.algebra.quiver
+    mats = []
+    for arr, x in zip(q.arrows, m.matrices):
+        s, t = q.vertex_index(arr.source), q.vertex_index(arr.target)
+        if t in cut:
+            free = cut[t][0]
+            x = Mat(tuple(x.rows[f] for f in free), len(free), x.ncols)
+        mats.append(mat_mul(field, x, cut[s][1]) if s in cut else x)
+    dims = tuple(len(cut[i][0]) if i in cut else d
+                 for i, d in enumerate(m.dims))
+    return RepModule(m.algebra, field, dims, tuple(mats))
+
+
 def _quotient_kernels(m: RepModule, simple: RepModule):
     """The submodules K <= M with M/K isomorphic to a given simple, as
     (kernel module, weight) pairs: the kernels of the maps M -> S that are
-    onto at every vertex, the weights summing to their number.
+    onto at every vertex, the weights summing to their number.  A
+    one-dimensional S is done in closed form (``_vertex_kernels``), any
+    other through Hom(M, S) (``_hom_line_kernels``)."""
+    if simple.total_dim == 1:
+        return _vertex_kernels(m, simple)
+    return _hom_line_kernels(m, simple)
 
-    Split lines are counted in closed form.  For S one-dimensional, pair
-    the bases of Hom(S, M) and Hom(M, S) by P[i][j] = phi_j o iota_i in
-    End S = F_p, and let Z be the coefficient vectors c with P c = 0; then
+
+def _vertex_kernels(m: RepModule, simple: RepModule):
+    """``_quotient_kernels`` for S one-dimensional, at vertex v.
+
+    A map M -> S is a functional phi on M_v with phi x_a = 0 for every
+    arrow a into v, and a map S -> M a vector iota of M_v with x_a iota = 0
+    for every arrow a out of v; a loop at v, acting on S by a scalar c,
+    counts as both, as x_a - c.  So the reduced echelon bases of Hom(M, S)
+    and Hom(S, M), those of ``hom_basis``, are the kernel bases of the
+    stacked columns and rows of those matrices, and they pair by
+    P[j][i] = phi_j(iota_i) in End S = F_p.
+
+    Split lines: let Z be the coefficient vectors c with c P = 0; then
     k = rank P is the multiplicity of S as a direct summand of M and Z has
     dimension h - k.  A map phi off Z has phi o iota != 0 for some iota,
     which splits it, M = iota(S) + ker phi, so by Krull-Schmidt
     cancellation all their kernels are isomorphic.  The (p^h - p^(h-k)) /
-    (p - 1) lines off Z are yielded as one kernel, of a basis map whose
-    column of P is nonzero, with that weight; each line of Z is yielded
-    with weight 1.  For any other factor k = 0 and Z is all of Hom(M, S).
+    (p - 1) lines off Z are yielded as one kernel, that of the first basis
+    map whose row of P is nonzero, with that weight; each line of Z, in
+    ``enumerate_subspaces`` order over the basis of Z, with weight 1.
+    Distinct lines have distinct kernels, and no map is zero.
 
-    Each map taken, the split basis map or a line of Z, is put in reduced
-    echelon form R at the vertices where S is nonzero; it is onto when R
-    has a row per dimension of S there.  The kernel has the basis
-    e_c - sum_r R[r][c] e_pivot(r) over the free (non-pivot) columns c,
-    the columns of the transposed quotient projection of the row space of
-    R, so a kernel vector's coordinates are its entries at the free
-    columns, and each arrow of K is M's arrow times that basis, read at
-    the free columns of its target.  Vertices where S vanishes keep all
-    of M.  A kernel fixes its echelon form, so kernels are deduplicated
-    by those rows.
+    The line, the basis of Z and that of Hom(M, S) are reduced echelon
+    rows, so each map phi is 1 at its first nonzero column pc, and its
+    kernel has the basis e_c - phi_c e_pc over the free columns c != pc,
+    the columns of the transposed quotient projection of phi's row space.
     """
     field = m.field
     p = field.char
     q = m.algebra.quiver
-    basis = hom_basis(m, simple).basis
-    h = len(basis)
-    units = identity(field, h).rows
-    unsplit, split = units, ()
-    inj = hom_basis(simple, m).basis if simple.total_dim == 1 else ()
-    if inj:
-        v = simple.dims.index(1)
-        # row j: phi_j o iota_i for every i, the column j of P
-        pairs = mat_mul(field,
-                        Mat(tuple(phi[v].rows[0] for phi in basis), h,
-                            m.dims[v]),
-                        hstack(field, [iota[v] for iota in inj]))
-        unsplit = kernel_basis(field, transpose(pairs)).rows
-        split = tuple(e for e, row in zip(units, pairs.rows)
-                      if any(row))[:1]
-    gens = Mat(split + unsplit, len(split) + len(unsplit), h)
-    lines = (((0,) * len(split) + line.mat.rows[0], 1)
-             for line in enumerate_subspaces(len(unsplit), 1, p))
-    if split:
+    v = simple.dims.index(1)
+    d = m.dims[v]
+    into, out = [], []
+    for arr, x, y in zip(q.arrows, m.matrices, simple.matrices):
+        s, t = q.vertex_index(arr.source), q.vertex_index(arr.target)
+        if s == t == v:
+            c = y.rows[0][0]
+            x = normalised(field, [[a - c if i == j else a
+                                    for j, a in enumerate(r)]
+                                   for i, r in enumerate(x.rows)], d)
+        if t == v:
+            into += transpose(x).rows
+        if s == v:
+            out += x.rows
+    phis = kernel_basis(field, Mat(tuple(into), len(into), d))
+    h = phis.nrows
+    if not h:
+        return
+    iotas = kernel_basis(field, Mat(tuple(out), len(out), d))
+    pairs = mat_mul(field, phis, transpose(iotas))
+    zero = kernel_basis(field, transpose(pairs))
+    # column k: the map of the k-th basis vector of Z
+    unsplit = transpose(mat_mul(field, zero, phis))
+    lines = ((mat_vec(field, unsplit, line.mat.rows[0]), 1)
+             for line in enumerate_subspaces(zero.nrows, 1, p))
+    split = next((phi for phi, row in zip(phis.rows, pairs.rows)
+                  if any(row)), None)
+    if split is not None:
         lines = itertools.chain(
-            [((1,) + (0,) * len(unsplit),
-              (p ** h - p ** len(unsplit)) // (p - 1))], lines)
-    # per vertex of S, the matrix taking coefficients over gens to the
-    # entries of the map there, row by row
-    support = []
-    for i, (rk, d) in enumerate(zip(simple.dims, m.dims)):
-        if rk:
-            entries = Mat(tuple(tuple(x for r in phis[i].rows for x in r)
-                                for phis in basis), h, rk * d)
-            support.append((i, rk, d,
-                            transpose(mat_mul(field, gens, entries))))
-    ends = [(q.vertex_index(a.source), q.vertex_index(a.target))
-            for a in q.arrows]
+            [(split, (p ** h - p ** zero.nrows) // (p - 1))], lines)
+    for phi, weight in lines:
+        pc = phi.index(1)
+        free = [c for c in range(d) if c != pc]
+        basis = normalised(field, [[-phi[c] for c in free] if r == pc
+                                   else [int(c == r) for c in free]
+                                   for r in range(d)], d - 1)
+        yield _kernel_module(m, {v: (free, basis)}), weight
+
+
+def _hom_line_kernels(m: RepModule, simple: RepModule):
+    """``_quotient_kernels`` for any factor: one kernel per line of
+    Hom(M, S), each of weight 1.
+
+    Each map is put in reduced echelon form R at the vertices where S is
+    nonzero; it is onto when R has a row per dimension of S there.  The
+    kernel has the basis e_c - sum_r R[r][c] e_pivot(r) over the free
+    (non-pivot) columns c, the columns of the transposed quotient
+    projection of the row space of R.  A kernel fixes its echelon form,
+    so kernels are deduplicated by those rows.
+    """
+    field = m.field
+    basis = hom_basis(m, simple).basis
     seen = set()
-    for line, weight in lines:
+    for line in enumerate_subspaces(len(basis), 1, field.char):
+        phi = hom_combination(field, basis, line.mat.rows[0])
         echelon = {}
-        for i, rk, d, coeffs in support:
-            flat = mat_vec(field, coeffs, line)
-            red, pivots = rref(field, Mat(
-                tuple(flat[r * d:(r + 1) * d] for r in range(rk)), rk, d))
-            if len(pivots) != rk:  # not onto at vertex i
-                break
-            echelon[i] = Subspace(field, d, red, pivots)
+        for i, rk in enumerate(simple.dims):
+            if rk:
+                red, pivots = rref(field, phi[i])
+                if len(pivots) != rk:  # not onto at vertex i
+                    break
+                echelon[i] = Subspace(field, m.dims[i], red, pivots)
         else:
             key = tuple(u.mat.rows for u in echelon.values())
             if key in seen:
                 continue
             seen.add(key)
-            # columns: the kernel basis at each vertex of S
-            kernel = {i: transpose(quotient_projection(field, u))
-                      for i, u in echelon.items()}
-            free = [range(d) if i not in echelon else
-                    [c for c in range(d) if c not in echelon[i].pivots]
-                    for i, d in enumerate(m.dims)]
-            mats = []
-            for (s, t), x in zip(ends, m.matrices):
-                if t in echelon:
-                    x = Mat(tuple(x.rows[f] for f in free[t]), len(free[t]),
-                            x.ncols)
-                mats.append(mat_mul(field, x, kernel[s]) if s in kernel
-                            else x)
-            yield RepModule(m.algebra, field, tuple(map(len, free)),
-                            tuple(mats)), weight
+            yield _kernel_module(m, {
+                i: ([c for c in range(u.ambient) if c not in u.pivots],
+                    transpose(quotient_projection(field, u)))
+                for i, u in echelon.items()}), 1
 
 
 # Isomorphism classes of GF(p) modules, the submodules with one simple
@@ -482,12 +522,16 @@ def _part_submodules(x: RepModule) -> list:
 def _part_widths(x: RepModule, y: RepModule) -> list:
     """w_ij of a pair of GF(p) parts (N_i, M_j): for each submodule of X
     and each of Y, in ``_part_submodules`` order, w = dim push(ker pull)
-    of their paired transport map beta."""
-    ys = _part_submodules(y)
+    of their paired transport map beta.  The pushed classes lie in
+    Ext^1(X, Y), so a pair with Ext^1(X, Y) = 0 has a table of zeros and
+    no beta is built."""
+    xs, ys = _part_submodules(x), _part_submodules(y)
+    if not ext_dim(x, y):
+        return [[0] * len(ys) for _ in xs]
     return [[pushed_kernel_dim(x.field,
                                *beta_map(x, y, n1, n1_incl, m1, m1_incl))
              for m1, m1_incl in ys]
-            for n1, n1_incl in _part_submodules(x)]
+            for n1, n1_incl in xs]
 
 
 def count_efg(n_parts: Sequence[RepModule],

@@ -130,15 +130,6 @@ def mat_vec(field, a: Mat, v: Sequence) -> tuple:
     return tuple(out)
 
 
-def hstack(field, mats: Sequence[Mat]) -> Mat:
-    nrows = mats[0].nrows
-    if any(m.nrows != nrows for m in mats):
-        raise LinAlgError("hstack row mismatch")
-    rows = tuple(tuple(itertools.chain.from_iterable(m.rows[i] for m in mats))
-                 for i in range(nrows))
-    return Mat(rows, nrows, sum(m.ncols for m in mats))
-
-
 # ---------------------------------------------------------------------------
 # Echelon forms, kernels, solving
 

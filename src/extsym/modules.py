@@ -17,7 +17,7 @@ from .algebra import AlgebraPresentation
 from .fields import GF, QQ
 from .linalg import (Mat, Subspace, coords_in, identity, kernel_basis,
                      mat_from_fractions, mat_mul, mat_vec, normalised,
-                     quotient_projection, rank, span, zeros)
+                     quotient_projection, rank, span, transpose, zeros)
 
 
 class ModuleError(ValueError):
@@ -495,35 +495,42 @@ def is_isomorphic(m: RepModule, n: RepModule):
     Hom(M, N) is first compared with End(N), which is already known when
     N is a class representative; then the first probes of the search are
     tried, since a hit proves isomorphism, and only then are Hom(N, M) and
-    End(M) built and compared before the full search.  A hit is the
-    witness the full search would return first; a pair whose Hom
-    dimensions differ is refused without any search.  Modules over
-    different algebras or fields are a ``ModuleError``.
+    End(M) built and compared before the full search.  A probe is one
+    vector of the kernel of the Hom system, the combination of its
+    reduced echelon basis (that of ``hom_basis``), and only that vector
+    is unpacked into per-vertex matrices; the unpacked basis is built
+    when the full search runs.  A hit is the witness the full search
+    would return first; a pair whose Hom dimensions differ is refused
+    without any search.  Modules over different algebras or fields are a
+    ``ModuleError``.
     """
     _same_ring(m, n, "isomorphism test")
     if m.dims != n.dims:
         return False, None
     if m.is_zero():
         return True, tuple(zeros(m.field, 0, 0) for _ in m.dims)
-    hb = hom_basis(m, n)
-    if hb.dim != hom_dim(n, n):
-        return False, None
     field = m.field
+    sys_mat, layout = _hom_system(m, n)
+    kern = kernel_basis(field, sys_mat)
+    h = kern.nrows
+    if h != hom_dim(n, n):
+        return False, None
 
     def invertible(phis):
         return all(phi.nrows == phi.ncols and rank(field, phi) == phi.nrows
                    for phi in phis)
 
     first = itertools.islice(
-        _probes(field, hb.dim, _grid_values(field, sum(m.dims) + 1)),
-        FIRST_SCRAMBLED + hb.dim + 1)
+        _probes(field, h, _grid_values(field, sum(m.dims) + 1)),
+        FIRST_SCRAMBLED + h + 1)
+    cols = transpose(kern)
     for coeffs in dict.fromkeys(first):
-        phis = hom_combination(field, hb.basis, coeffs)
+        phis = _unpack_hom(field, mat_vec(field, cols, coeffs), layout)
         if invertible(phis):
             return True, phis
-    if hb.dim != hom_dim(n, m) or hom_dim(m, m) != hom_dim(n, n):
+    if h != hom_dim(n, m) or hom_dim(m, m) != hom_dim(n, n):
         return False, None
-    hit = search_hom_space(hb, invertible, sum(m.dims))
+    hit = search_hom_space(hom_basis(m, n), invertible, sum(m.dims))
     if hit is None:
         return False, None
     return True, hit

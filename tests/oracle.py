@@ -1,15 +1,16 @@
 """Independent brute-force reference implementations.
 
-Everything here but the last three sections is written from scratch on
+Everything here but the last four sections is written from scratch on
 plain lists and Fractions (or ints mod p), without importing the
 package's linear algebra, so the test suite can cross-check the library
 against a second, slower computation of the same quantities.  The last
-three sections keep a linear solve, the base change and submodule
+four sections keep a linear solve, the base change and submodule
 witnesses that tests build modules with, and the fit of a single count;
 the correction count that enumerates every submodule pair, the
-reference for the library's count on block pairs; and the maps of the
+reference for the library's count on block pairs; the maps of the
 dimension lemma a + b = dim Ext^1(M, N), beta' and the flag maps, the
-reference of the lemma tests.
+reference of the lemma tests; and a flag step onto a one-dimensional
+factor through the Hom solver, the reference of its closed form.
 """
 
 from __future__ import annotations
@@ -308,13 +309,25 @@ def count_extension_tuples(xdims, ydims, arrows, relations, p):
 
 
 # ---------------------------------------------------------------------------
-# A linear solve, base change, submodule witnesses and the fit of a single
-# count, on the package's linear algebra and fitter.
+# Matrices side by side, a linear solve, base change, submodule witnesses
+# and the fit of a single count, on the package's linear algebra and
+# fitter.
+
+
+def hstack(field, mats):
+    """The matrices side by side; they must have equal row counts."""
+    from extsym.linalg import LinAlgError, Mat
+    nrows = mats[0].nrows
+    if any(m.nrows != nrows for m in mats):
+        raise LinAlgError("hstack row mismatch")
+    rows = tuple(tuple(itertools.chain.from_iterable(m.rows[i] for m in mats))
+                 for i in range(nrows))
+    return Mat(rows, nrows, sum(m.ncols for m in mats))
 
 
 def mat_inv(field, a):
     """Inverse of a square matrix, or None if singular."""
-    from extsym.linalg import LinAlgError, Mat, hstack, identity, rref
+    from extsym.linalg import LinAlgError, Mat, identity, rref
     if a.nrows != a.ncols:
         raise LinAlgError("inverse of non-square matrix")
     n = a.nrows
@@ -464,7 +477,6 @@ def lemma_dims(m, n, m1, m1_incl, n1, n1_incl):
     for beta' = [pull | -push]: Ext^1(M, N) + Ext^1(M1, N1) -> Ext^1(M1, N)
     along M1 -> M and N1 -> N, and b = dim push(ker pull) of beta."""
     from extsym.ext import beta_map, pushed_kernel_dim
-    from extsym.linalg import hstack
     field = m.field
     pull = _transport(m, n, m1, n, m1_incl, "pullback")
     beta_prime = hstack(field, [pull, _transport(m1, n1, m1, n, n1_incl,
@@ -527,3 +539,68 @@ def flag_lemma_dims(m, steps_m, n, steps_n):
                               Mat(beta.rows[:head], head, beta.ncols),
                               Mat(beta.rows[head:], beta.nrows - head,
                                   beta.ncols)))
+
+
+# ---------------------------------------------------------------------------
+# A flag step through the Hom solver: the reference of the library's
+# closed form for a one-dimensional factor.  It runs on the package's Hom
+# spaces and linear algebra.
+
+
+def quotient_kernels_by_hom(m, simple):
+    """The (kernel, weight) pairs of ``counting._quotient_kernels`` for a
+    one-dimensional factor, built from ``hom_basis(M, S)`` and
+    ``hom_basis(S, M)``: the pairing P[i][j] = phi_j o iota_i, the split
+    lines as one kernel of a basis map whose column of P is nonzero, and
+    each map of a line put in reduced echelon form, its kernel read off
+    the transposed quotient projection of that form."""
+    from extsym.linalg import (Mat, Subspace, enumerate_subspaces,
+                               identity, kernel_basis, mat_mul, mat_vec,
+                               quotient_projection, rref, transpose)
+    from extsym.modules import RepModule, hom_basis
+    field = m.field
+    p = field.char
+    q = m.algebra.quiver
+    v = simple.dims.index(1)
+    basis = hom_basis(m, simple).basis
+    h = len(basis)
+    units = identity(field, h).rows
+    unsplit, split = units, ()
+    inj = hom_basis(simple, m).basis
+    if inj:
+        # row j: phi_j o iota_i for every i, the column j of P
+        pairs = mat_mul(field,
+                        Mat(tuple(phi[v].rows[0] for phi in basis), h,
+                            m.dims[v]),
+                        hstack(field, [iota[v] for iota in inj]))
+        unsplit = kernel_basis(field, transpose(pairs)).rows
+        split = tuple(e for e, row in zip(units, pairs.rows)
+                      if any(row))[:1]
+    gens = Mat(split + unsplit, len(split) + len(unsplit), h)
+    lines = [((0,) * len(split) + line.mat.rows[0], 1)
+             for line in enumerate_subspaces(len(unsplit), 1, p)]
+    if split:
+        lines.insert(0, ((1,) + (0,) * len(unsplit),
+                         (p ** h - p ** len(unsplit)) // (p - 1)))
+    d = m.dims[v]
+    entries = Mat(tuple(phi[v].rows[0] for phi in basis), h, d)
+    coeffs = transpose(mat_mul(field, gens, entries))
+    ends = [(q.vertex_index(a.source), q.vertex_index(a.target))
+            for a in q.arrows]
+    out = []
+    for line, weight in lines:
+        red, pivots = rref(field, Mat((mat_vec(field, coeffs, line),), 1, d))
+        if len(pivots) != 1:  # not onto
+            continue
+        u = Subspace(field, d, red, pivots)
+        kernel = transpose(quotient_projection(field, u))
+        free = [c for c in range(d) if c not in pivots]
+        mats = []
+        for (s, t), x in zip(ends, m.matrices):
+            if t == v:
+                x = Mat(tuple(x.rows[f] for f in free), len(free), x.ncols)
+            mats.append(mat_mul(field, x, kernel) if s == v else x)
+        dims = tuple(len(free) if i == v else e
+                     for i, e in enumerate(m.dims))
+        out.append((RepModule(m.algebra, field, dims, tuple(mats)), weight))
+    return out

@@ -536,6 +536,29 @@ def test_18_two_loop_pairs_of_dimension_four_within_budget(two_loop):
             assert mirror.per_type == rep.per_type, lab
 
 
+def test_19_all_pairs_of_dimension_six_within_budget(a2):
+    """Both identities and multiplicativity on every direct-sum pair of
+    combined dimension <= 6, caches cold.  Most of the time is
+    multiplicativity, whose flag steps onto a simple are built in closed
+    form and whose class confirmations probe single Hom vectors.
+    Budget: 20 s."""
+    memo.clear_all()
+    with Budget(20):
+        alg, mods = a2
+        simples = [mods["S1"], mods["S2"]]
+        sums = a2_sums(alg, 5)
+        cat = a2_catalog(alg, 6)
+        pairs = [(a, b) for a in sums for b in sums
+                 if sums[a].total_dim + sums[b].total_dim <= 6]
+        assert len(pairs) == 501
+        for la, lb in pairs:
+            m, n = sums[la], sums[lb]
+            assert verify_formula2(m, n, simples, cat).passed, (la, lb)
+            assert verify_formula1(m, n, simples, cat).passed, (la, lb)
+            assert check_delta_multiplicativity(m, n, simples).passed, \
+                (la, lb)
+
+
 @pytest.mark.parametrize("which, message", [
     (("I", "X", "v"), "unknown audit instances: 'X', 'v'; the built-in ones "
                       "are I, II, III, IV"),

@@ -211,6 +211,19 @@ class TestChi:
         assert r.exit_code == 2
         assert f"not a comma-separated integer list: {args[-1]}" in r.output
 
+    @pytest.mark.parametrize("args", [
+        ["grassmann", "chi", "--dims", "1,x"],
+        ["flag", "chi", "--simples", "vertex:1,vertex:2", "--type", "0,x"],
+        ["grassmann", "chi", "--dims", "0,1", "--primes", "2,,3"]])
+    def test_malformed_list_under_json(self, files, args):
+        # a usage error: exit status 2, the error object on stdout
+        r = run(*args, "--algebra", files["algebra"],
+                "--module", files["P1"], "--json")
+        assert r.exit_code == 2
+        assert json.loads(r.stdout) == {
+            "verdict": "error",
+            "message": f"not a comma-separated integer list: {args[-1]}"}
+
 
 class TestOneEvaluationPath:
     """``grassmann chi`` and ``flag chi`` read one slot of the table that

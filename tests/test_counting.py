@@ -5,6 +5,7 @@ count, and prime screening."""
 import collections
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,8 +38,8 @@ from extsym.verify import _strata_chi, verify_formula1, verify_formula2
 from oracle import (conjugate, count_efg_pairs, count_flags_bruteforce,
                     count_submodules_bruteforce, efg_degree_bound,
                     gaussian_binomial_int, mat_apply,
-                    modules_isomorphic_bruteforce, span_set,
-                    witness_from_rows)
+                    modules_isomorphic_bruteforce,
+                    quotient_kernels_by_hom, span_set, witness_from_rows)
 
 
 def _arrow_data(m):
@@ -307,7 +308,94 @@ class TestQuotientKernels:
     rows.  The split lines of a one-dimensional factor come as one kernel
     weighted by their number; every other kernel has weight 1 and equals
     the long way's kernel of its map under the base change that reads
-    each echelon row at the free columns of the map."""
+    each echelon row at the free columns of the map.  The closed form of
+    a one-dimensional factor yields, pair by pair, what the Hom-solver
+    route of ``oracle.quotient_kernels_by_hom`` yields."""
+
+    @staticmethod
+    def _vertex_simples(m, cache):
+        alg = m.algebra
+        if alg.key() not in cache:
+            # the deformed algebra has no modules at one vertex
+            try:
+                cache[alg.key()] = [simple_at_vertex(alg, m.field, v)
+                                    for v in alg.quiver.vertices]
+            except ModuleError:
+                cache[alg.key()] = []
+        return cache[alg.key()]
+
+    @staticmethod
+    def _conjugated(m, rng):
+        """M under a base change by invertible matrices drawn from
+        ``rng``, one per vertex, so that the echelon bases of its Hom
+        spaces have entries off their pivots."""
+        while True:
+            g = [Mat(tuple(tuple(rng.randrange(m.field.p) for _ in range(d))
+                           for _ in range(d)), d, d) for d in m.dims]
+            try:
+                return conjugate(m, g)
+            except ModuleError:  # a draw that is not invertible
+                continue
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_closed_form_equals_the_hom_route(self, a2, p):
+        """Every vertex simple of the four built-in algebras (and of the
+        cycle without relations) as the factor of every module of
+        ``_walk_families`` and of a base change of it: the same kernel
+        keys and weights in the same order."""
+        rng = random.Random(p)
+        factors = {}
+        kernels = weighted = 0
+        for m_rat in _walk_families(a2):
+            try:
+                m = reduce_module(m_rat, p)
+            except FieldError:
+                continue
+            for x in (m, self._conjugated(m, rng)):
+                for simple in self._vertex_simples(x, factors):
+                    got = [(k.key(), w) for k, w in
+                           counting._quotient_kernels(x, simple)]
+                    assert got == [(k.key(), w) for k, w in
+                                   quotient_kernels_by_hom(x, simple)], \
+                        (x.key(), simple.dims)
+                    kernels += len(got)
+                    weighted += sum(w > 1 for _, w in got)
+        assert len(factors) == 5
+        assert kernels > 1200 and weighted > 200
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_loops_acting_by_a_scalar(self, two_loop, p):
+        """One-dimensional factors of the two-loop algebra on which x and
+        y act by scalars, (0, 0) and (1, 2), on modules where they act
+        with those eigenvalues: a loop enters both Hom systems shifted by
+        its scalar.  The closed form equals the Hom route, and the weights
+        add up to the lines of Hom(M, S), every nonzero map onto a
+        one-dimensional module being onto."""
+        alg, mods = two_loop
+
+        def module(x, y):
+            return module_from_fractions(alg, RATIONALS, {"v": len(x)},
+                                         {"x": x, "y": y})
+
+        t = module([[1]], [[2]])
+        j = module([[1, 1], [0, 1]], [[2, 0], [0, 2]])
+        parts = [t, j, mods["S"], mods["N(1,0)"]]
+        sums = [direct_sum_many(alg, RATIONALS, list(combo))
+                for r in (1, 2, 3)
+                for combo in itertools.combinations_with_replacement(parts, r)
+                if sum(x.total_dim for x in combo) <= 4]
+        split = 0
+        for simple in (reduce_module(mods["S"], p), reduce_module(t, p)):
+            for m_rat in sums:
+                m = reduce_module(m_rat, p)
+                got = list(counting._quotient_kernels(m, simple))
+                assert [(k.key(), w) for k, w in got] == \
+                    [(k.key(), w) for k, w in
+                     quotient_kernels_by_hom(m, simple)], m.key()
+                h = hom_dim(m, simple)
+                assert sum(w for _, w in got) == (p ** h - 1) // (p - 1)
+                split += any(w > 1 for _, w in got)
+        assert split > 10
 
     @staticmethod
     def _long_way(m, simple):
@@ -348,22 +436,16 @@ class TestQuotientKernels:
         _, loops = two_loop
         factors = {}
         checked = weighted = 0
+        two = reduce_module(loops["S+S"], p)
         for m_rat in itertools.chain(_walk_families(a2), [loops["S+S"]]):
             try:
                 m = reduce_module(m_rat, p)
             except FieldError:
                 continue
-            alg = m.algebra
-            if alg.key() not in factors:
-                # the deformed algebra has no modules at one vertex
-                try:
-                    factors[alg.key()] = [simple_at_vertex(alg, m.field, v)
-                                          for v in alg.quiver.vertices]
-                except ModuleError:
-                    factors[alg.key()] = []
-                if alg.key() == loops["S"].algebra.key():
-                    factors[alg.key()].append(reduce_module(loops["S+S"], p))
-            for simple in factors[alg.key()]:
+            simples = self._vertex_simples(m, factors)
+            if m.algebra.key() == two.algebra.key():
+                simples = simples + [two]
+            for simple in simples:
                 got = list(counting._quotient_kernels(m, simple))
                 want = self._long_way(m, simple)
                 assert sum(w for _, w in got) == len(want)
@@ -1084,6 +1166,35 @@ class TestCorrectionCount:
                     nonzero += w > 0
             assert nonzero, (n_labels, m_labels)
             assert count_efg(n_parts, m_parts) == table, (n_labels, m_labels)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_widths_equal_those_of_beta(self, a2, two_loop, three_vertex,
+                                        three_vertex_catalog, p):
+        """The memoised w table of every ordered pair of parts over each
+        of the four built-in algebras, which skips beta when
+        Ext^1(X, Y) = 0, equals the table of w read from beta on each
+        pair of submodules."""
+        _, mods = a2
+        _, loops = two_loop
+        _, simples3 = three_vertex
+        _, cat3 = three_vertex_catalog
+        families = [
+            list(mods.values()),
+            [loops[x] for x in ("S", "N(1,0)", "N(0,1)", "S+S")],
+            [deformed_a2_module(Fraction(a)) for a in (1, -1)],
+            list(simples3.values()) + [cat3["E"]]]
+        skipped = 0
+        for family in families:
+            parts = [reduce_module(x, p) for x in family]
+            field = parts[0].field
+            for x, y in itertools.product(parts, repeat=2):
+                want = [[_w(field, x, y, n1, n1_incl, m1, m1_incl)
+                         for m1, m1_incl in counting._part_submodules(y)]
+                        for n1, n1_incl in counting._part_submodules(x)]
+                assert counting._part_widths(x, y) == want, \
+                    (x.key(), y.key())
+                skipped += not ext_dim(x, y)
+        assert skipped > 20
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_table_vanishes_at_both_ends(self, a2, p):
